@@ -22,7 +22,6 @@ from stresstwin.forest import (
     train_forest,
 )
 from stresstwin.ingest import _decode212_loop, _decode212_numpy, encode_format212
-from stresstwin.shapley import _Workspace, _node_values, _tree_shap_impl, _tree_shap_kernel
 
 
 def timeit(fn, *args, repeat=5):
@@ -80,44 +79,11 @@ def bench_traverse():
     return "tree traversal (4k rows)", t_jit, t_np
 
 
-def bench_tree_shap():
-    rng = np.random.default_rng(4)
-    X = rng.normal(0, 1, (500, 13))
-    y = rng.integers(1, 6, 500)
-    forest = train_forest(Dataset(X, y), ForestParams(n_trees=1, mtry=13, max_depth=8), seed=0)
-    tree = forest.trees[0]
-    values = _node_values(tree)
-    args = (
-        tree.left.astype(np.int64),
-        tree.right.astype(np.int64),
-        tree.feature.astype(np.int64),
-        tree.threshold,
-        tree.cover,
-        values,
-    )
-    probes = rng.normal(0, 1, (200, 13))
-    ws = _Workspace(tree.max_depth, 13)
-
-    def run(kernel):
-        total = np.zeros((13, 5))
-        for x in probes:
-            ws.phi[:] = 0.0
-            kernel(*args, x, ws.phi, ws.fi, ws.zf, ws.of, ws.pw,
-                   ws.st_node, ws.st_u, ws.st_off, ws.st_pzf, ws.st_pof, ws.st_pfi)
-            total += ws.phi
-        return total
-
-    t_jit, a = timeit(run, _tree_shap_kernel, repeat=3)
-    t_py, b = timeit(run, _tree_shap_impl, repeat=3)
-    assert np.allclose(a, b, atol=1e-12)
-    return "path attribution (200 probes)", t_jit, t_py
-
-
 def main():
     label = "jit" if NUMBA_ENABLED else "python(loop)"
     print(f"acceleration enabled: {NUMBA_ENABLED}")
     print(f"{'kernel':38s} {label:>12s} {'fallback':>12s} {'speedup':>9s}")
-    benches = (bench_decode212, bench_sosfilt, bench_best_split, bench_traverse, bench_tree_shap)
+    benches = (bench_decode212, bench_sosfilt, bench_best_split, bench_traverse)
     for bench in benches:
         name, t_fast, t_slow = bench()
         ratio = t_slow / t_fast if t_fast > 0 else float("inf")

@@ -145,6 +145,18 @@ def record_level_split(dataset: Dataset, train_fraction: float = 0.7, seed: int 
 
 
 @maybe_njit
+def _split_threshold(lo, hi):
+    """Midpoint of two distinct sorted values, or lo when it rounds onto hi.
+
+    ``0.5 * (lo + hi)`` equals ``hi`` for adjacent floats whose lower value
+    has an odd mantissa (and overflows for huge ones); ``x <= hi`` would then
+    send every sample left.
+    """
+    mid = 0.5 * (lo + hi)
+    return mid if mid < hi else lo
+
+
+@maybe_njit
 def _best_split_loop(xs, ys, n_classes, min_leaf):
     n = xs.shape[0]
     left = np.zeros(n_classes, dtype=np.float64)
@@ -172,7 +184,7 @@ def _best_split_loop(xs, ys, n_classes, min_leaf):
         g = (nl - sl / nl + nr - sr / nr) / n
         if g < best_g:
             best_g = g
-            best_thr = 0.5 * (xs[i] + xs[i + 1])
+            best_thr = _split_threshold(xs[i], xs[i + 1])
             found = True
     return best_g, best_thr, found
 
@@ -194,7 +206,7 @@ def _best_split_numpy(xs, ys, n_classes, min_leaf):
     g = (nl - (left**2).sum(axis=1) / nl + nr - (right**2).sum(axis=1) / nr) / n
     g = np.where(valid, g, np.inf)
     i = int(np.argmin(g))
-    return float(g[i]), 0.5 * (xs[i] + xs[i + 1]), True
+    return float(g[i]), float(_split_threshold(xs[i], xs[i + 1])), True
 
 
 _best_split = select(_best_split_loop, _best_split_numpy)

@@ -1,11 +1,25 @@
-"""Exact per-tree Shapley attributions with node-cover conditional expectations.
+"""Exact path-dependent Shapley attributions with node-cover conditional expectations.
 
-``tree_shap`` runs the polynomial-time path algorithm (extend/unwind of a
-weighted unique path, iteratively with an explicit stack so the hot kernel
-jits cleanly). ``brute_force_shap`` is the independent oracle: it scores
-every feature subset by cover-weighted descent and applies the classic
-weighted-subset sum. Both operate on class-probability outputs so local
-accuracy holds against ``predict_proba``.
+The attributions are those of Algorithm 2 of Lundberg et al. (TreeSHAP,
+arXiv:1905.04610), evaluated path by path as in GPUTreeShap (Mitchell et al.,
+arXiv:2010.13972). Every tree is split into its root-to-leaf paths. A path
+element holds a feature, the bounds ``lo < x <= hi`` that keep a sample on
+the path, and the zero fraction ``cover[child] / cover[parent]``; a feature
+that repeats on a path is merged into one element by intersecting its bounds
+and multiplying its zero fractions. For a sample, an element's one fraction
+is 1 when ``x[f]`` lies within its bounds and 0 otherwise. EXTEND builds the
+path's permutation weights from these fractions, starting from the dummy
+root element's ``[1]``; the UNWOUND sum of each element, times
+``one - zero`` and the leaf value, is that feature's share of the leaf.
+
+Paths of equal length are evaluated together as numpy arrays over
+(samples, paths, elements), a chunk of samples at a time, so a whole forest
+is explained over a whole dataset without a Python loop per sample or tree.
+
+``brute_force_shap`` is the independent oracle: it scores every feature
+subset by cover-weighted descent and applies the classic weighted-subset sum.
+Both operate on class-probability outputs so local accuracy holds against
+``predict_proba``.
 """
 
 import math
@@ -13,11 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_njit, select
 from .errors import DimensionMismatch, EmptyDataset, MissingCover, TooManyFeatures
 from .forest import CLASSES, N_CLASSES, RandomForest, predict_proba
 
 MAX_BRUTE_FORCE_FEATURES = 15
+
+# Samples evaluated together; keeps each (samples, paths, elements) array of
+# a path group within a few hundred kB for forests of about a hundred trees.
+SAMPLE_CHUNK = 16
 
 
 @dataclass
@@ -53,138 +70,115 @@ def _node_values(tree) -> np.ndarray:
     return tree.hist / tree.cover[:, None]
 
 
-# --- path-dependent kernel (hot kernel pair) ----------------------------------
+# --- batched path evaluation ----------------------------------------------------
 
 
-def _tree_shap_impl(left, right, feature, threshold, cover, values, x, phi,
-                    fi, zf, of, pw, st_node, st_u, st_off, st_pzf, st_pof, st_pfi):
-    n_classes = values.shape[1]
-    st_node[0] = 0
-    st_u[0] = 0
-    st_off[0] = 0
-    st_pzf[0] = 1.0
-    st_pof[0] = 1.0
-    st_pfi[0] = -1
-    sp = 1
-    while sp > 0:
-        sp -= 1
-        node = st_node[sp]
-        u = st_u[sp]
-        poff = st_off[sp]
-        pzf = st_pzf[sp]
-        pof = st_pof[sp]
-        pfi = st_pfi[sp]
+@dataclass
+class _PathGroup:
+    """Paths with the same number of merged elements (dummy root excluded)."""
 
-        moff = poff + u + 1
-        for j in range(u + 1):
-            fi[moff + j] = fi[poff + j]
-            zf[moff + j] = zf[poff + j]
-            of[moff + j] = of[poff + j]
-            pw[moff + j] = pw[poff + j]
-
-        # extend the unique path with the incoming split fractions
-        fi[moff + u] = pfi
-        zf[moff + u] = pzf
-        of[moff + u] = pof
-        pw[moff + u] = 1.0 if u == 0 else 0.0
-        for i in range(u - 1, -1, -1):
-            pw[moff + i + 1] += pof * pw[moff + i] * (i + 1.0) / (u + 1.0)
-            pw[moff + i] = pzf * pw[moff + i] * (u - i) / (u + 1.0)
-
-        if left[node] < 0:
-            # leaf: each path feature gets its unwound permutation weight
-            for i in range(1, u + 1):
-                one_f = of[moff + i]
-                zero_f = zf[moff + i]
-                next_one = pw[moff + u]
-                total = 0.0
-                for k in range(u - 1, -1, -1):
-                    if one_f != 0.0:
-                        tmp = next_one * (u + 1.0) / ((k + 1.0) * one_f)
-                        total += tmp
-                        next_one = pw[moff + k] - tmp * zero_f * (u - k) / (u + 1.0)
-                    else:
-                        total += (pw[moff + k] / zero_f) / ((u - k) / (u + 1.0))
-                w = total * (of[moff + i] - zf[moff + i])
-                f = fi[moff + i]
-                for c in range(n_classes):
-                    phi[f, c] += w * values[node, c]
-        else:
-            split = feature[node]
-            if x[split] <= threshold[node]:
-                hot = left[node]
-                cold = right[node]
-            else:
-                hot = right[node]
-                cold = left[node]
-            hot_zero = cover[hot] / cover[node]
-            cold_zero = cover[cold] / cover[node]
-            inc_zero = 1.0
-            inc_one = 1.0
-
-            # undo an earlier split on the same feature before re-splitting
-            path_idx = 0
-            while path_idx <= u:
-                if fi[moff + path_idx] == split:
-                    break
-                path_idx += 1
-            if path_idx != u + 1:
-                inc_zero = zf[moff + path_idx]
-                inc_one = of[moff + path_idx]
-                one_f = inc_one
-                zero_f = inc_zero
-                next_one = pw[moff + u]
-                for k in range(u - 1, -1, -1):
-                    if one_f != 0.0:
-                        tmp = pw[moff + k]
-                        pw[moff + k] = next_one * (u + 1.0) / ((k + 1.0) * one_f)
-                        next_one = tmp - pw[moff + k] * zero_f * (u - k) / (u + 1.0)
-                    else:
-                        pw[moff + k] = pw[moff + k] * (u + 1.0) / (zero_f * (u - k))
-                for k in range(path_idx, u):
-                    fi[moff + k] = fi[moff + k + 1]
-                    zf[moff + k] = zf[moff + k + 1]
-                    of[moff + k] = of[moff + k + 1]
-                u -= 1
-
-            # push cold first so the hot branch is processed first
-            st_node[sp] = cold
-            st_u[sp] = u + 1
-            st_off[sp] = moff
-            st_pzf[sp] = cold_zero * inc_zero
-            st_pof[sp] = 0.0
-            st_pfi[sp] = split
-            sp += 1
-            st_node[sp] = hot
-            st_u[sp] = u + 1
-            st_off[sp] = moff
-            st_pzf[sp] = hot_zero * inc_zero
-            st_pof[sp] = inc_one
-            st_pfi[sp] = split
-            sp += 1
+    feature: np.ndarray  # (paths, length) int
+    lo: np.ndarray  # (paths, length)
+    hi: np.ndarray  # (paths, length)
+    zero: np.ndarray  # (paths, length)
+    value: np.ndarray  # (paths, n_classes) leaf values divided by the tree count
 
 
-_tree_shap_kernel = select(maybe_njit()(_tree_shap_impl), _tree_shap_impl)
+def _path_groups(trees) -> list:
+    """Split every tree into root-to-leaf paths with repeated features merged."""
+    scale = 1.0 / len(trees)
+    by_length: dict = {}
+    for tree in trees:
+        validate_covers(tree)
+        values = _node_values(tree) * scale
+        feature = tree.feature.tolist()
+        threshold = tree.threshold.tolist()
+        left = tree.left.tolist()
+        right = tree.right.tolist()
+        cover = tree.cover.tolist()
+        stack = [(0, {})]
+        while stack:
+            node, elements = stack.pop()
+            f = feature[node]
+            if f < 0:
+                if elements:
+                    by_length.setdefault(len(elements), []).append((elements, values[node]))
+                continue
+            thr = threshold[node]
+            lo, hi, zero = elements.get(f, (-math.inf, math.inf, 1.0))
+            for child, child_lo, child_hi in (
+                (left[node], lo, min(hi, thr)),
+                (right[node], max(lo, thr), hi),
+            ):
+                merged = dict(elements)
+                merged[f] = (child_lo, child_hi, zero * (cover[child] / cover[node]))
+                stack.append((child, merged))
+    groups = []
+    for length in sorted(by_length):
+        paths = by_length[length]
+        bounds = np.array([list(elements.values()) for elements, _ in paths])
+        groups.append(
+            _PathGroup(
+                feature=np.array([list(elements) for elements, _ in paths], dtype=np.int64),
+                lo=bounds[:, :, 0],
+                hi=bounds[:, :, 1],
+                zero=bounds[:, :, 2],
+                value=np.array([value for _, value in paths]),
+            )
+        )
+    return groups
 
 
-class _Workspace:
-    def __init__(self, max_depth: int, n_features: int, n_classes: int = N_CLASSES):
-        size = (max_depth + 3) * (max_depth + 4) // 2 + 2
-        self.fi = np.empty(size, dtype=np.int64)
-        self.zf = np.empty(size, dtype=np.float64)
-        self.of = np.empty(size, dtype=np.float64)
-        self.pw = np.empty(size, dtype=np.float64)
-        depth = max_depth + 3
-        self.st_node = np.empty(depth, dtype=np.int64)
-        self.st_u = np.empty(depth, dtype=np.int64)
-        self.st_off = np.empty(depth, dtype=np.int64)
-        self.st_pzf = np.empty(depth, dtype=np.float64)
-        self.st_pof = np.empty(depth, dtype=np.float64)
-        self.st_pfi = np.empty(depth, dtype=np.int64)
-        self.phi = np.zeros((n_features, n_classes))
+def _group_phi(group: _PathGroup, X: np.ndarray, n_features: int) -> np.ndarray:
+    """Attributions (samples, n_features, n_classes) of one path group."""
+    n_samples = X.shape[0]
+    n_paths, u = group.feature.shape
+    xf = X[:, group.feature]
+    one = ((xf > group.lo) & (xf <= group.hi)).astype(np.float64)
+    zero = group.zero
+
+    # EXTEND: pw[k] after adding element e is
+    # zero_e * pw[k] * (e - k) / (e + 1) + one_e * pw[k - 1] * k / (e + 1)
+    pw = np.zeros((n_samples, n_paths, u + 1))
+    pw[:, :, 0] = 1.0
+    for e in range(1, u + 1):
+        k = np.arange(e + 1)
+        old = pw[:, :, : e + 1]
+        new = zero[:, e - 1 : e] * old * (e - k) / (e + 1.0)
+        new[:, :, 1:] += one[:, :, e - 1 : e] * old[:, :, :-1] * k[1:] / (e + 1.0)
+        pw[:, :, : e + 1] = new
+
+    # UNWOUND sum of every element at once; one fractions are 0 or 1, so the
+    # one_f != 0 branch divides by 1 and the other branch needs no next_one.
+    next_one = np.broadcast_to(pw[:, :, u : u + 1], one.shape)
+    total_one = np.zeros_like(one)
+    total_zero = np.zeros_like(one)
+    for k in range(u - 1, -1, -1):
+        pk = pw[:, :, k : k + 1]
+        tmp = next_one * (u + 1.0) / (k + 1.0)
+        total_one += tmp
+        next_one = pk - tmp * zero * (u - k) / (u + 1.0)
+        total_zero += (pk / zero) / ((u - k) / (u + 1.0))
+    w = np.where(one != 0.0, total_one, total_zero) * (one - zero)
+
+    # merged features are unique within a path, so a plain scatter suffices
+    per_path = np.zeros((n_samples, n_paths, n_features))
+    per_path[:, np.arange(n_paths)[:, None], group.feature] = w
+    return np.matmul(per_path.transpose(0, 2, 1), group.value)
 
 
-def tree_shap(tree, x, n_features: int, workspace: _Workspace | None = None):
+def _mean_tree_phi(trees, X: np.ndarray, n_features: int) -> np.ndarray:
+    """Mean over trees of the attributions, shape (samples, n_features, n_classes)."""
+    groups = _path_groups(trees)
+    phi = np.zeros((X.shape[0], n_features, N_CLASSES))
+    for start in range(0, X.shape[0], SAMPLE_CHUNK):
+        chunk = X[start : start + SAMPLE_CHUNK]
+        for group in groups:
+            phi[start : start + SAMPLE_CHUNK] += _group_phi(group, chunk, n_features)
+    return phi
+
+
+def tree_shap(tree, x, n_features: int):
     """Exact path-dependent attributions for one tree at one point.
 
     Returns (phi, phi0): phi has shape (n_features, n_classes), and
@@ -193,31 +187,8 @@ def tree_shap(tree, x, n_features: int, workspace: _Workspace | None = None):
     x = np.asarray(x, dtype=np.float64)
     if x.size != n_features:
         raise DimensionMismatch(f"expected {n_features} features, got {x.size}")
-    validate_covers(tree)
-    ws = workspace or _Workspace(tree.max_depth, n_features)
-    ws.phi[:] = 0.0
-    values = _node_values(tree)
-    _tree_shap_kernel(
-        tree.left.astype(np.int64),
-        tree.right.astype(np.int64),
-        tree.feature.astype(np.int64),
-        tree.threshold,
-        tree.cover,
-        values,
-        x,
-        ws.phi,
-        ws.fi,
-        ws.zf,
-        ws.of,
-        ws.pw,
-        ws.st_node,
-        ws.st_u,
-        ws.st_off,
-        ws.st_pzf,
-        ws.st_pof,
-        ws.st_pfi,
-    )
-    return ws.phi.copy(), values[0].copy()
+    phi = _mean_tree_phi([tree], x.reshape(1, -1), n_features)[0]
+    return phi, _node_values(tree)[0]
 
 
 # --- exhaustive oracle ---------------------------------------------------------
@@ -288,16 +259,9 @@ def forest_shap(forest: RandomForest, x) -> ShapExplanation:
     x = np.asarray(x, dtype=np.float64)
     if x.size != forest.n_features:
         raise DimensionMismatch(f"expected {forest.n_features} features, got {x.size}")
-    max_depth = max(t.max_depth for t in forest.trees)
-    ws = _Workspace(max_depth, forest.n_features)
-    phi = np.zeros((forest.n_features, N_CLASSES))
-    phi0 = np.zeros(N_CLASSES)
-    for tree in forest.trees:
-        p, p0 = tree_shap(tree, x, forest.n_features, workspace=ws)
-        phi += p
-        phi0 += p0
-    n = len(forest.trees)
-    return ShapExplanation(phi=phi / n, phi0=phi0 / n)
+    phi = _mean_tree_phi(forest.trees, x.reshape(1, -1), forest.n_features)[0]
+    phi0 = sum(_node_values(tree)[0] for tree in forest.trees) / len(forest.trees)
+    return ShapExplanation(phi=phi, phi0=phi0)
 
 
 def shap_summary(forest: RandomForest, dataset, feature_names) -> tuple:
@@ -312,31 +276,23 @@ def shap_summary(forest: RandomForest, dataset, feature_names) -> tuple:
         raise EmptyDataset("cannot summarize an empty dataset")
     X = dataset.X
     n, d = X.shape
-    max_depth = max(t.max_depth for t in forest.trees)
-    ws = _Workspace(max_depth, d)
-    abs_acc = np.zeros((d, N_CLASSES))
-    beeswarm = []
     proba = predict_proba(forest, X)
     pred_levels = np.asarray(CLASSES)[np.argmax(proba, axis=1)]
+    phi = _mean_tree_phi(forest.trees, X, d)
+    beeswarm = []
     for i in range(n):
-        phi = np.zeros((d, N_CLASSES))
-        for tree in forest.trees:
-            p, _ = tree_shap(tree, X[i], d, workspace=ws)
-            phi += p
-        phi /= len(forest.trees)
-        abs_acc += np.abs(phi)
         cls_idx = int(pred_levels[i]) - 1
         for j in range(d):
             beeswarm.append(
                 {
                     "feature": feature_names[j],
                     "sample_index": i,
-                    "phi": float(phi[j, cls_idx]),
+                    "phi": float(phi[i, j, cls_idx]),
                     "feature_value": float(X[i, j]),
                     "predicted_class": int(pred_levels[i]),
                 }
             )
-    mean_abs = abs_acc / n
+    mean_abs = np.abs(phi).sum(axis=0) / n
     totals = mean_abs.sum(axis=1)
     order = np.argsort(-totals, kind="mergesort")
     summary = []

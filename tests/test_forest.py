@@ -12,6 +12,8 @@ from stresstwin.errors import (
 from stresstwin.forest import (
     Dataset,
     ForestParams,
+    _best_split_loop,
+    _best_split_numpy,
     evaluate,
     forest_to_dict,
     load_forest,
@@ -23,6 +25,7 @@ from stresstwin.forest import (
     stratified_split,
     train_forest,
 )
+from stresstwin.shapley import forest_shap
 
 SMALL = ForestParams(n_trees=20, mtry=2, min_samples_leaf=2)
 
@@ -129,6 +132,23 @@ class TestTrainForest:
                 assert tree.cover[tree.left[node]] + tree.cover[tree.right[node]] == tree.cover[node]
             leaves = np.nonzero(tree.feature < 0)[0]
             assert np.allclose(tree.hist[leaves].sum(axis=1), tree.cover[leaves])
+
+    def test_adjacent_float_split_keeps_both_children(self):
+        # the midpoint of these two adjacent floats rounds onto the larger one
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b
+        X = np.array([[a]] * 6 + [[b]] * 6)
+        ds = Dataset(X, np.array([1] * 6 + [2] * 6))
+        for kernel in (_best_split_loop, _best_split_numpy):
+            assert kernel(X[:, 0], ds.y - 1, 5, 1)[1] == a
+        forest = train_forest(ds, ForestParams(n_trees=1, mtry=1, min_samples_leaf=1), seed=0)
+        tree = forest.trees[0]
+        assert tree.feature[0] == 0 and tree.threshold[0] == a
+        assert np.all(tree.cover > 0)
+        assert np.all(np.isfinite(predict_proba(forest, X)))
+        exp = forest_shap(forest, X[-1])
+        assert np.all(np.isfinite(exp.phi))
 
 
 class TestPredict:

@@ -11,6 +11,7 @@ from stresstwin.forest import (
     train_forest,
 )
 from stresstwin.shapley import (
+    SAMPLE_CHUNK,
     brute_force_shap,
     forest_shap,
     shap_summary,
@@ -56,6 +57,31 @@ def depth1_tree(feature=2, thr=0.0, left_cover=3.0, right_cover=7.0):
         cover=np.array([left_cover + right_cover, left_cover, right_cover]),
         hist=hist,
         max_depth=1,
+    )
+
+
+def repeated_feature_tree(inner=-1.0):
+    """Splits feature 0 at 0 and again at ``inner`` on the path through feature 1."""
+    feature = np.array([0, 1, -1, 0, -1, -1, -1], dtype=np.int32)
+    threshold = np.array([0.0, 0.0, 0.0, inner, 0.0, 0.0, 0.0])
+    left = np.array([1, 3, -1, 5, -1, -1, -1], dtype=np.int32)
+    right = np.array([2, 4, -1, 6, -1, -1, -1], dtype=np.int32)
+    hist = np.zeros((7, 5))
+    hist[2] = [0, 0, 1, 2, 5]
+    hist[4] = [1, 3, 1, 0, 0]
+    hist[5] = [3, 0, 0, 0, 0]
+    hist[6] = [0, 4, 0, 0, 0]
+    hist[3] = hist[5] + hist[6]
+    hist[1] = hist[3] + hist[4]
+    hist[0] = hist[1] + hist[2]
+    return DecisionTree(
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        cover=hist.sum(axis=1),
+        hist=hist,
+        max_depth=3,
     )
 
 
@@ -116,6 +142,46 @@ class TestTreeShap:
         phi_b, _ = tree_shap(tree_b, x, 2)
         assert np.allclose(phi_a[0], phi_b[1])
         assert np.allclose(phi_a[1], phi_b[0])
+
+
+class TestBatchedPaths:
+    @pytest.mark.parametrize("inner", [-1.0, 1.0])
+    def test_repeated_feature_merged_on_path(self, inner):
+        # x0 on each side of both splits of feature 0: off-path samples give
+        # the merged element a zero one-fraction. inner=1 nests a split looser
+        # than its parent's bound, which only the intersected bounds honour.
+        tree = repeated_feature_tree(inner)
+        forest = RandomForest(trees=[tree], n_features=2)
+        X = np.array([[x0, x1] for x0 in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5) for x1 in (-1.0, 1.0)])
+        proba = predict_proba(forest, X)
+        for x, p in zip(X, proba):
+            phi, phi0 = tree_shap(tree, x, 2)
+            assert np.abs(phi - brute_force_shap(tree, x, 2)).max() < 1e-12
+            assert np.abs(phi0 + phi.sum(axis=0) - p).max() < 1e-12
+
+    @pytest.mark.parametrize("n_samples", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
+    def test_summary_matches_per_sample_and_oracle(self, n_samples):
+        rng = np.random.default_rng(n_samples)
+        X = rng.normal(0, 1, (120, 3))
+        y = rng.integers(1, 6, 120)
+        y[:5] = [1, 2, 3, 4, 5]
+        forest = train_forest(Dataset(X, y), ForestParams(n_trees=6, mtry=2, min_samples_leaf=2), seed=3)
+        probes = rng.normal(0, 1, (n_samples, 3))
+        names = ["a", "b", "c"]
+        summary, beeswarm = shap_summary(forest, Dataset(probes, np.ones(n_samples, dtype=int)), names)
+        phis = []
+        for x in probes:
+            phi = forest_shap(forest, x).phi
+            oracle = sum(brute_force_shap(t, x, 3) for t in forest.trees) / len(forest.trees)
+            assert np.abs(phi - oracle).max() < 1e-9
+            phis.append(phi)
+        for row in beeswarm:
+            phi = phis[row["sample_index"]][names.index(row["feature"]), row["predicted_class"] - 1]
+            assert abs(row["phi"] - phi) < 1e-9
+        mean_abs = np.abs(phis).mean(axis=0)
+        for row in summary:
+            for c in range(1, 6):
+                assert abs(row[f"class_{c}"] - mean_abs[names.index(row["feature"]), c - 1]) < 1e-9
 
 
 class TestBruteForce:
