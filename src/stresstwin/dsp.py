@@ -1,12 +1,18 @@
 """Numeric signal kernels: zero-phase bandpass, z-scoring, Welch PSD, band power.
 
 The biquad cascade application is the per-sample hot loop; scipy only
-supplies the Butterworth section coefficients.
+supplies the Butterworth section coefficients. ``bandpass_filter`` designs
+each (band, fs, order) once per process and reuses the cached sections;
+``design_bandpass_sos`` itself returns a fresh array on every call, so no
+caller can write into the cached one. ``welch_psd`` detrends, windows and
+transforms all of its segments as one array.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as _scipy_signal
 
 from ._accel import maybe_njit, select
@@ -59,6 +65,11 @@ def design_bandpass_sos(low_hz: float, high_hz: float, fs: float, order: int = D
     return _scipy_signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
 
 
+# Shared by every bandpass_filter call with the same arguments. Not marked
+# read-only: scipy's sosfilt rejects a read-only coefficient buffer.
+_cached_bandpass_sos = functools.lru_cache(design_bandpass_sos)
+
+
 def bandpass_filter(
     x,
     fs: float,
@@ -71,7 +82,7 @@ def bandpass_filter(
     Output has the input's length; passband gain is ~1 because the
     forward-backward pass squares the magnitude response and cancels phase.
     """
-    sos = design_bandpass_sos(low_hz, high_hz, fs, order)
+    sos = _cached_bandpass_sos(low_hz, high_hz, fs, order)
     x = np.asarray(x, dtype=np.float64)
     n_poles = 2 * order
     if x.size <= 6 * n_poles:
@@ -95,13 +106,15 @@ def zscore(x):
     return (x - mu) / sd
 
 
-def _detrend_linear(seg):
-    n = seg.size
+def _detrend_linear(segs):
+    """Remove each row's least-squares line."""
+    n = segs.shape[1]
     t = np.arange(n, dtype=np.float64)
     t_mean = (n - 1) / 2.0
     denom = np.sum((t - t_mean) ** 2)
-    slope = np.sum((t - t_mean) * (seg - seg.mean())) / denom
-    return seg - (seg.mean() + slope * (t - t_mean))
+    mean = segs.mean(axis=1)[:, None]
+    slope = np.sum((t - t_mean) * (segs - mean), axis=1)[:, None] / denom
+    return segs - (mean + slope * (t - t_mean))
 
 
 def welch_psd(
@@ -133,23 +146,22 @@ def welch_psd(
 
     step = max(1, segment_len - int(overlap_fraction * segment_len))
     scale = 1.0 / (fs * np.sum(win**2))
-    n_bins = segment_len // 2 + 1
-    acc = np.zeros(n_bins)
-    count = 0
-    for start in range(0, x.size - segment_len + 1, step):
-        seg = x[start : start + segment_len]
-        if detrend == "linear":
-            seg = _detrend_linear(seg)
-        elif detrend == "constant":
-            seg = seg - seg.mean()
-        spec = np.fft.rfft(seg * win)
-        pxx = (spec.real**2 + spec.imag**2) * scale
-        pxx[1:] *= 2.0
-        if segment_len % 2 == 0:
-            pxx[-1] /= 2.0  # Nyquist bin is not mirrored
-        acc += pxx
-        count += 1
-    psd = acc / count
+    segs = sliding_window_view(x, segment_len)[::step]
+    if detrend == "linear":
+        segs = _detrend_linear(segs)
+    elif detrend == "constant":
+        segs = segs - segs.mean(axis=1)[:, None]
+    spec = np.fft.rfft(segs * win, axis=1)
+    pxx = (spec.real**2 + spec.imag**2) * scale
+    pxx[:, 1:] *= 2.0
+    if segment_len % 2 == 0:
+        pxx[:, -1] /= 2.0  # Nyquist bin is not mirrored
+    # accumulated row by row in segment order, so the rounding does not depend
+    # on the order numpy picks for a reduction
+    acc = np.zeros(pxx.shape[1])
+    for row in pxx:
+        acc += row
+    psd = acc / len(pxx)
     freqs = np.fft.rfftfreq(segment_len, d=1.0 / fs)
     return PsdEstimate(freqs=freqs, psd=psd, df=fs / segment_len)
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import band_power, bandpass_filter, welch_psd, zscore
 from .errors import (
@@ -51,6 +52,7 @@ RR_RELATIVE_TOL = 0.20
 MIN_WINDOW_RR = 5
 LFHF_MIN_SPAN_S = 30.0
 CONTEXT_S = 60.0  # trailing buffer feeding the LF/HF estimates
+NOISE_SEGMENT = 8192  # Welch segment (samples) of the noise LF/HF ratio
 
 
 @dataclass(frozen=True)
@@ -166,12 +168,22 @@ def detect_r_peaks(
 
 
 def _rolling_block_stats(v, block_n: int):
-    """Per-sample rolling median and MAD, computed on overlapping 5-block spans."""
+    """Per-sample rolling median and MAD, computed on overlapping 5-block spans.
+
+    Block i spans blocks i - 2 .. i + 2, truncated at the signal's ends.
+    """
     n = v.size
     n_blocks = max(1, (n + block_n - 1) // block_n)
     med_b = np.empty(n_blocks)
     mad_b = np.empty(n_blocks)
-    for i in range(n_blocks):
+    # blocks 2 .. last have a whole 5-block span inside v: row j of the
+    # strided view is the span of block j + 2
+    last = n // block_n - 3
+    if last >= 2:
+        spans = sliding_window_view(v, 5 * block_n)[::block_n]
+        med_b[2 : last + 1] = np.median(spans, axis=1)
+        mad_b[2 : last + 1] = np.median(np.abs(spans - med_b[2 : last + 1, None]), axis=1)
+    for i in [*range(min(2, n_blocks)), *range(max(2, last + 1), n_blocks)]:
         lo = max(0, (i - 2) * block_n)
         hi = min(n, (i + 3) * block_n)
         seg = v[lo:hi]
@@ -258,10 +270,12 @@ def filter_rr(rr: RrSeries) -> RrSeries:
     iv = rr.intervals_ms
     if iv.size == 0:
         return rr
-    run_med = np.empty(iv.size)
-    for i in range(iv.size):
-        lo = max(0, i - 5)
-        run_med[i] = np.median(iv[lo : i + 6])
+    n = iv.size
+    run_med = np.empty(n)
+    if n >= 11:
+        run_med[5 : n - 5] = np.median(sliding_window_view(iv, 11), axis=1)
+    for i in [*range(min(5, n)), *range(max(5, n - 5), n)]:
+        run_med[i] = np.median(iv[max(0, i - 5) : i + 6])
     keep = (
         (iv >= RR_ABS_BOUNDS_MS[0])
         & (iv <= RR_ABS_BOUNDS_MS[1])
@@ -376,12 +390,8 @@ def lf_hf(rr: RrSeries, resample_hz: float = TACHOGRAM_HZ, segment_len: int = 25
     return lf / max(hf, 1e-12)
 
 
-def noise_stats(noise, fs: float, segment_len: int = 8192):
-    """(mean, sample std, Fisher g1, excess g2, LF/HF ratio) of a noise trace.
-
-    Constant input yields zeros for the shape statistics by convention.
-    """
-    noise = np.asarray(noise, dtype=np.float64)
+def _noise_moments(noise):
+    """(mean, sample std, Fisher g1, excess g2); zero shape statistics for constant input."""
     if noise.size < 8:
         raise InvalidParam("noise stats need at least 8 samples")
     mu = float(np.mean(noise))
@@ -389,18 +399,33 @@ def noise_stats(noise, fs: float, segment_len: int = 8192):
     centered = noise - mu
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:
-        skew, kurt = 0.0, 0.0
-    else:
-        skew = float(np.mean(centered**3)) / m2**1.5
-        kurt = float(np.mean(centered**4)) / m2**2 - 3.0
+        return mu, std, 0.0, 0.0
+    skew = float(np.mean(centered**3)) / m2**1.5
+    kurt = float(np.mean(centered**4)) / m2**2 - 3.0
+    return mu, std, skew, kurt
+
+
+def _noise_lfhf(noise, fs: float, segment_len: int) -> float:
+    """LF/HF power ratio of a noise trace's Welch PSD; 0 when a band holds no bin."""
     psd = welch_psd(noise, fs, min(segment_len, noise.size))
     try:
         lf = band_power(psd, *LF_BAND)
         hf = band_power(psd, *HF_BAND)
-        ratio = lf / max(hf, 1e-12)
     except EmptyBand:
-        ratio = 0.0
-    return mu, std, skew, kurt, ratio
+        return 0.0
+    return lf / max(hf, 1e-12)
+
+
+def noise_stats(noise, fs: float, segment_len: int = NOISE_SEGMENT):
+    """(mean, sample std, Fisher g1, excess g2, LF/HF ratio) of one noise trace.
+
+    Constant input yields zeros for the shape statistics by convention.
+    ``extract_window_features`` takes the moments of the analysis window and
+    the LF/HF ratio of its longer context instead, without computing the
+    halves it does not use.
+    """
+    noise = np.asarray(noise, dtype=np.float64)
+    return (*_noise_moments(noise), _noise_lfhf(noise, fs, segment_len))
 
 
 def estimate_noise(noisy, clean, window) -> np.ndarray:
@@ -492,7 +517,9 @@ def extract_window_features(
     analysis window is their trailing ``window_s`` seconds. Absolute HRV
     comes from the noisy window, relative deviations compare against the
     clean-baseline profile, and the noise descriptors come from the
-    noisy-minus-clean residual.
+    noisy-minus-clean residual: its mean, standard deviation, skewness and
+    kurtosis over the analysis window, its LF/HF ratio over the whole
+    segment (window plus context).
     """
     noisy_segment = np.asarray(noisy_segment, dtype=np.float64)
     clean_segment = np.asarray(clean_segment, dtype=np.float64)
@@ -502,8 +529,8 @@ def extract_window_features(
     win_n = int(round(window_s * fs))
     noise_full = noisy_segment - clean_segment
     noise_win = noise_full[-win_n:]
-    n_mean, n_std, n_skew, n_kurt, _ = noise_stats(noise_win, fs)
-    _, _, _, _, n_lfhf = noise_stats(noise_full, fs)
+    n_mean, n_std, n_skew, n_kurt = _noise_moments(noise_win)
+    n_lfhf = _noise_lfhf(noise_full, fs, NOISE_SEGMENT)
     moments = (n_mean, n_std, n_skew, n_kurt, n_lfhf)
 
     absolute = _segment_absolute_features(noisy_segment, fs, window_s)

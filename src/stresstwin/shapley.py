@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, MissingCover, TooManyFeatures
+from .errors import DimensionMismatch, EmptyDataset, InvalidParam, MissingCover, TooManyFeatures
 from .forest import CLASSES, N_CLASSES, RandomForest, predict_proba
 
 MAX_BRUTE_FORCE_FEATURES = 15
@@ -178,15 +178,23 @@ def _mean_tree_phi(trees, X: np.ndarray, n_features: int) -> np.ndarray:
     return phi
 
 
+def _point(x, n_features: int) -> np.ndarray:
+    """x as a float vector of n_features finite values, as predict_proba requires."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size != n_features:
+        raise DimensionMismatch(f"expected {n_features} features, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParam("prediction input must be finite")
+    return x
+
+
 def tree_shap(tree, x, n_features: int):
     """Exact path-dependent attributions for one tree at one point.
 
     Returns (phi, phi0): phi has shape (n_features, n_classes), and
     phi0 + phi.sum(axis=0) equals the tree's class probabilities at x.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != n_features:
-        raise DimensionMismatch(f"expected {n_features} features, got {x.size}")
+    x = _point(x, n_features)
     phi = _mean_tree_phi([tree], x.reshape(1, -1), n_features)[0]
     return phi, _node_values(tree)[0]
 
@@ -256,9 +264,7 @@ def subset_value(tree, x, n_features: int, mask: int) -> np.ndarray:
 
 def forest_shap(forest: RandomForest, x) -> ShapExplanation:
     """Mean of per-tree attributions, matching probability averaging."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != forest.n_features:
-        raise DimensionMismatch(f"expected {forest.n_features} features, got {x.size}")
+    x = _point(x, forest.n_features)
     phi = _mean_tree_phi(forest.trees, x.reshape(1, -1), forest.n_features)[0]
     phi0 = sum(_node_values(tree)[0] for tree in forest.trees) / len(forest.trees)
     return ShapExplanation(phi=phi, phi0=phi0)

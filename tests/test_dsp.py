@@ -63,6 +63,15 @@ class TestBandpass:
         trim = int(16 * FS)
         assert np.allclose(fwd[trim:-trim], rev[trim:-trim], atol=1e-9)
 
+    def test_design_cached_but_returned_fresh(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(0, 1, 3000)
+        before = bandpass_filter(x, FS, 5.0, 15.0)
+        sos = design_bandpass_sos(5.0, 15.0, FS)
+        assert sos is not design_bandpass_sos(5.0, 15.0, FS)
+        sos[:] = 0.0  # a caller writing into its copy leaves the filter intact
+        assert np.array_equal(bandpass_filter(x, FS, 5.0, 15.0), before)
+
     def test_kernel_pair_agrees(self):
         sos = design_bandpass_sos(0.5, 45.0, FS)
         rng = np.random.default_rng(6)
@@ -120,6 +129,56 @@ class TestWelch:
         a = welch_psd(x, FS, 512).psd
         b = welch_psd(x + 100.0, FS, 512).psd
         assert np.allclose(a, b, atol=1e-6)
+
+
+def _welch_loop(x, fs, segment_len, overlap_fraction=0.5, detrend="linear"):
+    """Reference: one Hann-windowed periodogram per segment, summed in order."""
+    win = np.hanning(segment_len)
+    step = max(1, segment_len - int(overlap_fraction * segment_len))
+    scale = 1.0 / (fs * np.sum(win**2))
+    acc = np.zeros(segment_len // 2 + 1)
+    count = 0
+    for start in range(0, x.size - segment_len + 1, step):
+        seg = x[start : start + segment_len]
+        if detrend == "linear":
+            n = seg.size
+            t = np.arange(n, dtype=np.float64)
+            t_mean = (n - 1) / 2.0
+            denom = np.sum((t - t_mean) ** 2)
+            slope = np.sum((t - t_mean) * (seg - seg.mean())) / denom
+            seg = seg - (seg.mean() + slope * (t - t_mean))
+        elif detrend == "constant":
+            seg = seg - seg.mean()
+        spec = np.fft.rfft(seg * win)
+        pxx = (spec.real**2 + spec.imag**2) * scale
+        pxx[1:] *= 2.0
+        if segment_len % 2 == 0:
+            pxx[-1] /= 2.0
+        acc += pxx
+        count += 1
+    return acc / count
+
+
+class TestWelchMatchesSegmentLoop:
+    """The batched segments give the per-segment loop's bits, not just its values."""
+
+    @pytest.mark.parametrize(
+        "size, segment_len, overlap",
+        [
+            (3600, 3600, 0.5),  # one segment spanning the signal
+            (5000, 1001, 0.5),  # odd segment: no unmirrored Nyquist bin
+            (21600, 8192, 0.5),  # noise LF/HF over a 60 s context
+            (4000, 256, 0.0),
+            (4000, 256, 0.75),
+            (300, 4, 0.75),  # step of one sample
+        ],
+    )
+    @pytest.mark.parametrize("detrend", ["linear", "constant", "none"])
+    def test_bitwise(self, size, segment_len, overlap, detrend):
+        rng = np.random.default_rng(size + segment_len)
+        x = rng.normal(0, 1, size) + np.linspace(0, 3, size)
+        got = welch_psd(x, FS, segment_len, overlap_fraction=overlap, detrend=detrend).psd
+        assert np.array_equal(got, _welch_loop(x, FS, segment_len, overlap, detrend))
 
 
 class TestBandPower:

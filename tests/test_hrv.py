@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from stresstwin.dsp import bandpass_filter
+from stresstwin.dsp import band_power, bandpass_filter, welch_psd
 from stresstwin.errors import (
+    EmptyBand,
     InsufficientData,
     LengthMismatch,
     NoMeasurableBeats,
@@ -12,6 +13,9 @@ from stresstwin.errors import (
 )
 from stresstwin.hrv import (
     CONTEXT_S,
+    _noise_lfhf,
+    _noise_moments,
+    _rolling_block_stats,
     RrSeries,
     bpm,
     compute_baseline,
@@ -116,6 +120,52 @@ class TestFilterRr:
         out = filter_rr(self._series([]))
         assert len(out) == 0
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 10, 11, 12, 40])
+    def test_matches_per_interval_loop(self, n):
+        rng = np.random.default_rng(n)
+        iv = 800 + rng.normal(0, 150, n)
+        iv[::7] = 450.0  # ties and rejected intervals
+        rr = RrSeries(intervals_ms=iv, onsets_s=0.8 * np.arange(n))
+        run_med = np.array([np.median(iv[max(0, i - 5) : i + 6]) for i in range(n)])
+        keep = (iv >= 300.0) & (iv <= 2000.0) & (np.abs(iv - run_med) <= 0.20 * run_med)
+        out = filter_rr(rr)
+        assert np.array_equal(out.intervals_ms, iv[keep])
+        assert np.array_equal(out.onsets_s, rr.onsets_s[keep])
+
+
+def _block_stats_loop(v, block_n):
+    """Reference: median and MAD of each block's 5-block span, one block at a time."""
+    n = v.size
+    n_blocks = max(1, (n + block_n - 1) // block_n)
+    med_b = np.empty(n_blocks)
+    mad_b = np.empty(n_blocks)
+    for i in range(n_blocks):
+        seg = v[max(0, (i - 2) * block_n) : min(n, (i + 3) * block_n)]
+        m = float(np.median(seg))
+        med_b[i] = m
+        mad_b[i] = float(np.median(np.abs(seg - m)))
+    return np.repeat(med_b, block_n)[:n], np.repeat(mad_b, block_n)[:n]
+
+
+class TestRollingBlockStats:
+    @pytest.mark.parametrize(
+        "n, block_n",
+        [
+            (9, 4),  # under 5 blocks: every span is truncated
+            (20, 4),  # exactly 5 blocks: one whole span
+            (47, 4),  # not a multiple of the block
+            (int(CONTEXT_S * FS), int(FS)),  # a 60 s context at 360 Hz
+        ],
+    )
+    def test_matches_per_block_loop(self, n, block_n):
+        rng = np.random.default_rng(n)
+        v = rng.gamma(0.5, 1.0, n)
+        v[::5] = 0.25  # repeated values
+        med, mad = _rolling_block_stats(v, block_n)
+        ref_med, ref_mad = _block_stats_loop(v, block_n)
+        assert np.array_equal(med, ref_med)
+        assert np.array_equal(mad, ref_mad)
+
 
 class TestScalarMetrics:
     def _series(self, intervals):
@@ -216,6 +266,28 @@ class TestNoiseStats:
         _, _, skew, kurt, _ = noise_stats(rng.normal(0, 1, 100000), FS)
         assert abs(skew) < 0.05
         assert abs(kurt) < 0.1
+
+    @pytest.mark.parametrize("n", [8, 3600, 21600])
+    def test_same_as_before_split(self, n):
+        noise = np.random.default_rng(n).normal(0.1, 0.3, n) ** 3
+        mu = float(np.mean(noise))
+        centered = noise - mu
+        m2 = float(np.mean(centered**2))
+        psd = welch_psd(noise, FS, min(8192, n))
+        try:
+            ratio = band_power(psd, 0.04, 0.15) / max(band_power(psd, 0.15, 0.40), 1e-12)
+        except EmptyBand:
+            ratio = 0.0
+        expected = (
+            mu,
+            float(np.std(noise, ddof=1)),
+            float(np.mean(centered**3)) / m2**1.5,
+            float(np.mean(centered**4)) / m2**2 - 3.0,
+            ratio,
+        )
+        got = noise_stats(noise, FS)
+        assert got == expected
+        assert got == (*_noise_moments(noise), _noise_lfhf(noise, FS, 8192))
 
     def test_hand_computed_skew(self):
         # pattern 0,0,0,1: g1 = +2/sqrt(3)

@@ -1,0 +1,30 @@
+"""Pinned synthetic run: `run --synthetic` at seed 2025 must reproduce these bytes.
+
+A refactor that claims to keep behaviour unchanged proves it here. The
+digests were recorded from the pipeline before the per-window kernels were
+batched (Python 3.11.7, numpy 2.4.6, scipy 1.17.1). Regenerating them is a
+deliberate step, to be stated with its reason in CHANGES.md: a changed
+digest means the pipeline's output changed.
+"""
+
+import hashlib
+
+from stresstwin.cli import EXIT_OK, main
+
+PINNED_SHA256 = {
+    "baseline.json": "141d58ec4ecf533f317cf20ea010dee56fc60b0af99f1973541466c8f85c779b",
+    "features.csv": "944254655ce47484f8762b2153b8b9677bb2f6e85f7c59d5a979c96e315fe7a1",
+    "labeled.csv": "24a85180aec6423ece7c59c993cfcd09e89a1375bebdff86aeec6a51074f74d8",
+    "model.json": "ba6dd466b7522e5c5ece5fd747b09f8012d5aed3c7dd313eee007e1af6fe23df",
+    "split.json": "33c15e5cba9aa0dc84916c1b058951a014605944a58213361a00c264ec7d6809",
+    "report.csv": "5cb76c8a83159a0a5394043bfb927ae80855485031e803990e0c002807936d52",
+    "trace.jsonl": "374eb3289ef8102c7590281275363573d57fa2f85befe4d3a6767b5af30b5c62",
+}
+
+
+def test_synthetic_run_matches_pinned_digests(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--synthetic", "--seed", "2025", "--out-dir", str(out)]) == EXIT_OK
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    changed = sorted(name for name in PINNED_SHA256 if got[name] != PINNED_SHA256[name])
+    assert not changed, f"artifacts differ from the pinned run: {changed}"

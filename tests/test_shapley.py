@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stresstwin.errors import EmptyDataset, MissingCover, TooManyFeatures
+from stresstwin.errors import EmptyDataset, InvalidParam, MissingCover, TooManyFeatures
 from stresstwin.forest import (
     Dataset,
     DecisionTree,
@@ -258,6 +258,23 @@ class TestForestShap:
         phi_c1, phi0_c1 = exp.for_class(1)
         assert phi_c1.shape == (4,)
         assert isinstance(phi0_c1, float)
+
+
+class TestNonFiniteInput:
+    """A non-finite feature has no path; it is rejected as predict_proba rejects it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_like_predict_proba(self, bad):
+        forest, x = random_tree(12, n_features=5)
+        tree = forest.trees[0]
+        x[1] = bad
+        with pytest.raises(InvalidParam, match="must be finite") as from_proba:
+            predict_proba(forest, x)
+        with pytest.raises(InvalidParam) as from_forest:
+            forest_shap(forest, x)
+        with pytest.raises(InvalidParam) as from_tree:
+            tree_shap(tree, x, 5)
+        assert str(from_forest.value) == str(from_tree.value) == str(from_proba.value)
 
 
 class TestShapSummary:
