@@ -5,7 +5,6 @@ composite scores -> random forest with exact per-feature attributions ->
 tiered intervention commands -> deterministic virtual-time simulation.
 """
 
-from ._accel import NUMBA_ENABLED
 from .forest import (
     Dataset,
     ForestParams,
@@ -27,14 +26,13 @@ from .hrv import (
 from .ingest import EcgRecord, RecordHeader, decode_format212, load_record, parse_header
 from .interventions import ControlCommand, commands_for_level, plan_for_level
 from .shapley import ShapExplanation, brute_force_shap, forest_shap, tree_shap
-from .simulator import SimTrace, SimulatorConfig, dwell_filter, export_trace, run_simulation
+from .simulator import SimTrace, SimulatorConfig, export_trace, run_simulation
 from .stress import StressLevel, composite_score, relative_deviation, rule_label, score_to_level
 from .synth import synth_ecg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "Dataset",
     "ForestParams",
     "RandomForest",
@@ -63,7 +61,6 @@ __all__ = [
     "tree_shap",
     "SimTrace",
     "SimulatorConfig",
-    "dwell_filter",
     "export_trace",
     "run_simulation",
     "StressLevel",

@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigInvalid
 
@@ -27,16 +27,11 @@ class RunConfig:
     max_depth: int | None = None
     split_unit: str = "window"  # or "record" for leakage-safe splitting
     shap_on: str = "test"  # or "train" / "all"
-    level_source: str = "predicted"  # or "rule" / "score"
     dwell_windows: int = 2
     tick_ms: int = 200
     chunk_s: float = 1.0
     sim_max_duration_s: float | None = None
     sim_latency_table: dict | None = None
-    tachogram_segment: int = 256
-    noise_segment: int = 8192
-    detector_prominence_k: float = 4.0
-    extra: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         positive = (
@@ -51,9 +46,6 @@ class RunConfig:
             "dwell_windows",
             "tick_ms",
             "chunk_s",
-            "tachogram_segment",
-            "noise_segment",
-            "detector_prominence_k",
         )
         for name in positive:
             if getattr(self, name) <= 0:
@@ -64,8 +56,6 @@ class RunConfig:
             raise ConfigInvalid(f"split_unit {self.split_unit!r} unknown")
         if self.shap_on not in ("test", "train", "all"):
             raise ConfigInvalid(f"shap_on {self.shap_on!r} unknown")
-        if self.level_source not in ("predicted", "rule", "score"):
-            raise ConfigInvalid(f"level_source {self.level_source!r} unknown")
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -78,10 +68,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         if not isinstance(payload, dict):
             raise ConfigInvalid("config file must hold a JSON object")
         for key, value in payload.items():
-            if key in known:
-                setattr(cfg, key, value)
-            else:
-                cfg.extra[key] = value
+            if key not in known:
+                raise ConfigInvalid(f"unknown config key {key!r} in {path}")
+            setattr(cfg, key, value)
     if os.environ.get(ENV_DATA_DIR):
         cfg.data_dir = os.environ[ENV_DATA_DIR]
     if os.environ.get(ENV_OUT_DIR):

@@ -1,11 +1,11 @@
 """Numeric signal kernels: zero-phase bandpass, z-scoring, Welch PSD, band power.
 
-The biquad cascade application is the per-sample hot loop; scipy only
-supplies the Butterworth section coefficients. ``bandpass_filter`` designs
-each (band, fs, order) once per process and reuses the cached sections;
-``design_bandpass_sos`` itself returns a fresh array on every call, so no
-caller can write into the cached one. ``welch_psd`` detrends, windows and
-transforms all of its segments as one array.
+``bandpass_filter`` runs scipy's second-order-section cascade forward and
+backward over a Butterworth design. It designs each (band, fs, order) once
+per process and reuses the cached sections; ``design_bandpass_sos`` itself
+returns a fresh array on every call, so no caller can write into the cached
+one. ``welch_psd`` detrends, windows and transforms all of its segments as
+one array.
 """
 
 import functools
@@ -15,7 +15,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as _scipy_signal
 
-from ._accel import maybe_njit, select
 from .errors import EmptyBand, InvalidBand, SegmentTooLong, SignalTooShort, ZeroVariance
 
 DEFAULT_BAND = (0.5, 45.0)
@@ -27,35 +26,6 @@ class PsdEstimate:
     freqs: np.ndarray
     psd: np.ndarray
     df: float
-
-
-# --- biquad cascade (hot kernel pair) ---------------------------------------
-
-
-@maybe_njit
-def _sosfilt_loop(sos, x):
-    # sample-major so each input value runs the whole cascade in registers
-    n_sections = sos.shape[0]
-    n = x.shape[0]
-    y = np.empty(n)
-    z1 = np.zeros(n_sections)
-    z2 = np.zeros(n_sections)
-    for i in range(n):
-        v = x[i]
-        for s in range(n_sections):
-            yi = sos[s, 0] * v + z1[s]
-            z1[s] = sos[s, 1] * v - sos[s, 4] * yi + z2[s]
-            z2[s] = sos[s, 2] * v - sos[s, 5] * yi
-            v = yi
-        y[i] = v
-    return y
-
-
-def _sosfilt_scipy(sos, x):
-    return _scipy_signal.sosfilt(sos, x)
-
-
-_sosfilt = select(_sosfilt_loop, _sosfilt_scipy)
 
 
 def design_bandpass_sos(low_hz: float, high_hz: float, fs: float, order: int = DEFAULT_ORDER):
@@ -89,8 +59,8 @@ def bandpass_filter(
         raise SignalTooShort(f"need more than {6 * n_poles} samples, got {x.size}")
     padlen = 3 * n_poles
     padded = np.pad(x, padlen, mode="reflect")
-    y = _sosfilt(sos, padded)
-    y = _sosfilt(sos, y[::-1].copy())[::-1]
+    y = _scipy_signal.sosfilt(sos, padded)
+    y = _scipy_signal.sosfilt(sos, y[::-1].copy())[::-1]
     return np.ascontiguousarray(y[padlen : padlen + x.size])
 
 

@@ -4,7 +4,9 @@ Trees store per-node sample covers and class histograms because the
 explanation pass weights conditional expectations by them. Training is a
 pure function of (data, params, seed): bootstrap and feature draws use one
 Generator per tree seeded ``seed + tree_index``, and the dataset is
-canonically sorted by key before any index is drawn.
+canonically sorted by key before any index is drawn. The split scan scores
+every candidate threshold of a node at once, and prediction walks all rows
+down a tree together, both in numpy.
 """
 
 import json
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import maybe_njit, select
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -66,9 +67,6 @@ class DecisionTree:
     @property
     def n_nodes(self) -> int:
         return int(self.feature.size)
-
-    def leaf_proba(self, node: int) -> np.ndarray:
-        return self.hist[node] / self.cover[node]
 
 
 @dataclass
@@ -141,10 +139,9 @@ def record_level_split(dataset: Dataset, train_fraction: float = 0.7, seed: int 
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
-# --- best split scan (hot kernel pair) ---------------------------------------
+# --- best split scan ---------------------------------------------------------
 
 
-@maybe_njit
 def _split_threshold(lo, hi):
     """Midpoint of two distinct sorted values, or lo when it rounds onto hi.
 
@@ -156,40 +153,7 @@ def _split_threshold(lo, hi):
     return mid if mid < hi else lo
 
 
-@maybe_njit
-def _best_split_loop(xs, ys, n_classes, min_leaf):
-    n = xs.shape[0]
-    left = np.zeros(n_classes, dtype=np.float64)
-    right = np.zeros(n_classes, dtype=np.float64)
-    for i in range(n):
-        right[ys[i]] += 1.0
-    best_g = np.inf
-    best_thr = 0.0
-    found = False
-    for i in range(n - 1):
-        c = ys[i]
-        left[c] += 1.0
-        right[c] -= 1.0
-        if xs[i + 1] == xs[i]:
-            continue
-        nl = i + 1.0
-        nr = n - nl
-        if nl < min_leaf or nr < min_leaf:
-            continue
-        sl = 0.0
-        sr = 0.0
-        for k in range(n_classes):
-            sl += left[k] * left[k]
-            sr += right[k] * right[k]
-        g = (nl - sl / nl + nr - sr / nr) / n
-        if g < best_g:
-            best_g = g
-            best_thr = _split_threshold(xs[i], xs[i + 1])
-            found = True
-    return best_g, best_thr, found
-
-
-def _best_split_numpy(xs, ys, n_classes, min_leaf):
+def _best_split(xs, ys, n_classes, min_leaf):
     n = xs.shape[0]
     if n < 2:
         return np.inf, 0.0, False
@@ -209,28 +173,10 @@ def _best_split_numpy(xs, ys, n_classes, min_leaf):
     return float(g[i]), float(_split_threshold(xs[i], xs[i + 1])), True
 
 
-_best_split = select(_best_split_loop, _best_split_numpy)
+# --- leaf traversal ----------------------------------------------------------
 
 
-# --- leaf traversal (hot kernel pair) ----------------------------------------
-
-
-@maybe_njit
-def _traverse_loop(feature, threshold, left, right, X):
-    n = X.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        node = 0
-        while feature[node] >= 0:
-            if X[i, feature[node]] <= threshold[node]:
-                node = left[node]
-            else:
-                node = right[node]
-        out[i] = node
-    return out
-
-
-def _traverse_numpy(feature, threshold, left, right, X):
+def _traverse(feature, threshold, left, right, X):
     node = np.zeros(X.shape[0], dtype=np.int64)
     active = feature[node] >= 0
     while np.any(active):
@@ -240,9 +186,6 @@ def _traverse_numpy(feature, threshold, left, right, X):
         node[rows] = np.where(go_left, left[cur], right[cur])
         active = feature[node] >= 0
     return node
-
-
-_traverse = select(_traverse_loop, _traverse_numpy)
 
 
 # --- training ----------------------------------------------------------------

@@ -5,13 +5,13 @@ packed into three bytes); anything else is rejected loudly. Channel 0 is
 the analysis channel throughout the pipeline.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._accel import maybe_njit, select
 from .errors import (
     InvalidParam,
     LengthMismatch,
@@ -110,8 +110,8 @@ def parse_header(header_text: str) -> RecordHeader:
         raise MalformedHeader(f"bad record line {lines[0]!r}") from exc
     if n_signals < 1:
         raise MalformedHeader(f"record declares {n_signals} signals")
-    if sampling_rate <= 0:
-        raise MalformedHeader(f"sampling rate {sampling_rate} must be positive")
+    if not 0 < sampling_rate < math.inf:
+        raise MalformedHeader(f"sampling rate {sampling_rate} must be positive and finite")
     if n_samples < 0:
         raise MalformedHeader(f"negative sample count {n_samples}")
 
@@ -148,15 +148,18 @@ def _parse_signal_line(line: str) -> SignalSpec:
         gm = _GAIN_RE.match(tokens[2])
         if not gm:
             raise MalformedHeader(f"bad gain token {tokens[2]!r}")
-        gain = float(gm.group(1))
-        if gm.group(2) is not None:
-            baseline = int(gm.group(2))
+        try:
+            gain = float(gm.group(1))
+            if gm.group(2) is not None:
+                baseline = int(gm.group(2))
+        except ValueError as exc:
+            raise MalformedHeader(f"bad gain token {tokens[2]!r}") from exc
         if gm.group(3) is not None:
             units = gm.group(3)
     if gain == 0.0:
         gain = 200.0  # WFDB convention: 0 means the default gain
-    if gain < 0:
-        raise MalformedHeader(f"negative gain {gain}")
+    if not 0 < gain < math.inf:
+        raise MalformedHeader(f"gain {gain} must be positive and finite")
     if baseline is None:
         # adc zero (token 5) doubles as the baseline when none is given
         if len(tokens) >= 5:
@@ -166,6 +169,13 @@ def _parse_signal_line(line: str) -> SignalSpec:
                 raise MalformedHeader(f"bad adc-zero token {tokens[4]!r}") from exc
         else:
             baseline = 0
+    # the farthest a 12-bit sample can sit from the baseline must map to finite mV
+    try:
+        finite = math.isfinite((2048 + abs(baseline)) / gain)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise MalformedHeader(f"gain {gain} and baseline {baseline} give non-finite millivolts")
     return SignalSpec(
         file_name=tokens[0],
         format_code=format_code,
@@ -175,38 +185,16 @@ def _parse_signal_line(line: str) -> SignalSpec:
     )
 
 
-# --- format-212 codec (hot kernel pair) ------------------------------------
+# --- format-212 codec -----------------------------------------------------
 
 
-@maybe_njit
-def _decode212_loop(raw, n_pairs):
-    ch0 = np.empty(n_pairs, dtype=np.int32)
-    ch1 = np.empty(n_pairs, dtype=np.int32)
-    for i in range(n_pairs):
-        b0 = np.int32(raw[3 * i])
-        b1 = np.int32(raw[3 * i + 1])
-        b2 = np.int32(raw[3 * i + 2])
-        s0 = ((b1 & 0x0F) << 8) | b0
-        s1 = ((b1 & 0xF0) << 4) | b2
-        if s0 >= 2048:
-            s0 -= 4096
-        if s1 >= 2048:
-            s1 -= 4096
-        ch0[i] = s0
-        ch1[i] = s1
-    return ch0, ch1
-
-
-def _decode212_numpy(raw, n_pairs):
+def _decode212(raw, n_pairs):
     frames = raw[: 3 * n_pairs].reshape(n_pairs, 3).astype(np.int32)
     s0 = ((frames[:, 1] & 0x0F) << 8) | frames[:, 0]
     s1 = ((frames[:, 1] & 0xF0) << 4) | frames[:, 2]
     s0 = np.where(s0 >= 2048, s0 - 4096, s0)
     s1 = np.where(s1 >= 2048, s1 - 4096, s1)
     return s0, s1
-
-
-_decode212 = select(_decode212_loop, _decode212_numpy)
 
 
 def decode_format212(raw, n_samples_per_channel: int):
@@ -248,7 +236,11 @@ def encode_format212(ch0, ch1) -> bytes:
 def load_record(header_path, data_path=None) -> EcgRecord:
     """Load a WFDB record (.hea + format-212 .dat) and convert to mV."""
     header_path = Path(header_path)
-    header = parse_header(header_path.read_text())
+    try:
+        header_text = header_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"{header_path.name}: header is not UTF-8 text") from exc
+    header = parse_header(header_text)
     if data_path is None:
         data_path = header_path.parent / header.signals[0].file_name
     raw = Path(data_path).read_bytes()

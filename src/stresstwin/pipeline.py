@@ -3,6 +3,7 @@
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,8 +94,7 @@ def label_rows(rows, baseline: BaselineProfile, eps: float) -> list:
     for row in rows:
         row = dict(row)
         if row["valid"]:
-            feats = _row_features(row)
-            result = assess(feats, baseline, eps)
+            result = assess(SimpleNamespace(**row), baseline, eps)
             row["stress_score"] = result.score
             row["rule_level"] = result.rule_level.level
             row["score_level"] = result.score_level.level
@@ -104,17 +104,6 @@ def label_rows(rows, baseline: BaselineProfile, eps: float) -> list:
             row["score_level"] = None
         out.append(row)
     return out
-
-
-class _RowFeatures:
-    def __init__(self, row):
-        for col in FEATURE_COLUMNS:
-            setattr(self, col, row[col])
-        self.valid = row["valid"]
-
-
-def _row_features(row) -> _RowFeatures:
-    return _RowFeatures(row)
 
 
 def rows_to_dataset(rows) -> Dataset:
@@ -262,13 +251,6 @@ def build_report_rows(labeled_rows, forest) -> list:
             }
         )
     return out
-
-
-def level_counts(levels) -> dict:
-    counts = {c: 0 for c in range(1, 6)}
-    for lvl in levels:
-        counts[int(lvl)] += 1
-    return counts
 
 
 # --- tiny SVG bar chart ---------------------------------------------------------

@@ -254,11 +254,6 @@ def brute_force_shap(tree, x, n_features: int):
     return phi
 
 
-def subset_value(tree, x, n_features: int, mask: int) -> np.ndarray:
-    """v(S) for a single subset bitmask (exposed for efficiency-axiom tests)."""
-    return _subset_values(tree, x, n_features)[mask]
-
-
 # --- forest-level aggregation ---------------------------------------------------
 
 

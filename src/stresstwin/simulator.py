@@ -90,19 +90,16 @@ class SimulatorConfig:
         return tuple(table[scale])
 
 
-def dwell_filter(levels) -> list:
-    """Commit a level change only after two consecutive samples agree."""
-    out: list = []
-    committed = None
-    prev = None
-    for lvl in levels:
-        if committed is None:
-            committed = lvl
-        elif lvl == prev and lvl != committed:
-            committed = lvl
-        prev = lvl
-        out.append(committed)
-    return out
+def commit_level(committed: int, levels, dwell_windows: int) -> int:
+    """The committed level after the valid window levels seen so far.
+
+    A change commits only once the last ``dwell_windows`` levels agree with
+    each other; until then ``committed`` stands.
+    """
+    tail = levels[-dwell_windows:]
+    if len(tail) == dwell_windows and len(set(tail)) == 1 and tail[0] != committed:
+        return tail[0]
+    return committed
 
 
 class _Actuators:
@@ -273,10 +270,9 @@ class _Run:
         level, valid = self._infer_level(payload)
         if valid:
             self.window_levels.append(level)
-            d = self.config.dwell_windows
-            tail = self.window_levels[-d:]
-            if len(tail) == d and len(set(tail)) == 1 and tail[0] != self.committed:
-                self.committed = tail[0]
+            self.committed = commit_level(
+                self.committed, self.window_levels, self.config.dwell_windows
+            )
         payload["level"] = level
         payload["valid"] = valid
         payload["committed"] = self.committed

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from stresstwin.cli import EXIT_DATA, EXIT_OK, main
+from stresstwin.synth import synth_ecg, write_wfdb212
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
     LABELED_CSV_COLUMNS,
@@ -110,6 +111,26 @@ class TestExitCodes:
     def test_missing_data_dir_is_data_error(self, tmp_path):
         code = main(["baseline", "--data-dir", str(tmp_path), "--out-dir", str(tmp_path)])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text.replace(" 360 ", " nan ", 1).encode(),
+            lambda text: b"\xff\xfe" + text.encode(),
+        ],
+        ids=["nan_sampling_rate", "not_utf8"],
+    )
+    def test_bad_header_is_data_error(self, tmp_path, capsys, corrupt):
+        data, out = tmp_path / "data", tmp_path / "out"
+        rec = synth_ecg(70, 12.0, seed=1)
+        for name in ("118", "118e06"):
+            write_wfdb212(data, name, rec.channels, rec.fs)
+        hea = data / "118e06.hea"
+        hea.write_bytes(corrupt(hea.read_text()))
+        code = main(["ingest", "--data-dir", str(data), "--out-dir", str(out)])
+        assert code == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "ingest_summary.json").exists()
 
     def test_individual_steps_rerun_on_existing_artifacts(self, synthetic_run):
         data_dir = synthetic_run / "synthetic_records"

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from stresstwin._accel import NUMBA_ENABLED
 from stresstwin.dsp import (
     PsdEstimate,
-    _sosfilt_loop,
-    _sosfilt_scipy,
     band_power,
     bandpass_filter,
     design_bandpass_sos,
@@ -71,12 +68,6 @@ class TestBandpass:
         assert sos is not design_bandpass_sos(5.0, 15.0, FS)
         sos[:] = 0.0  # a caller writing into its copy leaves the filter intact
         assert np.array_equal(bandpass_filter(x, FS, 5.0, 15.0), before)
-
-    def test_kernel_pair_agrees(self):
-        sos = design_bandpass_sos(0.5, 45.0, FS)
-        rng = np.random.default_rng(6)
-        x = rng.normal(0, 1, 5000)
-        assert np.allclose(_sosfilt_loop(sos, x), _sosfilt_scipy(sos, x), atol=1e-12)
 
 
 class TestZscore:
@@ -208,10 +199,3 @@ class TestBandPower:
         psd = self._psd()
         with pytest.raises(InvalidBand):
             band_power(psd, 0.5, 0.1)
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="acceleration disabled")
-def test_numba_path_is_active():
-    from stresstwin import dsp
-
-    assert dsp._sosfilt is not dsp._sosfilt_scipy

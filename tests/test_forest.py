@@ -12,8 +12,8 @@ from stresstwin.errors import (
 from stresstwin.forest import (
     Dataset,
     ForestParams,
-    _best_split_loop,
-    _best_split_numpy,
+    _best_split,
+    _split_threshold,
     evaluate,
     forest_to_dict,
     load_forest,
@@ -28,6 +28,47 @@ from stresstwin.forest import (
 from stresstwin.shapley import forest_shap
 
 SMALL = ForestParams(n_trees=20, mtry=2, min_samples_leaf=2)
+
+
+def best_split_reference(xs, ys, n_classes, min_leaf):
+    """Split scan as a plain loop over cut positions: the oracle for _best_split."""
+    n = xs.shape[0]
+    left = np.zeros(n_classes)
+    right = np.zeros(n_classes)
+    for c in ys:
+        right[c] += 1.0
+    best_g, best_thr, found = np.inf, 0.0, False
+    for i in range(n - 1):
+        left[ys[i]] += 1.0
+        right[ys[i]] -= 1.0
+        nl = i + 1.0
+        nr = n - nl
+        if xs[i + 1] == xs[i] or nl < min_leaf or nr < min_leaf:
+            continue
+        sl = sum(left[k] * left[k] for k in range(n_classes))
+        sr = sum(right[k] * right[k] for k in range(n_classes))
+        g = (nl - sl / nl + nr - sr / nr) / n
+        if g < best_g:
+            best_g, best_thr, found = g, _split_threshold(xs[i], xs[i + 1]), True
+    return best_g, best_thr, found
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 40])
+@pytest.mark.parametrize("seed", range(5))
+def test_best_split_matches_reference_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values, so runs of ties straddle the candidate cuts
+    xs = np.sort(rng.integers(0, max(2, n // 2), n).astype(np.float64) * 0.1)
+    ys = rng.integers(0, 5, n)
+    for min_leaf in sorted({1, max(1, n // 2), (n + 1) // 2, n}):
+        g, thr, found = _best_split(xs, ys, 5, min_leaf)
+        ref_g, ref_thr, ref_found = best_split_reference(xs, ys, 5, min_leaf)
+        assert found == ref_found
+        assert thr == ref_thr
+        if found:
+            assert abs(g - ref_g) < 1e-12
+        else:
+            assert g == ref_g == np.inf
 
 
 def two_blob_dataset(n=200, seed=0, with_keys=False):
@@ -140,8 +181,7 @@ class TestTrainForest:
         assert 0.5 * (a + b) == b
         X = np.array([[a]] * 6 + [[b]] * 6)
         ds = Dataset(X, np.array([1] * 6 + [2] * 6))
-        for kernel in (_best_split_loop, _best_split_numpy):
-            assert kernel(X[:, 0], ds.y - 1, 5, 1)[1] == a
+        assert _best_split(X[:, 0], ds.y - 1, 5, 1)[1] == a
         forest = train_forest(ds, ForestParams(n_trees=1, mtry=1, min_samples_leaf=1), seed=0)
         tree = forest.trees[0]
         assert tree.feature[0] == 0 and tree.threshold[0] == a

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stresstwin.errors import (
     InvalidParam,
     LengthMismatch,
     MalformedHeader,
+    StressTwinError,
     TruncatedData,
     UnsupportedFormat,
 )
@@ -54,6 +57,20 @@ class TestParseHeader:
     def test_missing_signal_lines_rejected(self):
         with pytest.raises(MalformedHeader):
             parse_header("x 2 360 1000\nx.dat 212 200 11 1024 0 0 0 a\n")
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "1e999", "0", "-360"])
+    def test_non_finite_or_non_positive_rate_rejected(self, rate):
+        with pytest.raises(MalformedHeader):
+            parse_header(HEADER_118E06.replace(" 360 ", f" {rate} ", 1))
+
+    @pytest.mark.parametrize(
+        "gain",
+        ["e", "1e999", "1e-320", "200(-)", "-5", f"200(1{'0' * 400})"],
+        ids=["no_digits", "overflow", "tiny", "sign_only_baseline", "negative", "huge_baseline"],
+    )
+    def test_bad_gain_rejected(self, gain):
+        with pytest.raises(MalformedHeader):
+            parse_header(HEADER_118E06.replace(" 200 ", f" {gain} ", 1))
 
     def test_gain_with_explicit_baseline_and_units(self):
         text = "x 1 360 1000\nx.dat 212 200(512)/mV 11 1024 0 0 0 a\n"
@@ -150,6 +167,81 @@ class TestLoadRecord:
         loaded = load_record(tmp_path / "R00.hea")
         adu = np.round(ramp * 200.0 + 1024)
         assert np.allclose(loaded.channel(0), (adu - 1024) / 200.0)
+
+
+    def test_header_not_utf8(self, tmp_path):
+        rec = synth_ecg(80, 12.0)
+        write_wfdb212(tmp_path, "T03", rec.channels, rec.fs)
+        hea = tmp_path / "T03.hea"
+        hea.write_bytes(b"\xff\xfe" + hea.read_bytes())
+        with pytest.raises(MalformedHeader):
+            load_record(hea)
+
+
+# --- property: arbitrary bad input ends in a typed error ---------------------
+
+HEADER_TOKENS = [line.split() for line in HEADER_118E06.splitlines()]
+SPECIAL_TOKENS = ["nan", "inf", "-1", "0", "1e999", "1e-320", "e", "-", "200(-)", "16", ""]
+
+
+@st.composite
+def mutated_headers(draw):
+    """The NST header with a few tokens replaced by arbitrary or edge-case text."""
+    lines = [list(tokens) for tokens in HEADER_TOKENS]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i][j] = draw(st.sampled_from(SPECIAL_TOKENS) | st.text(max_size=10))
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def record_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("corrupt")
+    rec = synth_ecg(80, 5.0, seed=3)
+    write_wfdb212(d, "P00", rec.channels, rec.fs)
+    return d
+
+
+def _load_or_typed_error(hea, dat):
+    try:
+        rec = load_record(hea, dat)
+    except StressTwinError:
+        return None
+    assert all(np.isfinite(ch).all() for ch in rec.channels)
+    return rec
+
+
+class TestCorruptInputProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.text(max_size=200) | mutated_headers())
+    def test_header_text_parses_or_raises_typed(self, text):
+        try:
+            header = parse_header(text)
+        except StressTwinError:
+            return
+        assert 0 < header.sampling_rate < float("inf")
+        assert all(0 < s.gain < float("inf") for s in header.signals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(header=st.binary(max_size=120) | mutated_headers().map(str.encode))
+    def test_header_file_loads_or_raises_typed(self, record_dir, header):
+        hea = record_dir / "H.hea"
+        hea.write_bytes(header)
+        _load_or_typed_error(hea, record_dir / "P00.dat")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_dat_bytes_load_or_raise_typed(self, record_dir, data):
+        raw = bytearray((record_dir / "P00.dat").read_bytes())
+        raw = raw[: data.draw(st.integers(1, len(raw)))]
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), max_size=8)):
+            raw[bit // 8] ^= 1 << (bit % 8)
+        dat = record_dir / "Q.dat"
+        dat.write_bytes(bytes(raw))
+        rec = _load_or_typed_error(record_dir / "P00.hea", dat)
+        if rec is not None:
+            assert len(raw) >= 3 * rec.channel(0).size
 
 
 class TestSynthEcg:

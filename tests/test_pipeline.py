@@ -111,11 +111,13 @@ class TestConfig:
 
     def test_json_file_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_trees": 10, "custom_note": "x"}))
+        path.write_text(json.dumps({"n_trees": 10}))
         cfg = load_config(path, {"seed": 7})
         assert cfg.n_trees == 10
         assert cfg.seed == 7
-        assert cfg.extra["custom_note"] == "x"
+        path.write_text(json.dumps({"n_trees": 10, "custom_note": "x"}))
+        with pytest.raises(ConfigInvalid):
+            load_config(path)
 
     def test_env_data_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_DATA_DIR, str(tmp_path))

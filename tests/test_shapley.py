@@ -12,10 +12,10 @@ from stresstwin.forest import (
 )
 from stresstwin.shapley import (
     SAMPLE_CHUNK,
+    _subset_values,
     brute_force_shap,
     forest_shap,
     shap_summary,
-    subset_value,
     tree_shap,
 )
 
@@ -204,8 +204,8 @@ class TestBruteForce:
             forest, x = random_tree(seed, n_features=6)
             tree = forest.trees[0]
             phi = brute_force_shap(tree, x, 6)
-            v_empty = subset_value(tree, x, 6, 0)
-            v_full = subset_value(tree, x, 6, (1 << 6) - 1)
+            v = _subset_values(tree, x, 6)
+            v_empty, v_full = v[0], v[(1 << 6) - 1]
             assert np.abs(v_empty + phi.sum(axis=0) - v_full).max() < 1e-12
 
     def test_too_many_features(self):

@@ -10,7 +10,7 @@ from stresstwin.pipeline import extract_record_rows, label_rows, rows_to_dataset
 from stresstwin.config import RunConfig
 from stresstwin.simulator import (
     SimulatorConfig,
-    dwell_filter,
+    commit_level,
     export_trace,
     run_simulation,
 )
@@ -24,21 +24,34 @@ def scripted_trace():
     return run_simulation([rec], None, None, None, cfg, seed=9)
 
 
+def dwell_fold(levels, dwell_windows=2):
+    """Committed level after each window, starting from the first window's level."""
+    committed = levels[0] if levels else None
+    out = []
+    for i in range(len(levels)):
+        committed = commit_level(committed, levels[: i + 1], dwell_windows)
+        out.append(committed)
+    return out
+
+
 class TestDwellFilter:
     def test_single_spike_suppressed(self):
-        assert dwell_filter([1, 1, 3, 1, 1]) == [1, 1, 1, 1, 1]
+        assert dwell_fold([1, 1, 3, 1, 1]) == [1, 1, 1, 1, 1]
 
     def test_commits_on_second_agreement(self):
-        assert dwell_filter([1, 3, 3, 3]) == [1, 1, 3, 3]
+        assert dwell_fold([1, 3, 3, 3]) == [1, 1, 3, 3]
 
     def test_constant_unchanged(self):
-        assert dwell_filter([2, 2, 2]) == [2, 2, 2]
+        assert dwell_fold([2, 2, 2]) == [2, 2, 2]
 
     def test_empty(self):
-        assert dwell_filter([]) == []
+        assert dwell_fold([]) == []
 
     def test_alternating_never_commits(self):
-        assert dwell_filter([1, 2, 1, 2, 1]) == [1, 1, 1, 1, 1]
+        assert dwell_fold([1, 2, 1, 2, 1]) == [1, 1, 1, 1, 1]
+
+    def test_three_window_dwell(self):
+        assert dwell_fold([1, 3, 3, 1, 3, 3, 3, 1], 3) == [1, 1, 1, 1, 1, 1, 3, 3]
 
 
 class TestScriptedRun:
