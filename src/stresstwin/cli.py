@@ -1,9 +1,12 @@
-"""Command-line entry point.
+"""Command-line entry point: a load/save layer around the pipeline stages.
 
-Subcommands mirror the pipeline stages: ingest, baseline, features, label,
-train, eval, explain, simulate, report, plus ``run`` which chains them all
-(optionally over a generated synthetic dataset, so nothing depends on
-having the real recordings on disk).
+Subcommands mirror the stages of ``pipeline``: ingest, baseline, features,
+label, train, eval, explain, report, simulate. Each loads its inputs (the
+records, and the artifacts that earlier steps wrote to the output
+directory), runs one stage and saves what it produced. ``run`` loads the
+records once and runs every stage in memory, saving each stage's artifacts
+as soon as it ends (optionally over a generated synthetic dataset, so
+nothing depends on having the real recordings on disk).
 
 Exit codes: 0 success, 1 internal error, 2 usage error, 3 data error.
 """
@@ -15,41 +18,36 @@ import traceback
 from pathlib import Path
 
 from .config import ENV_DATA_DIR, ENV_OUT_DIR, RunConfig, load_config
-from .errors import StressTwinError
-from .forest import (
-    Dataset,
-    ForestParams,
-    evaluate,
-    load_forest,
-    record_level_split,
-    save_forest,
-    stratified_split,
-    train_forest,
-)
-from .hrv import FEATURE_COLUMNS
+from .errors import IoError, StressTwinError
+from .forest import evaluate, load_forest, save_forest
 from .ingest import load_record
 from .pipeline import (
     FEATURE_CSV_COLUMNS,
     LABELED_CSV_COLUMNS,
     REPORT_CSV_COLUMNS,
+    SHAP_BEESWARM_COLUMNS,
+    SHAP_SUMMARY_COLUMNS,
     baseline_from_clean,
     baseline_from_json,
     baseline_to_json,
     build_report_rows,
     discover_records,
-    extract_record_rows,
+    explain,
+    feature_rows,
+    ingest_summary,
     label_rows,
     load_series,
     read_rows_csv,
     rows_to_dataset,
+    simulate,
     split_from_json,
     split_to_json,
     svg_bar_chart,
+    train,
     write_confusion_csv,
     write_rows_csv,
 )
-from .shapley import shap_summary
-from .simulator import SimulatorConfig, export_trace, run_simulation
+from .simulator import export_trace
 from .synth import SYNTHETIC_CLEAN_RECORD, make_synthetic_nst
 
 EXIT_OK = 0
@@ -82,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract windowed features to CSV")
     _add_common(p)
+    p.add_argument("--baseline", help="baseline JSON path")
     p.add_argument("--out", help="features CSV path")
 
     p = sub.add_parser("label", help="append stress scores and levels to features")
@@ -112,13 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the closed-loop simulator")
     _add_common(p)
     p.add_argument("--model", help="model JSON path")
-    p.add_argument("--baseline", help="baseline JSON path")
     p.add_argument("--out", help="trace JSONL path")
     p.add_argument("--records", nargs="*", help="noisy record names (default: all)")
     p.add_argument("--max-duration-s", type=float, help="cap per-record simulated time")
     p.add_argument(
         "--scripted",
-        help='scripted levels as JSON, e.g. "[[0,1],[100,4]]" (bypasses the model)',
+        help='scripted levels as JSON, e.g. "[[0,1],[100,4]]" (bypasses features and model)',
     )
 
     p = sub.add_parser("report", help="per-record time series of levels and errors")
@@ -127,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model JSON path")
     p.add_argument("--out", help="report CSV path")
 
-    p = sub.add_parser("run", help="full pipeline: ingest through report")
+    p = sub.add_parser("run", help="full pipeline: ingest through simulate")
     _add_common(p)
     p.add_argument("--synthetic", action="store_true", help="generate and use synthetic records")
     p.add_argument("--svg", action="store_true", help="emit the SVG chart too")
@@ -145,244 +143,176 @@ def _config_from_args(args) -> RunConfig:
     return load_config(getattr(args, "config", None), overrides)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _output(given, out: Path, name: str) -> Path:
+    return Path(given) if given else out / name
 
 
-def _forest_params(cfg: RunConfig) -> ForestParams:
-    return ForestParams(
-        n_trees=cfg.n_trees,
-        mtry=cfg.mtry,
-        min_samples_leaf=cfg.min_samples_leaf,
-        max_depth=cfg.max_depth,
-    )
+def _artifact(given, out: Path, name: str) -> Path:
+    """Path of an artifact that an earlier step wrote; IoError when it is missing."""
+    path = _output(given, out, name)
+    if not path.is_file():
+        raise IoError(f"{path} not found: run the step that writes {name} first")
+    return path
 
 
-# --- subcommand bodies ----------------------------------------------------------
+# --- saving: each stage's artifacts and progress line ------------------------
 
 
-def _cmd_ingest(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
-    clean_path, noisy = discover_records(cfg.data_dir, cfg.baseline_record)
-    summary = []
-    for name, path in [(cfg.baseline_record, clean_path)] + noisy:
-        rec = load_record(path)
-        summary.append(
-            {
-                "record": rec.record_name,
-                "fs": rec.fs,
-                "n_channels": len(rec.channels),
-                "n_samples": int(rec.channel(0).size),
-                "duration_s": rec.duration_s,
-                "snr_db": rec.snr_db,
-            }
-        )
+def _save_ingest(summary, out: Path) -> None:
     target = out / "ingest_summary.json"
     target.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"ingest: {len(summary)} records ok -> {target}")
-    return EXIT_OK
 
 
-def _cmd_baseline(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
-    clean, _ = load_series(cfg.data_dir, cfg.baseline_record)
-    baseline = baseline_from_clean(clean, cfg)
-    target = Path(args.out) if args.out else out / "baseline.json"
+def _save_baseline(baseline, target: Path) -> None:
     baseline_to_json(baseline, target)
     print(
         f"baseline[{baseline.source_record}]: sdnn={baseline.sdnn:.1f} bpm={baseline.bpm:.1f} "
         f"qtc={baseline.qtc:.1f} lfhf={baseline.lfhf:.2f} -> {target}"
     )
-    return EXIT_OK
 
 
-def _cmd_features(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
-    clean, noisy = load_series(cfg.data_dir, cfg.baseline_record)
-    baseline = baseline_from_clean(clean, cfg)
-    rows = []
-    for rec in noisy:
-        rows.extend(extract_record_rows(rec, clean, baseline, cfg))
-    target = Path(args.out) if args.out else out / "features.csv"
+def _save_features(rows, target: Path) -> None:
     write_rows_csv(rows, FEATURE_CSV_COLUMNS, target)
     n_valid = sum(1 for r in rows if r["valid"])
     print(f"features: {len(rows)} windows ({n_valid} valid) -> {target}")
-    return EXIT_OK
 
 
-def _cmd_label(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
-    features_path = Path(args.features) if args.features else out / "features.csv"
-    baseline_path = Path(args.baseline) if args.baseline else out / "baseline.json"
-    rows = read_rows_csv(features_path)
-    baseline = baseline_from_json(baseline_path)
-    labeled = label_rows(rows, baseline, cfg.eps)
-    target = Path(args.out) if args.out else out / "labeled.csv"
+def _save_labeled(labeled, target: Path) -> None:
     write_rows_csv(labeled, LABELED_CSV_COLUMNS, target)
     print(f"label: {len(labeled)} rows -> {target}")
-    return EXIT_OK
 
 
-def _split(dataset: Dataset, cfg: RunConfig):
-    if cfg.split_unit == "record":
-        return record_level_split(dataset, cfg.train_fraction, cfg.seed)
-    return stratified_split(dataset, cfg.train_fraction, cfg.seed)
-
-
-def _cmd_train(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
-    labeled_path = Path(args.labeled) if args.labeled else out / "labeled.csv"
-    dataset = rows_to_dataset(read_rows_csv(labeled_path))
-    train_ds, test_ds = _split(dataset, cfg)
-    forest = train_forest(train_ds, _forest_params(cfg), cfg.seed)
-    model_path = Path(args.model) if args.model else out / "model.json"
-    split_path = Path(args.split) if args.split else out / "split.json"
+def _save_model(forest, train_ds, test_ds, model_path: Path, split_path: Path) -> None:
     save_forest(forest, model_path)
     split_to_json(train_ds, test_ds, split_path)
     print(
         f"train: {len(train_ds)} train / {len(test_ds)} test windows, "
-        f"{cfg.n_trees} trees -> {model_path}"
+        f"{len(forest.trees)} trees -> {model_path}"
     )
-    return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
-    labeled_path = Path(args.labeled) if args.labeled else out / "labeled.csv"
-    model_path = Path(args.model) if args.model else out / "model.json"
-    split_path = Path(args.split) if args.split else out / "split.json"
-    dataset = rows_to_dataset(read_rows_csv(labeled_path))
-    forest = load_forest(model_path)
-    _, test_ds = split_from_json(dataset, split_path)
-    report = evaluate(forest, test_ds)
+def _save_eval(report, out: Path) -> None:
     (out / "eval_report.json").write_text(
         json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
     )
     write_confusion_csv(report.confusion, out / "confusion_matrix.csv")
-    print(f"eval: accuracy={report.accuracy:.4f} on {len(test_ds)} held-out windows")
-    return EXIT_OK
+    print(f"eval: accuracy={report.accuracy:.4f} on {report.confusion.sum()} held-out windows")
 
 
-def _cmd_explain(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
-    labeled_path = Path(args.labeled) if args.labeled else out / "labeled.csv"
-    model_path = Path(args.model) if args.model else out / "model.json"
-    split_path = Path(args.split) if args.split else out / "split.json"
-    dataset = rows_to_dataset(read_rows_csv(labeled_path))
-    forest = load_forest(model_path)
-    if cfg.shap_on != "all" and split_path.exists():
-        train_ds, test_ds = split_from_json(dataset, split_path)
-        dataset = train_ds if cfg.shap_on == "train" else test_ds
-    summary, beeswarm = shap_summary(forest, dataset, list(FEATURE_COLUMNS))
-    summary_cols = ("feature", "total_mean_abs_phi") + tuple(f"class_{c}" for c in range(1, 6))
-    write_rows_csv(summary, summary_cols, out / "shap_summary.csv")
-    bee_cols = ("feature", "sample_index", "phi", "feature_value", "predicted_class")
-    write_rows_csv(beeswarm, bee_cols, out / "shap_beeswarm.csv")
-    if args.svg:
+def _save_explain(explained, summary, beeswarm, out: Path, svg: bool) -> None:
+    write_rows_csv(summary, SHAP_SUMMARY_COLUMNS, out / "shap_summary.csv")
+    write_rows_csv(beeswarm, SHAP_BEESWARM_COLUMNS, out / "shap_beeswarm.csv")
+    if svg:
         svg_bar_chart(summary, out / "shap_summary.svg")
     top = ", ".join(r["feature"] for r in summary[:2])
-    print(f"explain: {len(dataset)} samples, top features: {top}")
-    return EXIT_OK
+    print(f"explain: {len(explained)} samples, top features: {top}")
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
-    clean, noisy = load_series(cfg.data_dir, cfg.baseline_record)
-    if args.records:
-        wanted = set(args.records)
-        noisy = [r for r in noisy if r.record_name in wanted]
-    scripted = None
-    model = None
-    baseline = None
-    if args.scripted:
-        scripted = tuple((float(t), int(lvl)) for t, lvl in json.loads(args.scripted))
-    else:
-        model_path = Path(args.model) if args.model else out / "model.json"
-        baseline_path = Path(args.baseline) if args.baseline else out / "baseline.json"
-        model = load_forest(model_path)
-        baseline = baseline_from_json(baseline_path)
-    sim_cfg = SimulatorConfig(
-        window_s=cfg.window_s,
-        stride_s=cfg.stride_s,
-        tick_ms=cfg.tick_ms,
-        dwell_windows=cfg.dwell_windows,
-        chunk_s=cfg.chunk_s,
-        context_s=cfg.context_s,
-        eps=cfg.eps,
-        scripted_levels=scripted,
-        max_duration_s=args.max_duration_s or cfg.sim_max_duration_s,
-        latency_table=cfg.sim_latency_table,
-    )
-    trace = run_simulation(noisy, clean, model, baseline, sim_cfg, cfg.seed)
-    target = Path(args.out) if args.out else out / "trace.jsonl"
-    export_trace(trace, target)
-    n_cmds = len(trace.of_kind("CommandIssued"))
-    print(f"simulate: {len(trace)} events, {n_cmds} commands -> {target}")
-    return EXIT_OK
-
-
-def _cmd_report(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
-    labeled_path = Path(args.labeled) if args.labeled else out / "labeled.csv"
-    model_path = Path(args.model) if args.model else out / "model.json"
-    rows = read_rows_csv(labeled_path)
-    forest = load_forest(model_path)
-    report_rows = build_report_rows(rows, forest)
-    target = Path(args.out) if args.out else out / "report.csv"
+def _save_report(report_rows, target: Path) -> None:
     write_rows_csv(report_rows, REPORT_CSV_COLUMNS, target)
     n_err = sum(1 for r in report_rows if r["error"])
     print(f"report: {len(report_rows)} windows, {n_err} mismatches -> {target}")
-    return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(cfg)
+def _save_trace(trace, target: Path) -> None:
+    export_trace(trace, target)
+    n_cmds = len(trace.of_kind("CommandIssued"))
+    print(f"simulate: {len(trace)} events, {n_cmds} commands -> {target}")
+
+
+# --- subcommands: load, run one stage, save ----------------------------------
+
+
+def _cmd_ingest(args, cfg: RunConfig, out: Path) -> None:
+    clean, noisy = load_series(cfg.data_dir, cfg.baseline_record)
+    _save_ingest(ingest_summary([clean] + noisy), out)
+
+
+def _cmd_baseline(args, cfg: RunConfig, out: Path) -> None:
+    clean = load_record(discover_records(cfg.data_dir, cfg.baseline_record)[0])
+    _save_baseline(baseline_from_clean(clean, cfg), _output(args.out, out, "baseline.json"))
+
+
+def _cmd_features(args, cfg: RunConfig, out: Path) -> None:
+    baseline = baseline_from_json(_artifact(args.baseline, out, "baseline.json"))
+    clean, noisy = load_series(cfg.data_dir, cfg.baseline_record)
+    rows = feature_rows(noisy, clean, baseline, cfg)
+    _save_features(rows, _output(args.out, out, "features.csv"))
+
+
+def _cmd_label(args, cfg: RunConfig, out: Path) -> None:
+    rows = read_rows_csv(_artifact(args.features, out, "features.csv"))
+    baseline = baseline_from_json(_artifact(args.baseline, out, "baseline.json"))
+    _save_labeled(label_rows(rows, baseline, cfg.eps), _output(args.out, out, "labeled.csv"))
+
+
+def _cmd_train(args, cfg: RunConfig, out: Path) -> None:
+    dataset = rows_to_dataset(read_rows_csv(_artifact(args.labeled, out, "labeled.csv")))
+    forest, train_ds, test_ds = train(dataset, cfg)
+    model_path = _output(args.model, out, "model.json")
+    _save_model(forest, train_ds, test_ds, model_path, _output(args.split, out, "split.json"))
+
+
+def _cmd_eval(args, cfg: RunConfig, out: Path) -> None:
+    dataset = rows_to_dataset(read_rows_csv(_artifact(args.labeled, out, "labeled.csv")))
+    forest = load_forest(_artifact(args.model, out, "model.json"))
+    _, test_ds = split_from_json(dataset, _artifact(args.split, out, "split.json"))
+    _save_eval(evaluate(forest, test_ds), out)
+
+
+def _cmd_explain(args, cfg: RunConfig, out: Path) -> None:
+    dataset = rows_to_dataset(read_rows_csv(_artifact(args.labeled, out, "labeled.csv")))
+    forest = load_forest(_artifact(args.model, out, "model.json"))
+    split_path = _output(args.split, out, "split.json")
+    split = split_from_json(dataset, split_path) if split_path.exists() else None
+    _save_explain(*explain(forest, dataset, split, cfg.shap_on), out, args.svg)
+
+
+def _cmd_report(args, cfg: RunConfig, out: Path) -> None:
+    labeled = read_rows_csv(_artifact(args.labeled, out, "labeled.csv"))
+    forest = load_forest(_artifact(args.model, out, "model.json"))
+    _save_report(build_report_rows(labeled, forest), _output(args.out, out, "report.csv"))
+
+
+def _cmd_simulate(args, cfg: RunConfig, out: Path) -> None:
+    _, noisy_paths = discover_records(cfg.data_dir, cfg.baseline_record)
+    noisy = [load_record(p) for name, p in noisy_paths if not args.records or name in args.records]
+    if args.max_duration_s:
+        cfg.sim_max_duration_s = args.max_duration_s
+    if args.scripted:
+        scripted = tuple((float(t), int(lvl)) for t, lvl in json.loads(args.scripted))
+        trace = simulate(noisy, None, None, cfg, scripted)
+    else:
+        rows = read_rows_csv(_artifact(None, out, "features.csv"))
+        forest = load_forest(_artifact(args.model, out, "model.json"))
+        trace = simulate(noisy, rows, forest, cfg)
+    _save_trace(trace, _output(args.out, out, "trace.jsonl"))
+
+
+def _cmd_run(args, cfg: RunConfig, out: Path) -> None:
+    """Every stage once, in order, on the records loaded once."""
     if args.synthetic:
-        data_dir = out / "synthetic_records"
-        make_synthetic_nst(data_dir, seed=cfg.seed)
-        args.data_dir = str(data_dir)
-        args.clean_record = SYNTHETIC_CLEAN_RECORD
+        cfg.data_dir = str(out / "synthetic_records")
+        cfg.baseline_record = SYNTHETIC_CLEAN_RECORD
+        make_synthetic_nst(cfg.data_dir, seed=cfg.seed)
         if cfg.sim_max_duration_s is None:
             cfg.sim_max_duration_s = 120.0
-
-    ns = argparse.Namespace(**vars(args))
-    ns.out = None
-    ns.features = None
-    ns.baseline = None
-    ns.labeled = None
-    ns.model = None
-    ns.split = None
-    ns.records = None
-    ns.scripted = None
-    ns.max_duration_s = cfg.sim_max_duration_s
-
-    for step in (
-        _cmd_ingest,
-        _cmd_baseline,
-        _cmd_features,
-        _cmd_label,
-        _cmd_train,
-        _cmd_eval,
-        _cmd_explain,
-        _cmd_report,
-        _cmd_simulate,
-    ):
-        code = step(ns)
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
+    clean, noisy = load_series(cfg.data_dir, cfg.baseline_record)
+    _save_ingest(ingest_summary([clean] + noisy), out)
+    baseline = baseline_from_clean(clean, cfg)
+    _save_baseline(baseline, out / "baseline.json")
+    rows = feature_rows(noisy, clean, baseline, cfg)
+    _save_features(rows, out / "features.csv")
+    labeled = label_rows(rows, baseline, cfg.eps)
+    _save_labeled(labeled, out / "labeled.csv")
+    dataset = rows_to_dataset(labeled)
+    forest, train_ds, test_ds = train(dataset, cfg)
+    _save_model(forest, train_ds, test_ds, out / "model.json", out / "split.json")
+    _save_eval(evaluate(forest, test_ds), out)
+    _save_explain(*explain(forest, dataset, (train_ds, test_ds), cfg.shap_on), out, args.svg)
+    _save_report(build_report_rows(labeled, forest), out / "report.csv")
+    _save_trace(simulate(noisy, rows, forest, cfg), out / "trace.jsonl")
 
 
 _COMMANDS = {
@@ -400,10 +330,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _config_from_args(args)
+        out = Path(cfg.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.command](args, cfg, out)
+        return EXIT_OK
     except StressTwinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

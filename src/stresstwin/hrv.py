@@ -416,28 +416,6 @@ def _noise_lfhf(noise, fs: float, segment_len: int) -> float:
     return lf / max(hf, 1e-12)
 
 
-def noise_stats(noise, fs: float, segment_len: int = NOISE_SEGMENT):
-    """(mean, sample std, Fisher g1, excess g2, LF/HF ratio) of one noise trace.
-
-    Constant input yields zeros for the shape statistics by convention.
-    ``extract_window_features`` takes the moments of the analysis window and
-    the LF/HF ratio of its longer context instead, without computing the
-    halves it does not use.
-    """
-    noise = np.asarray(noise, dtype=np.float64)
-    return (*_noise_moments(noise), _noise_lfhf(noise, fs, segment_len))
-
-
-def estimate_noise(noisy, clean, window) -> np.ndarray:
-    """Sample-wise noisy minus clean over a window (NST noise is additive)."""
-    if noisy.fs != clean.fs:
-        raise LengthMismatch(f"sampling rates differ: {noisy.fs} vs {clean.fs}")
-    a, b = noisy.channel(0), clean.channel(0)
-    if a.size != b.size:
-        raise LengthMismatch(f"record lengths differ: {a.size} vs {b.size}")
-    return a[window] - b[window]
-
-
 # --- windowing and feature assembly -----------------------------------------
 
 

@@ -280,8 +280,3 @@ def load_record(header_path, data_path=None) -> EcgRecord:
         record_name=header.record_name,
         snr_db=snr_from_name(header.record_name),
     )
-
-
-def list_records(data_dir) -> list:
-    """Record names of all .hea files in a directory, sorted."""
-    return sorted(p.stem for p in Path(data_dir).glob("*.hea"))

@@ -1,4 +1,9 @@
-"""Record discovery, feature CSV I/O and the glue between pipeline stages."""
+"""Pipeline stages as functions over in-memory values, plus their artifact I/O.
+
+Stage order: ``load_series``, ``baseline_from_clean``, ``feature_rows``,
+``label_rows``, ``train``, ``forest.evaluate``, ``explain``,
+``build_report_rows``, ``simulate``.
+"""
 
 import csv
 import json
@@ -8,7 +13,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InvalidParam
-from .forest import Dataset, predict_levels
+from .forest import (
+    Dataset,
+    ForestParams,
+    predict_levels,
+    record_level_split,
+    stratified_split,
+    train_forest,
+)
 from .hrv import (
     FEATURE_COLUMNS,
     BaselineProfile,
@@ -17,6 +29,8 @@ from .hrv import (
     iter_window_segments,
 )
 from .ingest import load_record, snr_from_name
+from .shapley import shap_summary
+from .simulator import SimulatorConfig, run_simulation, window_key
 from .stress import assess
 
 FEATURE_CSV_COLUMNS = FEATURE_COLUMNS + ("window_start", "record_name", "valid")
@@ -31,6 +45,8 @@ REPORT_CSV_COLUMNS = (
     "error",
     "valid",
 )
+SHAP_SUMMARY_COLUMNS = ("feature", "total_mean_abs_phi") + tuple(f"class_{c}" for c in range(1, 6))
+SHAP_BEESWARM_COLUMNS = ("feature", "sample_index", "phi", "feature_value", "predicted_class")
 
 
 def discover_records(data_dir, clean_name: str):
@@ -54,6 +70,21 @@ def load_series(data_dir, clean_name: str):
     clean = load_record(clean_path)
     noisy = [load_record(p) for _, p in noisy_paths]
     return clean, noisy
+
+
+def ingest_summary(records) -> list:
+    """One entry per loaded record: name, rate, channels, length, duration, SNR."""
+    return [
+        {
+            "record": rec.record_name,
+            "fs": rec.fs,
+            "n_channels": len(rec.channels),
+            "n_samples": int(rec.channel(0).size),
+            "duration_s": rec.duration_s,
+            "snr_db": rec.snr_db,
+        }
+        for rec in records
+    ]
 
 
 def baseline_from_clean(clean, cfg) -> BaselineProfile:
@@ -88,6 +119,19 @@ def extract_record_rows(noisy, clean, baseline: BaselineProfile, cfg) -> list:
     return rows
 
 
+def feature_rows(noisy_records, clean, baseline: BaselineProfile, cfg) -> list:
+    """Feature rows of every noisy record, against a baseline of ``clean``."""
+    if baseline.source_record != clean.record_name:
+        raise InvalidParam(
+            f"baseline was computed from record {baseline.source_record!r}, "
+            f"not from the clean record {clean.record_name!r}"
+        )
+    rows = []
+    for rec in noisy_records:
+        rows.extend(extract_record_rows(rec, clean, baseline, cfg))
+    return rows
+
+
 def label_rows(rows, baseline: BaselineProfile, eps: float) -> list:
     """Append stress_score / rule_level / score_level to valid feature rows."""
     out = []
@@ -104,6 +148,68 @@ def label_rows(rows, baseline: BaselineProfile, eps: float) -> list:
             row["score_level"] = None
         out.append(row)
     return out
+
+
+def train(dataset: Dataset, cfg):
+    """(forest, train set, test set): split the labeled windows, fit on the train part."""
+    if cfg.split_unit == "record":
+        train_ds, test_ds = record_level_split(dataset, cfg.train_fraction, cfg.seed)
+    else:
+        train_ds, test_ds = stratified_split(dataset, cfg.train_fraction, cfg.seed)
+    params = ForestParams(
+        n_trees=cfg.n_trees,
+        mtry=cfg.mtry,
+        min_samples_leaf=cfg.min_samples_leaf,
+        max_depth=cfg.max_depth,
+    )
+    return train_forest(train_ds, params, cfg.seed), train_ds, test_ds
+
+
+def explain(forest, dataset: Dataset, split, shap_on: str):
+    """(explained set, summary rows, beeswarm rows) of exact SHAP values.
+
+    ``shap_on`` picks a part of the (train, test) ``split``; with "all" or
+    no split, every labeled window is explained.
+    """
+    if shap_on != "all" and split is not None:
+        dataset = split[0] if shap_on == "train" else split[1]
+    summary, beeswarm = shap_summary(forest, dataset, list(FEATURE_COLUMNS))
+    return dataset, summary, beeswarm
+
+
+def predicted_levels(rows, forest) -> list:
+    """The forest's level for each row, None for an invalid row; one batch predict."""
+    levels = [None] * len(rows)
+    valid = [i for i, row in enumerate(rows) if row["valid"]]
+    if valid:
+        X = np.asarray([[rows[i][c] for c in FEATURE_COLUMNS] for i in valid])
+        for i, level in zip(valid, predict_levels(forest, X)):
+            levels[i] = int(level)
+    return levels
+
+
+def window_levels(rows, forest, records) -> dict:
+    """``window_key`` -> predicted level (None: invalid) for the rows of ``records``."""
+    by_name = {rec.record_name: rec for rec in records}
+    rows = [r for r in rows if r["record_name"] in by_name]
+    keys = [window_key(by_name[r["record_name"]], r["window_start"]) for r in rows]
+    return dict(zip(keys, predicted_levels(rows, forest)))
+
+
+def simulate(noisy_records, rows, forest, cfg, scripted=None):
+    """Closed-loop trace; window levels are predicted from the feature rows unless scripted."""
+    sim_cfg = SimulatorConfig(
+        window_s=cfg.window_s,
+        stride_s=cfg.stride_s,
+        tick_ms=cfg.tick_ms,
+        dwell_windows=cfg.dwell_windows,
+        chunk_s=cfg.chunk_s,
+        scripted_levels=scripted,
+        max_duration_s=cfg.sim_max_duration_s,
+        latency_table=cfg.sim_latency_table,
+    )
+    levels = None if scripted is not None else window_levels(rows, forest, noisy_records)
+    return run_simulation(noisy_records, levels, sim_cfg, cfg.seed)
 
 
 def rows_to_dataset(rows) -> Dataset:
@@ -205,8 +311,11 @@ def split_to_json(train: Dataset, test: Dataset, path) -> None:
 def split_from_json(dataset: Dataset, path):
     payload = json.loads(Path(path).read_text())
     index = {key: i for i, key in enumerate(dataset.keys)}
-    train_idx = [index[(k[0], float(k[1]))] for k in payload["train_keys"]]
-    test_idx = [index[(k[0], float(k[1]))] for k in payload["test_keys"]]
+    try:
+        train_idx = [index[(k[0], float(k[1]))] for k in payload["train_keys"]]
+        test_idx = [index[(k[0], float(k[1]))] for k in payload["test_keys"]]
+    except KeyError as exc:
+        raise InvalidParam(f"{path} names window {exc.args[0]} that no labeled row holds") from exc
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
@@ -220,20 +329,9 @@ def write_confusion_csv(confusion, path) -> None:
 
 def build_report_rows(labeled_rows, forest) -> list:
     """Per-window time series of BPM/SDNN with true vs predicted level."""
-    valid = [r for r in labeled_rows if r["valid"] and r.get("rule_level") is not None]
-    if valid:
-        X = np.asarray([[r[c] for c in FEATURE_COLUMNS] for r in valid])
-        pred = predict_levels(forest, X)
-        predictions = {
-            (r["record_name"], float(r["window_start"])): int(p) for r, p in zip(valid, pred)
-        }
-    else:
-        predictions = {}
     out = []
     ordered = sorted(labeled_rows, key=lambda r: (r["record_name"], float(r["window_start"])))
-    for row in ordered:
-        key = (row["record_name"], float(row["window_start"]))
-        pred_level = predictions.get(key)
+    for row, pred_level in zip(ordered, predicted_levels(ordered, forest)):
         true_level = row.get("rule_level")
         error = None
         if pred_level is not None and true_level is not None:

@@ -1,10 +1,12 @@
 """Deterministic closed-loop simulation: sensor -> edge -> inference -> actuators.
 
 Runs on a virtual millisecond clock driven by a (time, sequence) ordered
-event heap, so a run is a pure function of (records, model, baseline,
-config, seed). Real time never enters; repeated runs produce byte-identical
-traces. Records play back sequentially on one timeline with windowing state
-reset at record boundaries.
+event heap, so a run is a pure function of (records, window levels, config,
+seed). Real time never enters; repeated runs produce byte-identical traces.
+Records play back sequentially on one timeline with windowing state reset at
+record boundaries. Windows follow ``hrv.window_iter``'s sample grid, as the
+features stage does, and each window's level is looked up in a map that the
+caller builds from the feature rows.
 """
 
 import heapq
@@ -13,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, IoError
-from .forest import predict
-from .hrv import CONTEXT_S, extract_window_features
+from .errors import ConfigInvalid, InvalidParam, IoError
+from .hrv import window_iter
 from .interventions import (
     LATENCY_RANGE_MS,
     CommandIdAllocator,
@@ -30,6 +31,8 @@ KIND_TICK = "StrategyTick"
 KIND_ISSUED = "CommandIssued"
 KIND_APPLIED = "ActuatorApplied"
 KIND_FEEDBACK = "Feedback"
+
+INITIAL_LEVEL = 1  # committed before the first window, commanded at t = 0
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,7 @@ class SimulatorConfig:
     tick_ms: int = 200
     dwell_windows: int = 2
     chunk_s: float = 1.0
-    context_s: float = CONTEXT_S
-    initial_level: int = 1
-    eps: float = 1e-6
-    scripted_levels: tuple | None = None  # ((t_s, level), ...) overrides the model
+    scripted_levels: tuple | None = None  # ((t_s, level), ...) replaces the window levels
     max_duration_s: float | None = None
     latency_table: dict | None = None  # scale -> (lo_ms, hi_ms) override
 
@@ -88,6 +88,11 @@ class SimulatorConfig:
     def latency_range_ms(self, scale: str) -> tuple:
         table = self.latency_table or LATENCY_RANGE_MS
         return tuple(table[scale])
+
+
+def window_key(record, start_s: float) -> tuple:
+    """Key of a window in the levels map: (record name, window start sample)."""
+    return record.record_name, int(round(start_s * record.fs))
 
 
 def commit_level(committed: int, levels, dwell_windows: int) -> int:
@@ -144,20 +149,18 @@ class _Actuators:
 
 
 class _Run:
-    def __init__(self, noisy_records, clean_record, model, baseline, config, seed):
+    def __init__(self, noisy_records, levels, config, seed):
         config.validate()
         self.config = config
         self.records = list(noisy_records)
-        self.clean = clean_record
-        self.model = model
-        self.baseline = baseline
-        if config.scripted_levels is None and (model is None or baseline is None):
-            raise ConfigInvalid("model and baseline are required unless levels are scripted")
+        self.levels = levels
+        if config.scripted_levels is None and levels is None:
+            raise ConfigInvalid("window levels are required unless levels are scripted")
         self.rng = np.random.default_rng(seed)
         self.trace = SimTrace()
         self.heap: list = []
         self.seq = 0
-        self.committed = config.initial_level
+        self.committed = INITIAL_LEVEL
         self.window_levels: list = []
         self.last_commanded = None
         self.allocator = CommandIdAllocator()
@@ -178,7 +181,6 @@ class _Run:
     def run(self) -> SimTrace:
         cfg = self.config
         offset_ms = 0
-        total_ms = 0
         for rec_idx, rec in enumerate(self.records):
             dur_s = rec.duration_s
             if cfg.max_duration_s is not None:
@@ -196,25 +198,24 @@ class _Run:
                         "n_samples": int(round(cfg.chunk_s * rec.fs)),
                     },
                 )
-            end_s = cfg.window_s
-            while end_s <= dur_s + 1e-9:
-                at = offset_ms + int(round(end_s * 1000))
+            for start_s, window in window_iter(rec, cfg.window_s, cfg.stride_s):
+                end_s = window.stop / rec.fs
+                if end_s > dur_s + 1e-9:
+                    break
                 self.schedule(
-                    at,
+                    offset_ms + int(round(end_s * 1000)),
                     KIND_WINDOW,
                     {
                         "record": rec.record_name,
-                        "window_start_s": end_s - cfg.window_s,
+                        "window_start_s": start_s,
                         "window_end_local_s": end_s,
                         "record_offset_ms": offset_ms,
                         "record_index": rec_idx,
                     },
                 )
-                end_s += cfg.stride_s
             offset_ms += dur_ms
-            total_ms = offset_ms
 
-        for at in range(0, total_ms + 1, cfg.tick_ms):
+        for at in range(0, offset_ms + 1, cfg.tick_ms):
             self.schedule(at, KIND_TICK, {})
 
         while self.heap:
@@ -234,47 +235,35 @@ class _Run:
         return self.trace
 
     def _scripted_level(self, t_s: float) -> int:
-        level = self.config.initial_level
+        level = INITIAL_LEVEL
         for start_s, lvl in sorted(self.config.scripted_levels):
             if t_s >= start_s:
                 level = lvl
         return level
 
-    def _infer_level(self, payload: dict):
-        rec = self.records[payload["record_index"]]
-        cfg = self.config
-        end_local_s = payload["window_end_local_s"]
-        if cfg.scripted_levels is not None:
+    def _window_level(self, payload: dict):
+        """The window's level, or None when the window is invalid."""
+        if self.config.scripted_levels is not None:
+            end_local_s = payload["window_end_local_s"]
             global_t_s = (payload["record_offset_ms"] + end_local_s * 1000.0) / 1000.0
-            return self._scripted_level(global_t_s), True
-        fs = rec.fs
-        end_n = int(round(end_local_s * fs))
-        lo = max(0, end_n - int(round(cfg.context_s * fs)))
-        noisy_seg = rec.channel(0)[lo:end_n]
-        clean_seg = self.clean.channel(0)[lo:end_n]
-        feats = extract_window_features(
-            noisy_seg,
-            clean_seg,
-            self.baseline,
-            fs,
-            window_s=cfg.window_s,
-            window_start=payload["window_start_s"],
-            eps=cfg.eps,
-        )
-        if not feats.valid:
-            return None, False
-        level, _ = predict(self.model, feats.as_vector())
-        return level, True
+            return self._scripted_level(global_t_s)
+        key = window_key(self.records[payload["record_index"]], payload["window_start_s"])
+        if key not in self.levels:
+            raise InvalidParam(
+                f"no feature row for record {key[0]} window at {payload['window_start_s']} s "
+                f"(sample {key[1]}): the features were built for other records or windows"
+            )
+        return self.levels[key]
 
     def _on_infer(self, at_ms: int, payload: dict) -> None:
-        level, valid = self._infer_level(payload)
-        if valid:
+        level = self._window_level(payload)
+        if level is not None:
             self.window_levels.append(level)
             self.committed = commit_level(
                 self.committed, self.window_levels, self.config.dwell_windows
             )
         payload["level"] = level
-        payload["valid"] = valid
+        payload["valid"] = level is not None
         payload["committed"] = self.committed
 
     def _issue_batch(self, at_ms: int) -> None:
@@ -314,14 +303,16 @@ class _Run:
 
 def run_simulation(
     noisy_records,
-    clean_record,
-    model,
-    baseline,
+    levels: dict | None,
     config: SimulatorConfig | None = None,
     seed: int = 0,
 ) -> SimTrace:
-    """Simulate the closed loop over the given records; see module docstring."""
-    run = _Run(noisy_records, clean_record, model, baseline, config or SimulatorConfig(), seed)
+    """Simulate the closed loop over the given records; see module docstring.
+
+    ``levels`` maps the ``window_key`` of each window to its level (None:
+    invalid window); it may be None when the config scripts the levels.
+    """
+    run = _Run(noisy_records, levels, config or SimulatorConfig(), seed)
     return run.run()
 
 

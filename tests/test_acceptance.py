@@ -212,8 +212,8 @@ def test_criterion_08_forest(synthetic_dataset, tmp_path):
 def test_criterion_09_simulator(tmp_path):
     rec = synth_ecg(70, 150.0, seed=5)
     cfg = SimulatorConfig(scripted_levels=((0.0, 1), (100.0, 4)))
-    trace_a = run_simulation([rec], None, None, None, cfg, seed=9)
-    trace_b = run_simulation([rec], None, None, None, cfg, seed=9)
+    trace_a = run_simulation([rec], None, cfg, seed=9)
+    trace_b = run_simulation([rec], None, cfg, seed=9)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     export_trace(trace_a, pa)
     export_trace(trace_b, pb)

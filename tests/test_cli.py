@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -10,7 +12,9 @@ from stresstwin.pipeline import (
     LABELED_CSV_COLUMNS,
     REPORT_CSV_COLUMNS,
     read_rows_csv,
+    write_rows_csv,
 )
+from tests.test_pinned_run import PINNED_SHA256
 
 
 @pytest.fixture(scope="session")
@@ -190,3 +194,61 @@ class TestExitCodes:
         )
         assert code == EXIT_OK
         assert out.exists()
+
+
+def _synthetic_args(synthetic_run, out, *extra):
+    data_dir = synthetic_run / "synthetic_records"
+    return ["--data-dir", str(data_dir), "--out-dir", str(out), "--clean-record", "S00", *extra]
+
+
+class TestSubcommandChain:
+    STEPS = ("ingest", "baseline", "features", "label", "train", "eval", "explain", "report")
+
+    def test_steps_write_the_pinned_run_bytes(self, synthetic_run, tmp_path):
+        # `run --synthetic` caps the simulated time at 120 s per record
+        steps = [[step] for step in self.STEPS] + [["simulate", "--max-duration-s", "120"]]
+        for step in steps:
+            argv = [*step, *_synthetic_args(synthetic_run, tmp_path, "--seed", "2025")]
+            assert main(argv) == EXIT_OK, step
+        got = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in PINNED_SHA256}
+        assert sorted(n for n in PINNED_SHA256 if got[n] != PINNED_SHA256[n]) == []
+
+
+class TestLoadErrors:
+    def _fails(self, argv, capsys, fragment):
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert fragment in err
+
+    def test_simulate_without_feature_row(self, synthetic_run, tmp_path, capsys):
+        rows = read_rows_csv(synthetic_run / "features.csv")
+        other = [r for r in rows if r["record_name"] == "S00e24"]
+        write_rows_csv(other, FEATURE_CSV_COLUMNS, tmp_path / "features.csv")
+        shutil.copy(synthetic_run / "model.json", tmp_path / "model.json")
+        argv = ["simulate", *_synthetic_args(synthetic_run, tmp_path, "--records", "S00e06")]
+        self._fails(argv, capsys, "no feature row for record S00e06 window at 0.0 s")
+
+    def test_split_window_without_labeled_row(self, synthetic_run, tmp_path, capsys):
+        rows = read_rows_csv(synthetic_run / "labeled.csv")
+        kept = [r for r in rows if r["record_name"] != "S00e24"]
+        write_rows_csv(kept, LABELED_CSV_COLUMNS, tmp_path / "labeled.csv")
+        for name in ("model.json", "split.json"):
+            shutil.copy(synthetic_run / name, tmp_path / name)
+        argv = ["eval", *_synthetic_args(synthetic_run, tmp_path)]
+        self._fails(argv, capsys, "names window ('S00e24'")
+
+    def test_features_with_baseline_of_another_record(self, synthetic_run, tmp_path, capsys):
+        payload = json.loads((synthetic_run / "baseline.json").read_text())
+        payload["source_record"] = "S00e24"
+        (tmp_path / "baseline.json").write_text(json.dumps(payload))
+        argv = ["features", *_synthetic_args(synthetic_run, tmp_path)]
+        self._fails(argv, capsys, "baseline was computed from record 'S00e24'")
+        assert not (tmp_path / "features.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("step", "missing"), [("features", "baseline.json"), ("simulate", "features.csv")]
+    )
+    def test_missing_artifact(self, synthetic_run, tmp_path, capsys, step, missing):
+        argv = [step, *_synthetic_args(synthetic_run, tmp_path)]
+        self._fails(argv, capsys, f"{missing} not found")

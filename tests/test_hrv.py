@@ -5,7 +5,6 @@ from stresstwin.dsp import band_power, bandpass_filter, welch_psd
 from stresstwin.errors import (
     EmptyBand,
     InsufficientData,
-    LengthMismatch,
     NoMeasurableBeats,
     NoValidWindows,
     RecordTooShort,
@@ -13,6 +12,7 @@ from stresstwin.errors import (
 )
 from stresstwin.hrv import (
     CONTEXT_S,
+    NOISE_SEGMENT,
     _noise_lfhf,
     _noise_moments,
     _rolling_block_stats,
@@ -20,12 +20,10 @@ from stresstwin.hrv import (
     bpm,
     compute_baseline,
     detect_r_peaks,
-    estimate_noise,
     extract_window_features,
     filter_rr,
     iter_window_segments,
     lf_hf,
-    noise_stats,
     qtc,
     rr_from_peaks,
     sdnn,
@@ -256,14 +254,19 @@ class TestLfHf:
             lf_hf(rr)
 
 
+def _noise_stats(noise):
+    """Noise moments of a trace and its LF/HF ratio, as the feature row takes them."""
+    return (*_noise_moments(noise), _noise_lfhf(noise, FS, NOISE_SEGMENT))
+
+
 class TestNoiseStats:
     def test_constant_convention(self):
-        mu, std, skew, kurt, ratio = noise_stats(np.full(100, 3.25), FS)
+        mu, std, skew, kurt, ratio = _noise_stats(np.full(100, 3.25))
         assert (mu, std, skew, kurt, ratio) == (3.25, 0.0, 0.0, 0.0, 0.0)
 
     def test_standard_normal_sample(self):
         rng = np.random.default_rng(11)
-        _, _, skew, kurt, _ = noise_stats(rng.normal(0, 1, 100000), FS)
+        _, _, skew, kurt, _ = _noise_stats(rng.normal(0, 1, 100000))
         assert abs(skew) < 0.05
         assert abs(kurt) < 0.1
 
@@ -285,36 +288,12 @@ class TestNoiseStats:
             float(np.mean(centered**4)) / m2**2 - 3.0,
             ratio,
         )
-        got = noise_stats(noise, FS)
-        assert got == expected
-        assert got == (*_noise_moments(noise), _noise_lfhf(noise, FS, 8192))
+        assert _noise_stats(noise) == expected
 
     def test_hand_computed_skew(self):
         # pattern 0,0,0,1: g1 = +2/sqrt(3)
-        _, _, skew, _, _ = noise_stats(np.array([0.0, 0.0, 0.0, 1.0] * 2), FS)
+        _, _, skew, _, _ = _noise_stats(np.array([0.0, 0.0, 0.0, 1.0] * 2))
         assert abs(skew - 2.0 / np.sqrt(3.0)) < 1e-12
-
-
-class TestEstimateNoise:
-    def _record(self, x):
-        return EcgRecord(channels=[x, 0.5 * x], fs=FS, record_name="t")
-
-    def test_identical_records(self):
-        x = np.sin(np.linspace(0, 20, 7200))
-        out = estimate_noise(self._record(x), self._record(x.copy()), slice(0, 7200))
-        assert np.all(out == 0.0)
-
-    def test_constant_offset(self):
-        x = np.sin(np.linspace(0, 20, 7200))
-        noisy = self._record(x + 0.1)
-        out = estimate_noise(noisy, self._record(x), slice(100, 200))
-        assert np.allclose(out, 0.1)
-
-    def test_length_mismatch(self):
-        a = self._record(np.zeros(100))
-        b = self._record(np.zeros(200))
-        with pytest.raises(LengthMismatch):
-            estimate_noise(a, b, slice(0, 50))
 
 
 class TestWindowIter:

@@ -1,8 +1,9 @@
 """Pinned synthetic run: `run --synthetic` at seed 2025 must reproduce these bytes.
 
 A refactor that claims to keep behaviour unchanged proves it here. The
-digests were recorded from the pipeline before the per-window kernels were
-batched (Python 3.11.7, numpy 2.4.6, scipy 1.17.1). Regenerating them is a
+first seven digests were recorded from the pipeline before the per-window
+kernels were batched, the last five before the stages became in-memory
+functions (Python 3.11.7, numpy 2.4.6, scipy 1.17.1). Regenerating them is a
 deliberate step, to be stated with its reason in CHANGES.md: a changed
 digest means the pipeline's output changed.
 """
@@ -19,6 +20,11 @@ PINNED_SHA256 = {
     "split.json": "33c15e5cba9aa0dc84916c1b058951a014605944a58213361a00c264ec7d6809",
     "report.csv": "5cb76c8a83159a0a5394043bfb927ae80855485031e803990e0c002807936d52",
     "trace.jsonl": "374eb3289ef8102c7590281275363573d57fa2f85befe4d3a6767b5af30b5c62",
+    "ingest_summary.json": "ab26e4898cebfd6012f6a59158abf52c266e5ebe63d4575df48eca2b1308cc78",
+    "eval_report.json": "6f9811a0fd166d899e70a34aa292bb1511896ce4e0d47a4819349e3b67c609b6",
+    "confusion_matrix.csv": "0fa448101af709485ebf086216e4efca70b892ebea5ca77599b4c6fe7309995e",
+    "shap_summary.csv": "71a694b3d2b4a81c34530effff3565cff7a9dc37dad40f1731c2b36b7416aeb6",
+    "shap_beeswarm.csv": "31f84cbf21b7ed9e00776c1a4fed159333b837894630df68d836f88de814d3e5",
 }
 
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from stresstwin.config import ENV_DATA_DIR, RunConfig, load_config
-from stresstwin.errors import ConfigInvalid
+from stresstwin.errors import ConfigInvalid, InvalidParam
 from stresstwin.forest import Dataset
 from stresstwin.hrv import FEATURE_COLUMNS, BaselineProfile
+from stresstwin.ingest import EcgRecord
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
     baseline_from_json,
     baseline_to_json,
+    extract_record_rows,
     label_rows,
     read_rows_csv,
     rows_to_dataset,
@@ -37,6 +39,15 @@ def make_row(record, start, valid=True, sdnn=55.0, bpm=70.0, qtc=410.0, lfhf=1.0
 @pytest.fixture
 def baseline():
     return BaselineProfile(sdnn=50.0, bpm=70.0, qtc=400.0, lfhf=1.0, source_record="t")
+
+
+class TestExtractRecordRows:
+    @pytest.mark.parametrize(("n", "fs"), [(7200, 360.0), (10800, 250.0)], ids=["length", "rate"])
+    def test_misaligned_pair_rejected(self, baseline, n, fs):
+        clean = EcgRecord(channels=[np.zeros(10800)], fs=360.0, record_name="c")
+        noisy = EcgRecord(channels=[np.zeros(n)], fs=fs, record_name="ce06")
+        with pytest.raises(InvalidParam, match="not aligned"):
+            extract_record_rows(noisy, clean, baseline, RunConfig())
 
 
 class TestLabeling:

@@ -2,11 +2,21 @@ import json
 
 import pytest
 
-from stresstwin.errors import ConfigInvalid
+from stresstwin.errors import ConfigInvalid, InvalidParam
 from stresstwin.forest import Dataset, ForestParams, train_forest
 from stresstwin.hrv import compute_baseline
 from stresstwin.interventions import LATENCY_RANGE_MS, plan_for_level
-from stresstwin.pipeline import extract_record_rows, label_rows, rows_to_dataset
+from stresstwin.pipeline import (
+    FEATURE_CSV_COLUMNS,
+    extract_record_rows,
+    feature_rows,
+    label_rows,
+    read_rows_csv,
+    rows_to_dataset,
+    simulate,
+    window_levels,
+    write_rows_csv,
+)
 from stresstwin.config import RunConfig
 from stresstwin.simulator import (
     SimulatorConfig,
@@ -14,14 +24,14 @@ from stresstwin.simulator import (
     export_trace,
     run_simulation,
 )
-from stresstwin.synth import synth_ecg
+from stresstwin.synth import synth_ecg, synth_ecg_profile
 
 
 @pytest.fixture(scope="module")
 def scripted_trace():
     rec = synth_ecg(70, 150.0, seed=5)
     cfg = SimulatorConfig(scripted_levels=((0.0, 1), (100.0, 4)))
-    return run_simulation([rec], None, None, None, cfg, seed=9)
+    return run_simulation([rec], None, cfg, seed=9)
 
 
 def dwell_fold(levels, dwell_windows=2):
@@ -58,7 +68,7 @@ class TestScriptedRun:
     def test_trace_determinism_bytes(self, tmp_path, scripted_trace):
         rec = synth_ecg(70, 150.0, seed=5)
         cfg = SimulatorConfig(scripted_levels=((0.0, 1), (100.0, 4)))
-        again = run_simulation([rec], None, None, None, cfg, seed=9)
+        again = run_simulation([rec], None, cfg, seed=9)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         export_trace(scripted_trace, p1)
         export_trace(again, p2)
@@ -156,30 +166,31 @@ class TestConfigValidation:
     def test_model_required_without_script(self):
         rec = synth_ecg(70, 30.0)
         with pytest.raises(ConfigInvalid):
-            run_simulation([rec], rec, None, None, SimulatorConfig(), seed=0)
+            run_simulation([rec], None, SimulatorConfig(), seed=0)
+
+
+@pytest.fixture(scope="module")
+def steady_model():
+    """A clean low-variability record, its baseline and a forest that scores it level 1."""
+    clean = synth_ecg_profile([(90.0, 70.0, 58.0, 378.0)], seed=21, record_name="C0")
+    baseline = compute_baseline(clean)
+    cfg = RunConfig()
+    rows = extract_record_rows(clean, clean, baseline, cfg)
+    # force a second class so training is non-degenerate
+    ds = rows_to_dataset(label_rows(rows, baseline, cfg.eps))
+    y = ds.y.copy()
+    y[-1] = 2
+    forest = train_forest(Dataset(ds.X, y, ds.keys), ForestParams(n_trees=10, mtry=3), seed=0)
+    return clean, baseline, rows, forest
 
 
 class TestModelDrivenRun:
-    def test_clean_steady_state_emits_single_batch(self):
+    def test_clean_steady_state_emits_single_batch(self, steady_model):
         # a clean low-variability record classifies level 1 throughout:
         # only the startup batch is ever issued
-        from stresstwin.synth import synth_ecg_profile
-
-        clean = synth_ecg_profile([(90.0, 70.0, 58.0, 378.0)], seed=21, record_name="C0")
-        baseline = compute_baseline(clean)
-        cfg = RunConfig()
-        rows = label_rows(
-            extract_record_rows(clean, clean, baseline, cfg), baseline, cfg.eps
-        )
-        # force a second class so training is non-degenerate
-        ds = rows_to_dataset(rows)
-        y = ds.y.copy()
-        y[-1] = 2
-        forest = train_forest(
-            Dataset(ds.X, y, ds.keys), ForestParams(n_trees=10, mtry=3), seed=0
-        )
+        clean, _, rows, forest = steady_model
         sim_cfg = SimulatorConfig(max_duration_s=60.0)
-        trace = run_simulation([clean], clean, forest, baseline, sim_cfg, seed=3)
+        trace = run_simulation([clean], window_levels(rows, forest, [clean]), sim_cfg, seed=3)
         issued = trace.of_kind("CommandIssued")
         assert issued
         assert {e.payload["stress_level"] for e in issued} == {1}
@@ -188,3 +199,27 @@ class TestModelDrivenRun:
             e.payload["level"] for e in trace.of_kind("Inference") if e.payload["valid"]
         ]
         assert levels and all(lv == 1 for lv in levels)
+
+    def test_fractional_stride_windows_are_feature_rows(self, tmp_path, steady_model):
+        # 5.001 s is 1800.36 samples: windows fall on the 1800-sample grid of
+        # the features stage, not on accumulated multiples of 5.001 s
+        clean, baseline, _, forest = steady_model
+        cfg = RunConfig(stride_s=5.001)
+        path = tmp_path / "features.csv"
+        write_rows_csv(feature_rows([clean], clean, baseline, cfg), FEATURE_CSV_COLUMNS, path)
+        rows = read_rows_csv(path)
+        trace = simulate([clean], rows, forest, cfg)
+        simulated = {
+            (e.payload["record"], e.payload["window_start_s"]): e.payload["valid"]
+            for e in trace.of_kind("Inference")
+        }
+        features = {(r["record_name"], r["window_start"]): r["valid"] for r in rows}
+        assert simulated == features
+        assert set(features.values()) == {True, False}
+
+    def test_window_without_feature_row_is_named(self, steady_model):
+        clean, _, rows, forest = steady_model
+        levels = window_levels(rows, forest, [clean])
+        del levels[("C0", 9000)]
+        with pytest.raises(InvalidParam, match=r"record C0 window at 25\.0 s"):
+            run_simulation([clean], levels, SimulatorConfig(), seed=3)
