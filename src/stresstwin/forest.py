@@ -5,8 +5,14 @@ explanation pass weights conditional expectations by them. Training is a
 pure function of (data, params, seed): bootstrap and feature draws use one
 Generator per tree seeded ``seed + tree_index``, and the dataset is
 canonically sorted by key before any index is drawn. The split scan scores
-every candidate threshold of a node at once, and prediction walks all rows
-down a tree together, both in numpy.
+every candidate threshold of a node at once, in numpy.
+
+Prediction steps one packed node table for the whole forest: every tree's
+nodes concatenated with offsets, each leaf a self-loop (threshold ``+inf``,
+both children itself), so a fixed number of steps moves every (row, tree)
+pair at once. This is the tensorised traversal of Hummingbird (Nakandala et
+al., OSDI 2020). Leaf values are summed in tree order, so the probabilities
+are bitwise those of a per-tree walk.
 """
 
 import json
@@ -70,12 +76,35 @@ class DecisionTree:
 
 
 @dataclass
+class _NodeTable:
+    """Every tree's nodes in one set of arrays; leaves loop onto themselves."""
+
+    feature: np.ndarray  # (nodes,) int64, 0 at leaves
+    threshold: np.ndarray  # (nodes,) +inf at leaves
+    left: np.ndarray  # (nodes,) int64 node index, itself at leaves
+    right: np.ndarray
+    value: np.ndarray  # (nodes, 5) hist / cover
+    roots: np.ndarray  # (trees,) int64
+    depth: int  # steps that bring every root to its leaf
+
+
+@dataclass
 class RandomForest:
+    """Trees plus their packed node table, built and checked once at construction.
+
+    Build a new forest rather than editing ``trees`` in place: prediction
+    reads the table, not the trees.
+    """
+
     trees: list
     n_features: int
     classes: tuple = CLASSES
     seed: int = 0
     params: dict = field(default_factory=dict)
+    _table: _NodeTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._table = _pack(self.trees, self.n_features)
 
 
 @dataclass(frozen=True)
@@ -173,19 +202,73 @@ def _best_split(xs, ys, n_classes, min_leaf):
     return float(g[i]), float(_split_threshold(xs[i], xs[i + 1])), True
 
 
-# --- leaf traversal ----------------------------------------------------------
+# --- packed node table ---------------------------------------------------------
 
 
-def _traverse(feature, threshold, left, right, X):
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    active = feature[node] >= 0
-    while np.any(active):
-        rows = np.nonzero(active)[0]
-        cur = node[rows]
-        go_left = X[rows, feature[cur]] <= threshold[cur]
-        node[rows] = np.where(go_left, left[cur], right[cur])
-        active = feature[node] >= 0
-    return node
+def _pack(trees, n_features: int) -> _NodeTable:
+    """Check that every tree's arrays form one tree and concatenate them.
+
+    Raises InvalidParam naming the first bad tree, so a corrupt model never
+    reaches prediction: an index out of range would raise IndexError or wrap
+    round silently, and a zero cover would give NaN probabilities.
+    """
+    if not trees:
+        raise InvalidParam("a forest needs at least one tree")
+    for t, tree in enumerate(trees):
+        n = tree.feature.size
+        columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.cover)
+        if n == 0 or any(np.shape(a) != (n,) for a in columns):
+            raise InvalidParam(f"tree {t}: node arrays are empty or differ in length")
+        if np.shape(tree.hist) != (n, N_CLASSES):
+            raise InvalidParam(f"tree {t}: hist has shape {np.shape(tree.hist)}, not ({n}, {N_CLASSES})")
+    sizes = np.array([tree.n_nodes for tree in trees], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    offset = roots[tree_of]
+    own = np.arange(offset.size, dtype=np.int64)
+    feature = np.concatenate([tree.feature for tree in trees]).astype(np.int64)
+    threshold = np.concatenate([tree.threshold for tree in trees]).astype(np.float64)
+    left = np.concatenate([tree.left for tree in trees]).astype(np.int64) + offset
+    right = np.concatenate([tree.right for tree in trees]).astype(np.int64) + offset
+    cover = np.concatenate([tree.cover for tree in trees]).astype(np.float64)
+    hist = np.concatenate([tree.hist for tree in trees]).astype(np.float64)
+
+    def check(bad, what):
+        if np.any(bad):
+            raise InvalidParam(f"tree {tree_of[np.argmax(bad)]}: {what}")
+
+    check((feature < -1) | (feature >= n_features), f"a feature index is outside [-1, {n_features})")
+    split = feature >= 0
+    end = offset + sizes[tree_of]
+    check(
+        split & ((left <= own) | (left >= end) | (right <= own) | (right >= end)),
+        "a split's child is not after it in the tree's node arrays",
+    )
+    # with children after their parent, one parent per non-root node makes
+    # each tree's arrays one tree, reached from its root without a cycle
+    parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=own.size)
+    check(parents != (own != offset), "a node is not the child of exactly one split")
+    check(~(cover > 0) | ~np.isfinite(cover), "a node's cover is not positive and finite")
+    check(~np.all(np.isfinite(hist), axis=1), "a node's class histogram is not finite")
+
+    depth = np.zeros(own.size, dtype=np.int64)
+    frontier, level = roots, 0
+    while frontier.size:
+        depth[frontier] = level
+        inner = frontier[split[frontier]]
+        frontier, level = np.concatenate([left[inner], right[inner]]), level + 1
+    reached = np.maximum.reduceat(depth, roots)
+    stored = np.array([tree.max_depth for tree in trees])
+    if np.any(reached != stored):
+        t = int(np.argmax(reached != stored))
+        raise InvalidParam(f"tree {t}: max_depth is {stored[t]} but its nodes reach depth {reached[t]}")
+
+    leaf = ~split
+    feature[leaf] = 0
+    threshold[leaf] = np.inf
+    left[leaf] = own[leaf]
+    right[leaf] = own[leaf]
+    return _NodeTable(feature, threshold, left, right, hist / cover[:, None], roots, level - 1)
 
 
 # --- training ----------------------------------------------------------------
@@ -314,11 +397,17 @@ def predict_proba(forest: RandomForest, X) -> np.ndarray:
         raise DimensionMismatch(f"expected {forest.n_features} features, got {X.shape[1]}")
     if not np.all(np.isfinite(X)):
         raise InvalidParam("prediction input must be finite")
+    table = forest._table
+    node = np.repeat(table.roots[None, :], X.shape[0], axis=0)
+    rows = np.arange(X.shape[0])[:, None]
+    # a leaf keeps itself (x <= +inf), so depth steps leave every pair on its leaf
+    for _ in range(table.depth):
+        go_left = X[rows, table.feature[node]] <= table.threshold[node]
+        node = np.where(go_left, table.left[node], table.right[node])
     acc = np.zeros((X.shape[0], N_CLASSES))
-    for tree in forest.trees:
-        leaves = _traverse(tree.feature, tree.threshold, tree.left, tree.right, X)
-        acc += tree.hist[leaves] / tree.cover[leaves][:, None]
-    return acc / len(forest.trees)
+    for t in range(table.roots.size):  # tree by tree: the sums are bitwise a per-tree walk's
+        acc += table.value[node[:, t]]
+    return acc / table.roots.size
 
 
 def predict(forest: RandomForest, x):
@@ -393,27 +482,30 @@ def forest_to_dict(forest: RandomForest) -> dict:
 
 
 def forest_from_dict(payload: dict) -> RandomForest:
+    """The forest a model payload describes; InvalidParam when it is malformed."""
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise InvalidParam(f"unknown model format {payload.get('format_version')!r}")
-    trees = [
-        DecisionTree(
-            feature=np.asarray(t["feature"], dtype=np.int32),
-            threshold=np.asarray(t["threshold"], dtype=np.float64),
-            left=np.asarray(t["left"], dtype=np.int32),
-            right=np.asarray(t["right"], dtype=np.int32),
-            cover=np.asarray(t["cover"], dtype=np.float64),
-            hist=np.asarray(t["hist"], dtype=np.float64),
-            max_depth=int(t["max_depth"]),
-        )
-        for t in payload["trees"]
-    ]
-    return RandomForest(
-        trees=trees,
-        n_features=int(payload["n_features"]),
-        classes=tuple(payload["classes"]),
-        seed=int(payload["seed"]),
-        params=dict(payload["params"]),
-    )
+    try:
+        trees = [
+            DecisionTree(
+                feature=np.asarray(t["feature"], dtype=np.int32),
+                threshold=np.asarray(t["threshold"], dtype=np.float64),
+                left=np.asarray(t["left"], dtype=np.int32),
+                right=np.asarray(t["right"], dtype=np.int32),
+                cover=np.asarray(t["cover"], dtype=np.float64),
+                hist=np.asarray(t["hist"], dtype=np.float64),
+                max_depth=int(t["max_depth"]),
+            )
+            for t in payload["trees"]
+        ]
+        n_features = int(payload["n_features"])
+        classes = tuple(payload["classes"])
+        seed = int(payload["seed"])
+        params = dict(payload["params"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParam(f"malformed model: {type(exc).__name__}: {exc}") from exc
+    # the forest packs its trees, checking that each one's arrays form a tree
+    return RandomForest(trees, n_features, classes, seed, params)
 
 
 def save_forest(forest: RandomForest, path) -> None:

@@ -215,12 +215,17 @@ def _select_peaks(integ, maxima, thr, ref_n: int) -> np.ndarray:
 
 
 def _fill_gaps(integ, maxima, kept, thr_low, med_rr, gap_factor, ref_n):
+    """Kept peaks plus the strongest low-threshold maximum strictly inside each long gap.
+
+    ``maxima`` is sorted, so each gap's maxima are one slice of it. None when
+    no gap gains a peak.
+    """
+    gaps = np.nonzero(np.diff(kept) > gap_factor * med_rr)[0]
+    starts = np.searchsorted(maxima, kept[gaps] + ref_n, "right")
+    stops = np.searchsorted(maxima, kept[gaps + 1] - ref_n, "left")
     additions = []
-    for a, b in zip(kept[:-1], kept[1:]):
-        if b - a <= gap_factor * med_rr:
-            continue
-        lo, hi = a + ref_n, b - ref_n
-        in_gap = maxima[(maxima > lo) & (maxima < hi)]
+    for i, j in zip(starts.tolist(), stops.tolist()):
+        in_gap = maxima[i:j]
         in_gap = in_gap[integ[in_gap] >= thr_low[in_gap]]
         if in_gap.size:
             additions.append(int(in_gap[np.argmax(integ[in_gap])]))

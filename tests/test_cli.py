@@ -3,17 +3,21 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from stresstwin.cli import EXIT_DATA, EXIT_OK, main
+from stresstwin.forest import load_forest, predict_proba
 from stresstwin.synth import synth_ecg, write_wfdb212
 from stresstwin.pipeline import (
+    FEATURE_COLUMNS,
     FEATURE_CSV_COLUMNS,
     LABELED_CSV_COLUMNS,
     REPORT_CSV_COLUMNS,
     read_rows_csv,
     write_rows_csv,
 )
+from tests.test_forest import MODEL_FAULTS, _corrupt, predict_proba_reference
 from tests.test_pinned_run import PINNED_SHA256
 
 
@@ -80,6 +84,12 @@ class TestRunArtifacts:
         assert payload["format_version"] == 1
         assert payload["n_features"] == 13
         assert len(payload["trees"]) == 100
+
+    def test_pinned_model_predicts_as_per_tree_walk(self, synthetic_run):
+        forest = load_forest(synthetic_run / "model.json")
+        rows = [r for r in read_rows_csv(synthetic_run / "features.csv") if r["valid"]]
+        X = np.asarray([[r[c] for c in FEATURE_COLUMNS] for r in rows])
+        assert np.array_equal(predict_proba(forest, X), predict_proba_reference(forest, X))
 
     def test_eval_report_contents(self, synthetic_run):
         payload = json.loads((synthetic_run / "eval_report.json").read_text())
@@ -252,3 +262,15 @@ class TestLoadErrors:
     def test_missing_artifact(self, synthetic_run, tmp_path, capsys, step, missing):
         argv = [step, *_synthetic_args(synthetic_run, tmp_path)]
         self._fails(argv, capsys, f"{missing} not found")
+
+    @pytest.mark.parametrize("fault", MODEL_FAULTS)
+    def test_corrupt_model(self, synthetic_run, tmp_path, capsys, fault):
+        payload = json.loads((synthetic_run / "model.json").read_text())
+        _corrupt(payload["trees"][3], fault)
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        for name in ("labeled.csv", "split.json"):
+            shutil.copy(synthetic_run / name, tmp_path / name)
+        argv = ["eval", *_synthetic_args(synthetic_run, tmp_path)]
+        self._fails(argv, capsys, "tree 3: ")
+        assert not (tmp_path / "eval_report.json").exists()
+

@@ -11,10 +11,13 @@ from stresstwin.errors import (
 )
 from stresstwin.forest import (
     Dataset,
+    DecisionTree,
     ForestParams,
+    RandomForest,
     _best_split,
     _split_threshold,
     evaluate,
+    forest_from_dict,
     forest_to_dict,
     load_forest,
     predict,
@@ -26,6 +29,7 @@ from stresstwin.forest import (
     train_forest,
 )
 from stresstwin.shapley import forest_shap
+from tests.test_shapley import depth1_tree, repeated_feature_tree, single_leaf_tree
 
 SMALL = ForestParams(n_trees=20, mtry=2, min_samples_leaf=2)
 
@@ -345,3 +349,213 @@ class TestSerialization:
         save_forest(train_forest(ds, SMALL, seed=5), p1)
         save_forest(train_forest(ds, SMALL, seed=5), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- packed node table ------------------------------------------------------------
+
+
+def predict_proba_reference(forest, X):
+    """Each tree walked on its own, one level at a time: the oracle for the packed table."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    acc = np.zeros((X.shape[0], 5))
+    for tree in forest.trees:
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        active = tree.feature[node] >= 0
+        while np.any(active):
+            rows = np.nonzero(active)[0]
+            cur = node[rows]
+            go_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
+            node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+            active = tree.feature[node] >= 0
+        acc += tree.hist[node] / tree.cover[node][:, None]
+    return acc / len(forest.trees)
+
+
+def five_class_dataset(n=160, n_features=4, seed=0):
+    """Labels from noisy thresholds on the features, so trees grow several levels."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, n_features))
+    score = X[:, 0] + 0.5 * X[:, 1] * X[:, -1] + rng.normal(0, 0.4, n)
+    y = np.digitize(score, [-1.0, -0.3, 0.3, 1.0]) + 1
+    return Dataset(X, y)
+
+
+def probes_on_thresholds(forest, n, seed):
+    """Random rows, plus rows whose value sits exactly on a split threshold."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1.5, (n, forest.n_features))
+    for i, tree in enumerate(forest.trees):
+        split = np.nonzero(tree.feature >= 0)[0]
+        if split.size:
+            node = split[i % split.size]
+            X[i % n, tree.feature[node]] = tree.threshold[node]
+    return X
+
+
+class TestPackedTable:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ForestParams(n_trees=12, mtry=2, min_samples_leaf=1),
+            ForestParams(n_trees=9, mtry=4, min_samples_leaf=3, max_depth=3),
+            ForestParams(n_trees=5, mtry=1, min_samples_leaf=2, max_depth=1),
+            ForestParams(n_trees=4, mtry=2, min_samples_leaf=2, max_depth=0),
+        ],
+        ids=["deep", "capped", "stumps", "single_leaves"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_forests_match_per_tree_walk(self, params, seed):
+        forest = train_forest(five_class_dataset(seed=seed), params, seed=seed)
+        X = probes_on_thresholds(forest, 60, seed)
+        assert np.array_equal(predict_proba(forest, X), predict_proba_reference(forest, X))
+
+    def test_hundred_trees_sum_in_tree_order(self):
+        # a pairwise sum over as many trees as the default forest differs in the last bits
+        forest = train_forest(five_class_dataset(seed=9), ForestParams(n_trees=100, mtry=2), seed=9)
+        X = probes_on_thresholds(forest, 120, 9)
+        assert np.array_equal(predict_proba(forest, X), predict_proba_reference(forest, X))
+
+    def test_max_depth_zero_is_the_root_histogram(self):
+        forest = train_forest(five_class_dataset(), ForestParams(n_trees=3, max_depth=0), seed=0)
+        assert all(tree.n_nodes == 1 for tree in forest.trees)
+        proba = predict_proba(forest, np.zeros((2, 4)))
+        expected = sum(tree.hist[0] / tree.cover[0] for tree in forest.trees) / 3
+        assert np.array_equal(proba, np.vstack([expected, expected]))
+
+    def test_hand_built_trees_of_mixed_depth(self):
+        trees = [
+            single_leaf_tree(cls=2),
+            depth1_tree(feature=1, thr=0.25),
+            repeated_feature_tree(-1.0),
+            repeated_feature_tree(1.0),
+            depth1_tree(feature=0, thr=-0.5, left_cover=2.0, right_cover=9.0),
+        ]
+        forest = RandomForest(trees=trees, n_features=2)
+        grid = (-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5)
+        X = np.array([[a, b] for a in grid for b in grid])
+        assert np.array_equal(predict_proba(forest, X), predict_proba_reference(forest, X))
+
+    def test_row_on_threshold_goes_left(self):
+        forest = RandomForest(trees=[depth1_tree(feature=0, thr=0.75)], n_features=1)
+        proba = predict_proba(forest, [[0.75], [np.nextafter(0.75, 1.0)]])
+        assert proba[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]  # the left leaf
+        assert proba[1].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert np.array_equal(proba, predict_proba_reference(forest, [[0.75], [np.nextafter(0.75, 1.0)]]))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 257])
+    def test_row_counts(self, n_rows):
+        forest = train_forest(five_class_dataset(seed=5), SMALL, seed=3)
+        X = np.random.default_rng(n_rows).normal(0, 1.5, (n_rows, 4))
+        proba = predict_proba(forest, X)
+        assert proba.shape == (n_rows, 5)
+        assert np.array_equal(proba, predict_proba_reference(forest, X))
+
+    def test_round_tripped_forest(self, tmp_path):
+        forest = train_forest(five_class_dataset(seed=6), SMALL, seed=4)
+        save_forest(forest, tmp_path / "model.json")
+        loaded = load_forest(tmp_path / "model.json")
+        X = probes_on_thresholds(loaded, 40, 6)
+        assert np.array_equal(predict_proba(loaded, X), predict_proba_reference(forest, X))
+
+    def test_rows_are_independent(self):
+        # the simulator's batched level map and per-window scoring must agree
+        forest = train_forest(five_class_dataset(seed=7), SMALL, seed=1)
+        X = probes_on_thresholds(forest, 50, 7)
+        proba = predict_proba(forest, X)
+        for i in range(X.shape[0]):
+            assert np.array_equal(proba[i], predict_proba(forest, X[i : i + 1])[0])
+        assert predict_levels(forest, X).tolist() == [predict(forest, x)[0] for x in X]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        forest = train_forest(five_class_dataset(), SMALL, seed=0)
+        X = np.zeros((3, 4))
+        X[2, 1] = bad
+        with pytest.raises(InvalidParam, match="must be finite"):
+            predict_proba(forest, X)
+
+    def test_wrong_width_rejected(self):
+        forest = train_forest(five_class_dataset(), SMALL, seed=0)
+        with pytest.raises(DimensionMismatch):
+            predict_proba(forest, np.zeros((3, 5)))
+
+
+def _corrupt(tree: dict, fault: str) -> None:
+    """Apply one single-field edit to a serialized tree whose node 0 is a split."""
+    leaf = tree["feature"].index(-1)
+    if fault == "child_out_of_range":
+        tree["left"][0] = len(tree["feature"])
+    elif fault == "child_before_parent":
+        tree["right"][0] = 0
+    elif fault == "right_minus_one":
+        tree["right"][0] = -1
+    elif fault == "feature_out_of_range":
+        tree["feature"][0] = 13
+    elif fault == "feature_below_minus_one":
+        tree["feature"][0] = -2
+    elif fault == "lengths_disagree":
+        tree["threshold"].pop()
+    elif fault == "hist_not_five_classes":
+        tree["hist"] = [row[:4] for row in tree["hist"]]
+    elif fault == "leaf_cover_zero":
+        tree["cover"][leaf] = 0.0
+    elif fault == "max_depth_too_small":
+        tree["max_depth"] -= 1
+    elif fault == "max_depth_too_large":
+        tree["max_depth"] += 1
+    else:
+        raise AssertionError(fault)
+
+
+MODEL_FAULTS = (
+    "child_out_of_range",
+    "child_before_parent",
+    "right_minus_one",
+    "feature_out_of_range",
+    "feature_below_minus_one",
+    "lengths_disagree",
+    "hist_not_five_classes",
+    "leaf_cover_zero",
+    "max_depth_too_small",
+    "max_depth_too_large",
+)
+
+
+class TestModelStructure:
+    def _payload(self):
+        forest = train_forest(five_class_dataset(n_features=13, seed=2), SMALL, seed=2)
+        return json.loads(json.dumps(forest_to_dict(forest)))
+
+    @pytest.mark.parametrize("fault", MODEL_FAULTS)
+    def test_corrupt_model_rejected(self, fault):
+        payload = self._payload()
+        _corrupt(payload["trees"][3], fault)
+        with pytest.raises(InvalidParam, match="^tree 3: "):
+            forest_from_dict(payload)
+
+    def test_missing_key_rejected(self):
+        payload = self._payload()
+        del payload["trees"][0]["cover"]
+        with pytest.raises(InvalidParam, match="malformed model"):
+            forest_from_dict(payload)
+
+    def test_no_trees_rejected(self):
+        payload = self._payload()
+        payload["trees"] = []
+        with pytest.raises(InvalidParam, match="at least one tree"):
+            forest_from_dict(payload)
+
+    def test_shared_child_rejected(self):
+        # both children of the root are node 1: node 2 is nobody's child
+        tree = depth1_tree()
+        tree.right[0] = 1
+        with pytest.raises(InvalidParam, match="child of exactly one split"):
+            RandomForest(trees=[single_leaf_tree(), tree], n_features=4)
+
+    def test_hand_built_forest_checked_too(self):
+        # the walk's step count comes from the nodes, so a wrong max_depth is an error
+        tree = repeated_feature_tree()
+        tree.max_depth = 2
+        with pytest.raises(InvalidParam, match="tree 1: max_depth is 2 but its nodes reach depth 3"):
+            RandomForest(trees=[depth1_tree(feature=0), tree], n_features=2)
+

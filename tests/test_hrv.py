@@ -13,6 +13,7 @@ from stresstwin.errors import (
 from stresstwin.hrv import (
     CONTEXT_S,
     NOISE_SEGMENT,
+    _fill_gaps,
     _noise_lfhf,
     _noise_moments,
     _rolling_block_stats,
@@ -163,6 +164,98 @@ class TestRollingBlockStats:
         ref_med, ref_mad = _block_stats_loop(v, block_n)
         assert np.array_equal(med, ref_med)
         assert np.array_equal(mad, ref_mad)
+
+
+def _fill_gaps_loop(integ, maxima, kept, thr_low, med_rr, gap_factor, ref_n):
+    """Reference: every kept pair in turn, masking all maxima for each long gap."""
+    additions = []
+    for a, b in zip(kept[:-1], kept[1:]):
+        if b - a <= gap_factor * med_rr:
+            continue
+        lo, hi = a + ref_n, b - ref_n
+        in_gap = maxima[(maxima > lo) & (maxima < hi)]
+        in_gap = in_gap[integ[in_gap] >= thr_low[in_gap]]
+        if in_gap.size:
+            additions.append(int(in_gap[np.argmax(integ[in_gap])]))
+    if not additions:
+        return None
+    return np.sort(np.concatenate([kept, np.asarray(additions, dtype=np.int64)]))
+
+
+class TestFillGaps:
+    REF_N = 5
+    GAP_FACTOR = 1.8
+
+    def _both(self, kept, maxima, integ=None, seed=0):
+        rng = np.random.default_rng(seed)
+        if integ is None:
+            integ = rng.uniform(1.0, 2.0, 240)
+        thr_low = np.full(integ.size, 1.5)  # about half the maxima pass
+        kept = np.asarray(kept, dtype=np.int64)
+        maxima = np.asarray(maxima, dtype=np.int64)
+        med_rr = float(np.median(np.diff(kept)))
+        args = (integ, maxima, kept, thr_low, med_rr, self.GAP_FACTOR, self.REF_N)
+        return _fill_gaps(*args), _fill_gaps_loop(*args)
+
+    def _assert_same(self, got, ref):
+        if ref is None:
+            assert got is None
+        else:
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "kept",
+        [[10, 30, 50, 70, 90], [10, 20, 30, 40, 58]],
+        ids=["even", "gap_equal_to_factor"],  # 18 == 1.8 * median 10 is not long
+    )
+    def test_no_long_gap(self, kept):
+        integ = np.full(240, 1.6)
+        got, ref = self._both(kept, np.arange(1, 239, 3), integ)
+        assert ref is None
+        self._assert_same(got, ref)
+
+    def test_gap_holding_no_maxima(self):
+        # kept 50 -> 120 is a long gap; its inside (55, 115) holds no maximum
+        got, ref = self._both([10, 30, 50, 120, 140], [20, 40, 54, 116, 130, 150])
+        assert ref is None
+        self._assert_same(got, ref)
+
+    def test_several_gaps(self):
+        # gaps 50 -> 110 and 150 -> 200 are long, and both hold maxima
+        integ = np.random.default_rng(3).uniform(1.0, 2.0, 240)
+        integ[[70, 90, 170]] = 5.0
+        integ[180] = 5.0  # a tie in the second gap: the earlier maximum wins
+        got, ref = self._both(
+            [10, 30, 50, 110, 130, 150, 200], sorted({*range(2, 238, 4), 70, 90, 170, 180}), integ
+        )
+        assert ref is not None and ref.size == 9 and 70 in ref and 170 in ref
+        self._assert_same(got, ref)
+
+    @pytest.mark.parametrize("inside", [[], [80]], ids=["bounds_only", "bounds_and_inside"])
+    def test_maximum_on_a_bound_is_excluded(self, inside):
+        # gap 50 -> 110: lo = 55 and hi = 105 are the strongest maxima but not inside
+        integ = np.full(240, 1.6)
+        integ[[55, 105]] = 9.0
+        got, ref = self._both([10, 30, 50, 110, 130, 150], sorted([20, 55, 105, 140, *inside]), integ)
+        assert (ref is None) == (not inside)
+        if inside:
+            assert ref.tolist() == [10, 30, 50, 80, 110, 130, 150]
+        self._assert_same(got, ref)
+
+    def test_three_kept_peaks(self):
+        # diffs 5 and 105: the median is 55, so 15 -> 120 is a long gap
+        got, ref = self._both([10, 15, 120], np.arange(3, 237, 6))
+        assert ref is not None and ref.size == 4
+        self._assert_same(got, ref)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_layouts(self, seed):
+        rng = np.random.default_rng(seed)
+        kept = np.cumsum(rng.choice([8, 10, 12, 30, 45], size=rng.integers(3, 12)))
+        maxima = np.nonzero(rng.random(kept[-1] + 10) < 0.3)[0]
+        integ = rng.uniform(1.0, 2.0, kept[-1] + 10)
+        got, ref = self._both(kept, maxima, integ)
+        self._assert_same(got, ref)
 
 
 class TestScalarMetrics:
