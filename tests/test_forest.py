@@ -437,10 +437,11 @@ class TestPackedTable:
 
     def test_row_on_threshold_goes_left(self):
         forest = RandomForest(trees=[depth1_tree(feature=0, thr=0.75)], n_features=1)
-        proba = predict_proba(forest, [[0.75], [np.nextafter(0.75, 1.0)]])
+        X = [[0.75], [np.nextafter(0.75, 1.0)]]
+        proba = predict_proba(forest, X)
         assert proba[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]  # the left leaf
         assert proba[1].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
-        assert np.array_equal(proba, predict_proba_reference(forest, [[0.75], [np.nextafter(0.75, 1.0)]]))
+        assert np.array_equal(proba, predict_proba_reference(forest, X))
 
     @pytest.mark.parametrize("n_rows", [0, 1, 257])
     def test_row_counts(self, n_rows):
