@@ -5,7 +5,9 @@ backward over a Butterworth design. It designs each (band, fs, order) once
 per process and reuses the cached sections; ``design_bandpass_sos`` itself
 returns a fresh array on every call, so no caller can write into the cached
 one. ``welch_psd`` detrends, windows and transforms all of its segments as
-one array.
+one array, with the window, its scale, the frequency grid and the detrend
+ramp made once per (segment length, rate, window); each call hands out its
+own copy of the frequency grid, so no caller can write into the cached one.
 """
 
 import functools
@@ -76,15 +78,44 @@ def zscore(x):
     return (x - mu) / sd
 
 
-def _detrend_linear(segs):
+@dataclass(frozen=True)
+class _SegmentConstants:
+    """What every Welch call with one segment length, rate and window shares."""
+
+    win: np.ndarray
+    scale: float  # density normalization: 1 / (fs * sum(win**2))
+    freqs: np.ndarray
+    ramp: np.ndarray  # sample index minus its mean, for the linear detrend
+    ramp_ss: float  # sum(ramp**2)
+
+
+# Bounded: the tachogram's segment length follows the beats in each context,
+# so lf_hf alone asks for a few hundred lengths.
+@functools.lru_cache(maxsize=1024)
+def _segment_constants(segment_len: int, fs: float, window_kind: str) -> _SegmentConstants:
+    if window_kind == "hann":
+        win = np.hanning(segment_len)
+    elif window_kind in ("rect", "boxcar"):
+        win = np.ones(segment_len)
+    else:
+        raise InvalidBand(f"unknown window kind {window_kind!r}")
+    t = np.arange(segment_len, dtype=np.float64)
+    ramp = t - (segment_len - 1) / 2.0
+    freqs = np.fft.rfftfreq(segment_len, d=1.0 / fs)
+    return _SegmentConstants(
+        win=win,
+        scale=1.0 / (fs * np.sum(win**2)),
+        freqs=freqs,
+        ramp=ramp,
+        ramp_ss=np.sum(ramp**2),
+    )
+
+
+def _detrend_linear(segs, ramp, ramp_ss):
     """Remove each row's least-squares line."""
-    n = segs.shape[1]
-    t = np.arange(n, dtype=np.float64)
-    t_mean = (n - 1) / 2.0
-    denom = np.sum((t - t_mean) ** 2)
     mean = segs.mean(axis=1)[:, None]
-    slope = np.sum((t - t_mean) * (segs - mean), axis=1)[:, None] / denom
-    return segs - (mean + slope * (t - t_mean))
+    slope = np.sum(ramp * (segs - mean), axis=1)[:, None] / ramp_ss
+    return segs - (mean + slope * ramp)
 
 
 def welch_psd(
@@ -106,23 +137,16 @@ def welch_psd(
         raise SignalTooShort("segment must hold at least 4 samples")
     if not 0.0 <= overlap_fraction < 1.0:
         raise InvalidBand(f"overlap fraction {overlap_fraction} outside [0, 1)")
-
-    if window_kind == "hann":
-        win = np.hanning(segment_len)
-    elif window_kind in ("rect", "boxcar"):
-        win = np.ones(segment_len)
-    else:
-        raise InvalidBand(f"unknown window kind {window_kind!r}")
+    const = _segment_constants(segment_len, fs, window_kind)
 
     step = max(1, segment_len - int(overlap_fraction * segment_len))
-    scale = 1.0 / (fs * np.sum(win**2))
     segs = sliding_window_view(x, segment_len)[::step]
     if detrend == "linear":
-        segs = _detrend_linear(segs)
+        segs = _detrend_linear(segs, const.ramp, const.ramp_ss)
     elif detrend == "constant":
         segs = segs - segs.mean(axis=1)[:, None]
-    spec = np.fft.rfft(segs * win, axis=1)
-    pxx = (spec.real**2 + spec.imag**2) * scale
+    spec = np.fft.rfft(segs * const.win, axis=1)
+    pxx = (spec.real**2 + spec.imag**2) * const.scale
     pxx[:, 1:] *= 2.0
     if segment_len % 2 == 0:
         pxx[:, -1] /= 2.0  # Nyquist bin is not mirrored
@@ -132,8 +156,7 @@ def welch_psd(
     for row in pxx:
         acc += row
     psd = acc / len(pxx)
-    freqs = np.fft.rfftfreq(segment_len, d=1.0 / fs)
-    return PsdEstimate(freqs=freqs, psd=psd, df=fs / segment_len)
+    return PsdEstimate(freqs=const.freqs.copy(), psd=psd, df=fs / segment_len)
 
 
 def band_power(psd: PsdEstimate, lo_hz: float, hi_hz: float) -> float:

@@ -3,8 +3,15 @@
 The detector is a Pan-Tompkins style front end (5-15 Hz bandpass,
 derivative, squaring, 150 ms moving integration) followed by local-maxima
 selection against a rolling robust threshold, with a second lower-threshold
-pass inside suspiciously long RR gaps. QT is measured with the tangent
-method and rate-corrected with Bazett's formula.
+pass inside suspiciously long RR gaps. The thresholds are computed once per
+1 s block, from the median and MAD of the five blocks around it, and read
+only at the local maxima. QT is measured with the tangent method and
+rate-corrected with Bazett's formula.
+
+Every median here, MADs included, comes from one ``np.sort`` and the
+arithmetic of ``np.median``: ``_median`` for one array, ``_sorted_row_medians``
+and ``_sorted_row_mads`` for rows already sorted. The values are those of
+``np.median`` bit for bit, without its per-call overhead.
 """
 
 import math
@@ -145,20 +152,24 @@ def detect_r_peaks(
     win = max(3, int(round(integration_s * fs)))
     integ = np.convolve(sq, np.ones(win) / win, mode="same")
 
-    med, mad = _rolling_block_stats(integ, block_n=int(fs))
+    block_n = int(fs)
+    med, mad = _rolling_block_stats(integ, block_n)
     scale = float(np.percentile(integ, 99))
     thr = med + np.maximum(prominence_k * mad, 0.10 * scale)
     thr_low = med + np.maximum(0.5 * prominence_k * mad, 0.05 * scale)
 
     maxima = _local_maxima(integ)
+    height = integ[maxima]
+    block = maxima // block_n
     ref_n = int(round(refractory_s * fs))
-    kept = _select_peaks(integ, maxima, thr, ref_n)
+    kept = _select_peaks(integ, maxima[height >= thr[block]], ref_n)
 
     # second pass: hunt for missed beats inside gaps much longer than typical
     if kept.size >= 3:
+        low_maxima = maxima[height >= thr_low[block]]
         for _ in range(5):
-            med_rr = float(np.median(np.diff(kept)))
-            inserted = _fill_gaps(integ, maxima, kept, thr_low, med_rr, gap_factor, ref_n)
+            med_rr = _median(np.diff(kept))
+            inserted = _fill_gaps(integ, low_maxima, kept, med_rr, gap_factor, ref_n)
             if inserted is None:
                 break
             kept = inserted
@@ -167,10 +178,61 @@ def detect_r_peaks(
     return _dedupe(x, refined, ref_n)
 
 
-def _rolling_block_stats(v, block_n: int):
-    """Per-sample rolling median and MAD, computed on overlapping 5-block spans.
+def _median(v) -> float:
+    """``np.median`` of a non-empty 1-D array, bit for bit, from one ``np.sort``.
 
-    Block i spans blocks i - 2 .. i + 2, truncated at the signal's ends.
+    The middle value, or the mean of the two middle values, is summed from
+    0.0 as ``np.median``'s mean does (so a -0.0 sample gives 0.0); a NaN
+    anywhere gives NaN. Integer input gives a float.
+    """
+    s = np.sort(v)
+    k = s.size // 2
+    if s[-1] != s[-1]:
+        return float(s[-1])
+    if s.size % 2:
+        return 0.0 + float(s[k])
+    return (0.0 + float(s[k - 1]) + float(s[k])) / 2.0
+
+
+def _sorted_row_medians(s) -> np.ndarray:
+    """``np.median(rows, axis=1)``, bit for bit, of rows already sorted along axis 1."""
+    k = s.shape[1] // 2
+    if s.shape[1] % 2:
+        med = 0.0 + s[:, k]
+    else:
+        med = (0.0 + s[:, k - 1] + s[:, k]) / 2.0
+    last = s[:, -1]
+    return np.where(np.isnan(last), last, med)
+
+
+def _sorted_row_mads(s, med) -> np.ndarray:
+    """``np.median(np.abs(s - med[:, None]), axis=1)``, bit for bit, for sorted rows.
+
+    Rows hold at least 2 values, sorted along axis 1. Along such a row the
+    deviations from ``med`` fall and then rise, so the j smallest belong to j
+    consecutive samples, and the j-th smallest is the least, over all runs of
+    j consecutive samples, of the larger deviation at a run's two ends. At
+    those ends ``med - s`` and ``s - med`` equal the absolute deviations
+    whenever they are the larger one. The two middle order statistics share
+    the end deviations.
+    """
+    n = s.shape[1]
+    k = n // 2
+    mc = med[:, None]
+    left = mc - s[:, : n - k + 1]  # at the first sample of the run of k starting at a = 0 .. n - k
+    right = s[:, k - 1 :] - mc  # at the last sample of that run
+    # the run of k + 1 starting at a ends where the run of k starting at a + 1 does
+    upper = np.maximum(left[:, :-1], right[:, 1:]).min(axis=1)  # the (k + 1)-th smallest
+    if n % 2:
+        return 0.0 + upper
+    return (0.0 + np.maximum(left, right).min(axis=1) + upper) / 2.0
+
+
+def _rolling_block_stats(v, block_n: int):
+    """Median and MAD of each block's overlapping 5-block span, one value per block.
+
+    Block i spans blocks i - 2 .. i + 2, truncated at the signal's ends; the
+    last block may be partial.
     """
     n = v.size
     n_blocks = max(1, (n + block_n - 1) // block_n)
@@ -180,19 +242,17 @@ def _rolling_block_stats(v, block_n: int):
     # strided view is the span of block j + 2
     last = n // block_n - 3
     if last >= 2:
-        spans = sliding_window_view(v, 5 * block_n)[::block_n]
-        med_b[2 : last + 1] = np.median(spans, axis=1)
-        mad_b[2 : last + 1] = np.median(np.abs(spans - med_b[2 : last + 1, None]), axis=1)
+        spans = np.sort(sliding_window_view(v, 5 * block_n)[::block_n], axis=1)
+        med_b[2 : last + 1] = _sorted_row_medians(spans)
+        mad_b[2 : last + 1] = _sorted_row_mads(spans, med_b[2 : last + 1])
     for i in [*range(min(2, n_blocks)), *range(max(2, last + 1), n_blocks)]:
         lo = max(0, (i - 2) * block_n)
         hi = min(n, (i + 3) * block_n)
         seg = v[lo:hi]
-        m = float(np.median(seg))
+        m = _median(seg)
         med_b[i] = m
-        mad_b[i] = float(np.median(np.abs(seg - m)))
-    med = np.repeat(med_b, block_n)[:n]
-    mad = np.repeat(mad_b, block_n)[:n]
-    return med, mad
+        mad_b[i] = _median(np.abs(seg - m))
+    return med_b, mad_b
 
 
 def _local_maxima(v) -> np.ndarray:
@@ -202,8 +262,8 @@ def _local_maxima(v) -> np.ndarray:
     return np.nonzero(core)[0] + 1
 
 
-def _select_peaks(integ, maxima, thr, ref_n: int) -> np.ndarray:
-    cands = maxima[integ[maxima] >= thr[maxima]]
+def _select_peaks(integ, cands, ref_n: int) -> np.ndarray:
+    """Candidates in order; one within ``ref_n`` of the last kept peak replaces it if higher."""
     kept: list = []
     for idx in cands:
         if kept and idx - kept[-1] < ref_n:
@@ -214,19 +274,18 @@ def _select_peaks(integ, maxima, thr, ref_n: int) -> np.ndarray:
     return np.asarray(kept, dtype=np.int64)
 
 
-def _fill_gaps(integ, maxima, kept, thr_low, med_rr, gap_factor, ref_n):
+def _fill_gaps(integ, low_maxima, kept, med_rr, gap_factor, ref_n):
     """Kept peaks plus the strongest low-threshold maximum strictly inside each long gap.
 
-    ``maxima`` is sorted, so each gap's maxima are one slice of it. None when
-    no gap gains a peak.
+    ``low_maxima`` are the maxima at or above the low threshold, sorted, so
+    each gap's maxima are one slice of them. None when no gap gains a peak.
     """
     gaps = np.nonzero(np.diff(kept) > gap_factor * med_rr)[0]
-    starts = np.searchsorted(maxima, kept[gaps] + ref_n, "right")
-    stops = np.searchsorted(maxima, kept[gaps + 1] - ref_n, "left")
+    starts = np.searchsorted(low_maxima, kept[gaps] + ref_n, "right")
+    stops = np.searchsorted(low_maxima, kept[gaps + 1] - ref_n, "left")
     additions = []
     for i, j in zip(starts.tolist(), stops.tolist()):
-        in_gap = maxima[i:j]
-        in_gap = in_gap[integ[in_gap] >= thr_low[in_gap]]
+        in_gap = low_maxima[i:j]
         if in_gap.size:
             additions.append(int(in_gap[np.argmax(integ[in_gap])]))
     if not additions:
@@ -235,8 +294,18 @@ def _fill_gaps(integ, maxima, kept, thr_low, med_rr, gap_factor, ref_n):
 
 
 def _refine_to_signal(x, peaks, radius: int) -> np.ndarray:
+    """Each peak moved to the largest sample within ``radius`` of it, deduplicated.
+
+    Peaks whose whole neighbourhood lies inside x take one argmax over the
+    strided neighbourhoods; the window is truncated for the rest.
+    """
     refined = np.empty(peaks.size, dtype=np.int64)
-    for i, p in enumerate(peaks):
+    interior = (peaks >= radius) & (peaks + radius < x.size)
+    if interior.any():
+        lo = peaks[interior] - radius
+        refined[interior] = lo + np.argmax(sliding_window_view(x, 2 * radius + 1)[lo], axis=1)
+    for i in np.nonzero(~interior)[0]:
+        p = peaks[i]
         lo = max(0, p - radius)
         hi = min(x.size, p + radius + 1)
         refined[i] = lo + int(np.argmax(x[lo:hi]))
@@ -278,9 +347,9 @@ def filter_rr(rr: RrSeries) -> RrSeries:
     n = iv.size
     run_med = np.empty(n)
     if n >= 11:
-        run_med[5 : n - 5] = np.median(sliding_window_view(iv, 11), axis=1)
+        run_med[5 : n - 5] = _sorted_row_medians(np.sort(sliding_window_view(iv, 11), axis=1))
     for i in [*range(min(5, n)), *range(max(5, n - 5), n)]:
-        run_med[i] = np.median(iv[max(0, i - 5) : i + 6])
+        run_med[i] = _median(iv[max(0, i - 5) : i + 6])
     keep = (
         (iv >= RR_ABS_BOUNDS_MS[0])
         & (iv <= RR_ABS_BOUNDS_MS[1])
@@ -333,7 +402,7 @@ def qtc(x, fs: float, r_peaks) -> float:
         values.append(qt_ms / math.sqrt(rr_s))
     if not values:
         raise NoMeasurableBeats("no beat yielded a usable QT")
-    return float(np.median(values))
+    return _median(values)
 
 
 def _q_onset(x, fs, r):
@@ -349,7 +418,7 @@ def _isoelectric(x, fs, r):
     hi = r - int(round(0.050 * fs))
     if lo < 0 or hi - lo < 2:
         return None
-    return float(np.median(x[lo:hi]))
+    return _median(x[lo:hi])
 
 
 def _t_end_tangent(x, fs, r, rr_s, iso):
@@ -399,10 +468,13 @@ def _noise_moments(noise):
     """(mean, sample std, Fisher g1, excess g2); zero shape statistics for constant input."""
     if noise.size < 8:
         raise InvalidParam("noise stats need at least 8 samples")
+    # np.std(noise, ddof=1) and np.mean(centered**2) take the same mean, the
+    # same squares and the same sum: one centred pass gives both
     mu = float(np.mean(noise))
-    std = float(np.std(noise, ddof=1))
     centered = noise - mu
-    m2 = float(np.mean(centered**2))
+    sum_sq = float(np.sum(centered * centered))
+    std = math.sqrt(sum_sq / (noise.size - 1))
+    m2 = sum_sq / noise.size
     if m2 == 0.0:
         return mu, std, 0.0, 0.0
     skew = float(np.mean(centered**3)) / m2**1.5
@@ -570,7 +642,7 @@ def compute_baseline(
             rows.append(values)
     if not rows:
         raise NoValidWindows(f"record {clean_record.record_name} has no valid windows")
-    med = np.median(np.asarray(rows), axis=0)
+    med = _sorted_row_medians(np.sort(np.asarray(rows).T, axis=1))
     # a perfectly regular beat train yields sdnn or lf/hf of exactly zero;
     # floor keeps the profile strictly positive for the eps-guarded ratios
     med = np.maximum(med, 1e-9)

@@ -172,6 +172,21 @@ class TestWelchMatchesSegmentLoop:
         assert np.array_equal(got, _welch_loop(x, FS, segment_len, overlap, detrend))
 
 
+class TestWelchCache:
+    """The per-segment-length constants are shared; what a call returns is not."""
+
+    @pytest.mark.parametrize("field", ["freqs", "psd"])
+    def test_mutating_a_result_leaves_the_next_call_alone(self, field):
+        x = np.random.default_rng(5).normal(0, 1, 2048)
+        first = welch_psd(x, FS, 256)
+        expected = (first.freqs.copy(), first.psd.copy())
+        getattr(first, field)[:] = -1.0
+        second = welch_psd(x, FS, 256)
+        assert np.array_equal(second.freqs, expected[0])
+        assert np.array_equal(second.freqs, np.fft.rfftfreq(256, d=1.0 / FS))
+        assert np.array_equal(second.psd, expected[1])
+
+
 class TestBandPower:
     def _psd(self):
         freqs = np.linspace(0, 2.0, 41)

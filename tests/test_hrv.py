@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
-from stresstwin.dsp import band_power, bandpass_filter, welch_psd
+from stresstwin.dsp import band_power, bandpass_filter, welch_psd, zscore
 from stresstwin.errors import (
     EmptyBand,
     InsufficientData,
@@ -13,10 +19,16 @@ from stresstwin.errors import (
 from stresstwin.hrv import (
     CONTEXT_S,
     NOISE_SEGMENT,
+    _dedupe,
     _fill_gaps,
+    _local_maxima,
+    _median,
     _noise_lfhf,
     _noise_moments,
+    _refine_to_signal,
     _rolling_block_stats,
+    _sorted_row_mads,
+    _sorted_row_medians,
     RrSeries,
     bpm,
     compute_baseline,
@@ -31,7 +43,7 @@ from stresstwin.hrv import (
     window_iter,
 )
 from stresstwin.ingest import EcgRecord
-from stresstwin.synth import synth_ecg, synth_ecg_profile
+from stresstwin.synth import _colored_noise, synth_ecg, synth_ecg_profile
 
 FS = 360.0
 
@@ -160,10 +172,11 @@ class TestRollingBlockStats:
         rng = np.random.default_rng(n)
         v = rng.gamma(0.5, 1.0, n)
         v[::5] = 0.25  # repeated values
-        med, mad = _rolling_block_stats(v, block_n)
+        med_b, mad_b = _rolling_block_stats(v, block_n)
         ref_med, ref_mad = _block_stats_loop(v, block_n)
-        assert np.array_equal(med, ref_med)
-        assert np.array_equal(mad, ref_mad)
+        assert med_b.size == mad_b.size == -(-n // block_n)  # one value per block
+        assert np.array_equal(np.repeat(med_b, block_n)[:n], ref_med)
+        assert np.array_equal(np.repeat(mad_b, block_n)[:n], ref_mad)
 
 
 def _fill_gaps_loop(integ, maxima, kept, thr_low, med_rr, gap_factor, ref_n):
@@ -194,8 +207,10 @@ class TestFillGaps:
         kept = np.asarray(kept, dtype=np.int64)
         maxima = np.asarray(maxima, dtype=np.int64)
         med_rr = float(np.median(np.diff(kept)))
-        args = (integ, maxima, kept, thr_low, med_rr, self.GAP_FACTOR, self.REF_N)
-        return _fill_gaps(*args), _fill_gaps_loop(*args)
+        low_maxima = maxima[integ[maxima] >= thr_low[maxima]]
+        got = _fill_gaps(integ, low_maxima, kept, med_rr, self.GAP_FACTOR, self.REF_N)
+        ref = _fill_gaps_loop(integ, maxima, kept, thr_low, med_rr, self.GAP_FACTOR, self.REF_N)
+        return got, ref
 
     def _assert_same(self, got, ref):
         if ref is None:
@@ -256,6 +271,199 @@ class TestFillGaps:
         integ = rng.uniform(1.0, 2.0, kept[-1] + 10)
         got, ref = self._both(kept, maxima, integ)
         self._assert_same(got, ref)
+
+
+def _assert_same_bits(got, ref):
+    """Equal as float64 bit patterns, sign of zero included; NaN matches any NaN."""
+    got = np.asarray(got, dtype=np.float64)
+    ref = np.asarray(ref)
+    assert ref.dtype == np.float64 and got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64))
+
+
+def _np_median(a, axis=None):
+    with np.errstate(all="ignore"):  # inf - inf in the two-value mean
+        return np.median(a, axis=axis)
+
+
+def _row_medians(a):
+    with np.errstate(all="ignore"):  # the same inf - inf as np.median's
+        return _sorted_row_medians(np.sort(a, axis=1))
+
+
+def _row_mads(a):
+    """(sort-based MADs, np.median's MADs about np.median's medians) of each row."""
+    with np.errstate(all="ignore"):
+        s = np.sort(a, axis=1)
+        got = _sorted_row_mads(s, _sorted_row_medians(s))
+        ref = np.median(np.abs(a - np.median(a, axis=1)[:, None]), axis=1)
+    return got, ref
+
+
+# few distinct values, so ties and signed zeros are common, plus any float64
+_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, math.inf, -math.inf, math.nan]) | st.floats()
+# sample counts between beats, as np.diff(kept) gives them, plus the whole int64 range
+_INTS = st.integers(1, 800) | st.integers(-(2**63), 2**63 - 1)
+_ROWS = st.tuples(st.integers(1, 6), st.integers(1, 50))
+
+
+class TestMedian:
+    """The sort-based medians give np.median's bits on every input the hot path can pass."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_FLOATS, min_size=1, max_size=50))
+    def test_float_median(self, values):
+        v = np.array(values, dtype=np.float64)
+        _assert_same_bits(_median(v), _np_median(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_INTS, min_size=1, max_size=50))
+    def test_int64_median(self, values):
+        v = np.array(values, dtype=np.int64)
+        _assert_same_bits(_median(v), _np_median(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, _ROWS, elements=_FLOATS))
+    def test_float_row_medians(self, a):
+        _assert_same_bits(_row_medians(a), _np_median(a, axis=1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.int64, _ROWS, elements=_INTS))
+    def test_int64_row_medians(self, a):
+        _assert_same_bits(_row_medians(a), _np_median(a, axis=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 50)), elements=_FLOATS))
+    def test_float_row_mads(self, a):
+        _assert_same_bits(*_row_mads(a))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_row_mads_of_skewed_spans(self, seed):
+        # five-second spans of a squared, smoothed signal, as the detector sees them
+        v = np.convolve(np.random.default_rng(seed).normal(0, 1, 6000) ** 2, np.ones(9) / 9, "same")
+        _assert_same_bits(*_row_mads(sliding_window_view(v, 1800)[::360]))
+
+    @pytest.mark.parametrize(
+        "values", [[-0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0, -1.0], [-5e-324, 0.0]]
+    )
+    def test_signed_zeros(self, values):
+        # np.median sums from 0.0, so a zero median is +0.0, except when a
+        # negative sum is halved to zero
+        v = np.array(values)
+        _assert_same_bits(_median(v), _np_median(v))
+        _assert_same_bits(_row_medians(v[None, :]), _np_median(v[None, :], axis=1))
+        if v.size >= 2:
+            _assert_same_bits(*_row_mads(v[None, :]))
+
+
+def _select_peaks_loop(integ, maxima, thr, ref_n):
+    cands = maxima[integ[maxima] >= thr[maxima]]
+    kept: list = []
+    for idx in cands:
+        if kept and idx - kept[-1] < ref_n:
+            if integ[idx] > integ[kept[-1]]:
+                kept[-1] = int(idx)
+        else:
+            kept.append(int(idx))
+    return np.asarray(kept, dtype=np.int64)
+
+
+def _refine_loop(x, peaks, radius):
+    refined = np.empty(peaks.size, dtype=np.int64)
+    for i, p in enumerate(peaks):
+        lo = max(0, p - radius)
+        hi = min(x.size, p + radius + 1)
+        refined[i] = lo + int(np.argmax(x[lo:hi]))
+    return np.unique(refined)
+
+
+def _detect_r_peaks_reference(x, fs):
+    """Reference detector: per-sample thresholds, np.median and a loop per peak."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size < int(2 * fs):
+        return np.empty(0, dtype=np.int64)
+    front = bandpass_filter(x, fs, 5.0, 15.0)
+    deriv = np.diff(front, prepend=front[0])
+    sq = deriv * deriv
+    win = max(3, int(round(0.150 * fs)))
+    integ = np.convolve(sq, np.ones(win) / win, mode="same")
+    med, mad = _block_stats_loop(integ, int(fs))
+    scale = float(np.percentile(integ, 99))
+    thr = med + np.maximum(4.0 * mad, 0.10 * scale)
+    thr_low = med + np.maximum(0.5 * 4.0 * mad, 0.05 * scale)
+    maxima = _local_maxima(integ)
+    ref_n = int(round(0.25 * fs))
+    kept = _select_peaks_loop(integ, maxima, thr, ref_n)
+    if kept.size >= 3:
+        for _ in range(5):
+            med_rr = float(np.median(np.diff(kept)))
+            inserted = _fill_gaps_loop(integ, maxima, kept, thr_low, med_rr, 1.8, ref_n)
+            if inserted is None:
+                break
+            kept = inserted
+    refined = _refine_loop(x, kept, int(round(0.10 * fs)))
+    return _dedupe(x, refined, ref_n)
+
+
+def _ecg_at_snr(snr_db, seconds=60.0, seed=0):
+    """Filtered, z-scored synthetic ECG plus ambulatory noise at an SNR, as a window sees it."""
+    clean = synth_ecg_profile([(seconds, 75.0, 40.0, 380.0)], seed=seed).channel(0)
+    noise = _colored_noise(clean.size, FS, np.random.default_rng(seed + 1))
+    noisy = clean + noise * math.sqrt(np.mean(clean**2) / 10.0 ** (snr_db / 10.0))
+    return zscore(bandpass_filter(noisy, FS))
+
+
+def _flat_then_burst():
+    x = np.zeros(int(60 * FS))
+    x[int(40 * FS) :] = _ecg_at_snr(12.0, seconds=20.0, seed=3)
+    return x
+
+
+def _with_nan():
+    x = _ecg_at_snr(24.0, seconds=20.0)
+    x[1000] = np.nan
+    return x
+
+
+DETECTOR_INPUTS = {
+    "snr_-6": lambda: _ecg_at_snr(-6.0),
+    "snr_0": lambda: _ecg_at_snr(0.0),
+    "snr_12": lambda: _ecg_at_snr(12.0),
+    "snr_24": lambda: _ecg_at_snr(24.0),
+    "random_noise": lambda: np.random.default_rng(17).normal(0.0, 1.0, int(60 * FS)),
+    "flat_then_burst": _flat_then_burst,
+    "two_blocks": lambda: _ecg_at_snr(24.0, seconds=2.0),  # the shortest input detected
+    "under_five_blocks": lambda: _ecg_at_snr(24.0, seconds=4.5),
+    "five_blocks": lambda: _ecg_at_snr(24.0, seconds=5.0),
+    "partial_last_block": lambda: _ecg_at_snr(12.0, seconds=7.3),
+    "nan_sample": _with_nan,
+}
+
+
+class TestRefineToSignal:
+    @pytest.mark.parametrize("n", [11, 12, 60])  # neighbourhood = whole signal, and longer
+    def test_matches_loop_at_every_position(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 4, n).astype(np.float64)  # ties: the first maximum wins
+        peaks = np.arange(n, dtype=np.int64)
+        got = _refine_to_signal(x, peaks, 5)
+        assert got.dtype == np.int64 and np.array_equal(got, _refine_loop(x, peaks, 5))
+
+    def test_no_peaks(self):
+        assert _refine_to_signal(np.zeros(20), np.empty(0, dtype=np.int64), 5).size == 0
+
+
+class TestDetectorMatchesReference:
+    @pytest.mark.parametrize("name", DETECTOR_INPUTS)
+    def test_same_peaks(self, name):
+        x = DETECTOR_INPUTS[name]()
+        got = detect_r_peaks(x, FS)
+        ref = _detect_r_peaks_reference(x, FS)
+        if name.startswith("snr_") or name == "flat_then_burst":
+            assert ref.size > 5
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 class TestScalarMetrics:
@@ -347,6 +555,19 @@ class TestLfHf:
             lf_hf(rr)
 
 
+def _noise_moments_reference(noise):
+    """Reference: np.std for the spread, a second centred pass for the shape moments."""
+    mu = float(np.mean(noise))
+    std = float(np.std(noise, ddof=1))
+    centered = noise - mu
+    m2 = float(np.mean(centered**2))
+    if m2 == 0.0:
+        return mu, std, 0.0, 0.0
+    skew = float(np.mean(centered**3)) / m2**1.5
+    kurt = float(np.mean(centered**4)) / m2**2 - 3.0
+    return mu, std, skew, kurt
+
+
 def _noise_stats(noise):
     """Noise moments of a trace and its LF/HF ratio, as the feature row takes them."""
     return (*_noise_moments(noise), _noise_lfhf(noise, FS, NOISE_SEGMENT))
@@ -382,6 +603,19 @@ class TestNoiseStats:
             ratio,
         )
         assert _noise_stats(noise) == expected
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            np.full(3600, -0.7),
+            np.random.default_rng(8).normal(0.0, 1.0, 8),
+            _colored_noise(3600, FS, np.random.default_rng(36)) * 0.3 + 0.01,
+        ],
+        ids=["constant", "eight_samples", "window_3600"],
+    )
+    def test_moments_match_reference_bitwise(self, noise):
+        got = np.array(_noise_moments(noise))
+        assert got.tobytes() == np.array(_noise_moments_reference(noise)).tobytes()
 
     def test_hand_computed_skew(self):
         # pattern 0,0,0,1: g1 = +2/sqrt(3)
