@@ -278,8 +278,9 @@ def _cmd_report(args, cfg: RunConfig, out: Path) -> None:
 def _cmd_simulate(args, cfg: RunConfig, out: Path) -> None:
     _, noisy_paths = discover_records(cfg.data_dir, cfg.baseline_record)
     noisy = [load_record(p) for name, p in noisy_paths if not args.records or name in args.records]
-    if args.max_duration_s:
+    if args.max_duration_s is not None:
         cfg.sim_max_duration_s = args.max_duration_s
+        cfg.validate()
     if args.scripted:
         scripted = tuple((float(t), int(lvl)) for t, lvl in json.loads(args.scripted))
         trace = simulate(noisy, None, None, cfg, scripted)

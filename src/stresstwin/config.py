@@ -1,6 +1,7 @@
 """Run configuration: one overridable home for every pipeline constant."""
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -34,28 +35,53 @@ class RunConfig:
     sim_latency_table: dict | None = None
 
     def validate(self) -> None:
-        positive = (
-            "window_s",
-            "stride_s",
-            "context_s",
-            "eps",
-            "train_fraction",
-            "n_trees",
-            "mtry",
-            "min_samples_leaf",
-            "dwell_windows",
-            "tick_ms",
-            "chunk_s",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigInvalid(f"{name} must be positive")
-        if not 0.0 < self.train_fraction < 1.0:
+        for name in _NAMES:
+            if not isinstance(getattr(self, name), str):
+                raise ConfigInvalid(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in _REALS:
+            value = getattr(self, name)
+            if not _is_real(value) or value <= 0:
+                raise ConfigInvalid(f"{name} must be a positive finite number, got {value!r}")
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if not _is_count(value) or value <= 0:
+                raise ConfigInvalid(f"{name} must be a positive integer, got {value!r}")
+        if not _is_count(self.seed) or self.seed < 0:
+            raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.max_depth is not None and (not _is_count(self.max_depth) or self.max_depth < 1):
+            raise ConfigInvalid(f"max_depth must be null or an integer of at least 1, got {self.max_depth!r}")
+        duration = self.sim_max_duration_s
+        if duration is not None and (not _is_real(duration) or duration <= 0):
+            raise ConfigInvalid(f"sim_max_duration_s must be null or a positive finite number, got {duration!r}")
+        if self.sim_latency_table is not None and not isinstance(self.sim_latency_table, dict):
+            raise ConfigInvalid("sim_latency_table must be null or an object")
+        if not self.train_fraction < 1.0:
             raise ConfigInvalid("train_fraction must be inside (0, 1)")
+        if self.context_s < self.window_s:
+            raise ConfigInvalid(f"context_s ({self.context_s}) must be at least window_s ({self.window_s})")
         if self.split_unit not in ("window", "record"):
             raise ConfigInvalid(f"split_unit {self.split_unit!r} unknown")
         if self.shap_on not in ("test", "train", "all"):
             raise ConfigInvalid(f"shap_on {self.shap_on!r} unknown")
+
+
+_NAMES = ("data_dir", "output_dir", "baseline_record", "split_unit", "shap_on")
+_REALS = ("window_s", "stride_s", "context_s", "eps", "train_fraction", "chunk_s")
+_COUNTS = ("n_trees", "mtry", "min_samples_leaf", "dwell_windows", "tick_ms")
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

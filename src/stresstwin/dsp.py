@@ -1,20 +1,26 @@
 """Numeric signal kernels: zero-phase bandpass, z-scoring, Welch PSD, band power.
 
 ``bandpass_filter`` runs scipy's second-order-section cascade forward and
-backward over a Butterworth design. It designs each (band, fs, order) once
-per process and reuses the cached sections; ``design_bandpass_sos`` itself
-returns a fresh array on every call, so no caller can write into the cached
-one. ``welch_psd`` detrends, windows and transforms all of its segments as
-one array, with the window, its scale, the frequency grid and the detrend
-ramp made once per (segment length, rate, window); each call hands out its
-own copy of the frequency grid, so no caller can write into the cached one.
+backward over a Butterworth design, on the input reflect-padded by slicing.
+It designs each (band, fs, order) once per process and reuses the cached
+sections; ``design_bandpass_sos`` itself returns a fresh array on every call,
+so no caller can write into the cached one. ``zscore`` takes the mean and
+the sample standard deviation as ``np.mean`` and ``np.std`` do, operation for
+operation, from one centred copy. ``welch_psd`` detrends, windows and
+transforms all of its segments as one array of ``strided_rows``, with the
+window, its scale, the frequency grid and the detrend ramp made once per
+(segment length, rate, window); each call hands out its own copy of the
+frequency grid, so no caller can write into the cached one. ``band_power``
+integrates the one slice of an ascending grid that a band covers. Every
+result is bit for bit that of the plain numpy calls named in each function.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import signal as _scipy_signal
 
 from .errors import EmptyBand, InvalidBand, SegmentTooLong, SignalTooShort, ZeroVariance
@@ -60,10 +66,22 @@ def bandpass_filter(
     if x.size <= 6 * n_poles:
         raise SignalTooShort(f"need more than {6 * n_poles} samples, got {x.size}")
     padlen = 3 * n_poles
-    padded = np.pad(x, padlen, mode="reflect")
+    # np.pad(x, padlen, mode="reflect"), without its per-call overhead
+    padded = np.concatenate((x[padlen:0:-1], x, x[-2 : -padlen - 2 : -1]))
     y = _scipy_signal.sosfilt(sos, padded)
-    y = _scipy_signal.sosfilt(sos, y[::-1].copy())[::-1]
+    # sosfilt filters a contiguous copy of its input, so the reversed view is enough
+    y = _scipy_signal.sosfilt(sos, y[::-1])[::-1]
     return np.ascontiguousarray(y[padlen : padlen + x.size])
+
+
+def strided_rows(x, width: int, step: int = 1):
+    """Read-only rows ``x[i * step : i * step + width]``, one for each whole row.
+
+    The rows of ``sliding_window_view(x, width)[::step]`` for a 1-D x at
+    least ``width`` long, without that function's per-call argument checks.
+    """
+    stride = x.strides[0]
+    return as_strided(x, ((x.size - width) // step + 1, width), (step * stride, stride), writeable=False)
 
 
 def zscore(x):
@@ -71,11 +89,13 @@ def zscore(x):
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2:
         raise SignalTooShort("z-score needs at least 2 samples")
-    mu = float(np.mean(x))
-    sd = float(np.std(x, ddof=1))
+    # np.mean(x) and np.std(x, ddof=1) operation for operation, sharing the
+    # centred samples with the result
+    centered = x - float(np.sum(x)) / x.size
+    sd = math.sqrt(float(np.sum(centered * centered)) / (x.size - 1))
     if sd == 0.0:
         raise ZeroVariance("constant input has no z-score")
-    return (x - mu) / sd
+    return centered / sd
 
 
 @dataclass(frozen=True)
@@ -140,7 +160,7 @@ def welch_psd(
     const = _segment_constants(segment_len, fs, window_kind)
 
     step = max(1, segment_len - int(overlap_fraction * segment_len))
-    segs = sliding_window_view(x, segment_len)[::step]
+    segs = strided_rows(x, segment_len, step)
     if detrend == "linear":
         segs = _detrend_linear(segs, const.ramp, const.ramp_ss)
     elif detrend == "constant":
@@ -160,10 +180,19 @@ def welch_psd(
 
 
 def band_power(psd: PsdEstimate, lo_hz: float, hi_hz: float) -> float:
-    """Trapezoidal integral of the PSD over [lo_hz, hi_hz]."""
-    if lo_hz < 0 or lo_hz >= hi_hz or hi_hz > psd.freqs[-1] + 1e-12:
+    """Trapezoidal integral of the PSD over [lo_hz, hi_hz].
+
+    The frequency grid ascends, as ``welch_psd`` makes it, so the bins inside
+    the band are one slice found by binary search; the sum is
+    ``np.trapezoid``'s over those bins, operation for operation.
+    """
+    freqs = psd.freqs
+    if lo_hz < 0 or lo_hz >= hi_hz or hi_hz > freqs[-1] + 1e-12:
         raise InvalidBand(f"band [{lo_hz}, {hi_hz}] outside spectrum")
-    mask = (psd.freqs >= lo_hz) & (psd.freqs <= hi_hz)
-    if not np.any(mask):
+    lo = int(freqs.searchsorted(lo_hz, "left"))
+    hi = int(freqs.searchsorted(hi_hz, "right"))
+    if hi <= lo:
         raise EmptyBand(f"no bins inside [{lo_hz}, {hi_hz}] at df={psd.df}")
-    return float(np.trapezoid(psd.psd[mask], psd.freqs[mask]))
+    f = freqs[lo:hi]
+    p = psd.psd[lo:hi]
+    return float(((f[1:] - f[:-1]) * (p[1:] + p[:-1]) / 2.0).sum())

@@ -10,17 +10,26 @@ rate-corrected with Bazett's formula.
 
 Every median here, MADs included, comes from one ``np.sort`` and the
 arithmetic of ``np.median``: ``_median`` for one array, ``_sorted_row_medians``
-and ``_sorted_row_mads`` for rows already sorted. The values are those of
-``np.median`` bit for bit, without its per-call overhead.
+and ``_sorted_prefix_medians`` for rows already sorted. ``_sorted_row_mads``
+takes the MAD of a sorted row without sorting its deviations: the k-th
+smallest deviation is the least, over runs of k consecutive samples, of the
+larger deviation at the run's two ends, and a coarse grid of run starts
+brackets where that least lies, so only the starts inside the bracket are
+evaluated. The detector's scale, ``np.percentile(integ, 99)``, comes from
+``_percentile``: one ``np.partition`` at the lower of the two ranks around
+numpy's virtual index and numpy's own interpolation between them. The values
+are those of ``np.median`` and ``np.percentile`` bit for bit, without their
+per-call overhead. The refractory rule runs over plain lists and only when
+two candidates are closer than the refractory period, and QT is measured for
+every beat of a window at once.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import band_power, bandpass_filter, welch_psd, zscore
+from .dsp import band_power, bandpass_filter, strided_rows, welch_psd, zscore
 from .errors import (
     EmptyBand,
     InsufficientData,
@@ -147,14 +156,17 @@ def detect_r_peaks(
         front = bandpass_filter(x, fs, front_band[0], front_band[1])
     except SignalTooShort:
         return np.empty(0, dtype=np.int64)
-    deriv = np.diff(front, prepend=front[0])
-    sq = deriv * deriv
+    # the squared np.diff(front, prepend=front[0]), in one buffer
+    sq = np.empty_like(front)
+    sq[0] = front[0] - front[0]
+    np.subtract(front[1:], front[:-1], out=sq[1:])
+    sq *= sq
     win = max(3, int(round(integration_s * fs)))
     integ = np.convolve(sq, np.ones(win) / win, mode="same")
 
     block_n = int(fs)
     med, mad = _rolling_block_stats(integ, block_n)
-    scale = float(np.percentile(integ, 99))
+    scale = _percentile(integ, 99)
     thr = med + np.maximum(prominence_k * mad, 0.10 * scale)
     thr_low = med + np.maximum(0.5 * prominence_k * mad, 0.05 * scale)
 
@@ -168,14 +180,14 @@ def detect_r_peaks(
     if kept.size >= 3:
         low_maxima = maxima[height >= thr_low[block]]
         for _ in range(5):
-            med_rr = _median(np.diff(kept))
+            med_rr = _median(kept[1:] - kept[:-1])
             inserted = _fill_gaps(integ, low_maxima, kept, med_rr, gap_factor, ref_n)
             if inserted is None:
                 break
             kept = inserted
 
     refined = _refine_to_signal(x, kept, int(round(0.10 * fs)))
-    return _dedupe(x, refined, ref_n)
+    return _select_peaks(x, refined, ref_n)
 
 
 def _median(v) -> float:
@@ -194,6 +206,34 @@ def _median(v) -> float:
     return (0.0 + float(s[k - 1]) + float(s[k])) / 2.0
 
 
+def _percentile(v, q: float) -> float:
+    """``np.percentile(v, q)`` of a non-empty 1-D float array, bit for bit, from one ``np.partition``.
+
+    numpy's default 'linear' method: the virtual index ``(n - 1) * q / 100``
+    lies between two ranks, read from one partition at the lower rank (the
+    upper one is the least value above it), and numpy's ``_lerp`` weighs
+    them. An index at or past the top rank reads the top value with the
+    weight numpy gives it (rank -1). NaNs sort last, so a NaN anywhere
+    reaches the lerp and gives NaN, as in numpy. The one difference: a zero
+    result may carry the other sign, since numpy's sign then follows where
+    its own partition leaves -0.0 and 0.0.
+    """
+    n = v.size
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        rank, gamma = n - 1, virtual + 1.0
+    else:
+        rank = math.floor(virtual)
+        gamma = virtual - rank
+    part = np.partition(v, rank)
+    below = float(part[rank])
+    above = float(part[rank + 1 :].min()) if rank < n - 1 else below
+    diff = above - below
+    if gamma >= 0.5:
+        return above - diff * (1 - gamma)
+    return below + diff * gamma
+
+
 def _sorted_row_medians(s) -> np.ndarray:
     """``np.median(rows, axis=1)``, bit for bit, of rows already sorted along axis 1."""
     k = s.shape[1] // 2
@@ -205,22 +245,57 @@ def _sorted_row_medians(s) -> np.ndarray:
     return np.where(np.isnan(last), last, med)
 
 
-def _sorted_row_mads(s, med) -> np.ndarray:
+def _sorted_prefix_medians(s, lengths) -> np.ndarray:
+    """``np.median`` of each row's ``lengths`` values, bit for bit, from sorted padded rows.
+
+    Each row holds its values padded with +inf and is sorted along axis 1,
+    so its values come first; a NaN among them sorts past the padding and
+    makes the row's median NaN.
+    """
+    rows = np.arange(s.shape[0])
+    k = lengths // 2
+    upper = s[rows, k]
+    lower = s[rows, np.maximum(k - 1, 0)]
+    med = np.where(lengths % 2 == 1, 0.0 + upper, (0.0 + lower + upper) / 2.0)
+    last = s[:, -1]
+    return np.where(np.isnan(last), last, med)
+
+
+def _sorted_row_mads(s, med, step: int = 32) -> np.ndarray:
     """``np.median(np.abs(s - med[:, None]), axis=1)``, bit for bit, for sorted rows.
 
-    Rows hold at least 2 values, sorted along axis 1. Along such a row the
-    deviations from ``med`` fall and then rise, so the j smallest belong to j
-    consecutive samples, and the j-th smallest is the least, over all runs of
-    j consecutive samples, of the larger deviation at a run's two ends. At
-    those ends ``med - s`` and ``s - med`` equal the absolute deviations
-    whenever they are the larger one. The two middle order statistics share
-    the end deviations.
+    Rows hold at least 2 values, sorted along axis 1, and ``med`` is their
+    median. Along such a row the deviations from ``med`` fall and then rise,
+    so the j smallest belong to j consecutive samples, and the j-th smallest
+    is the least, over all runs of j consecutive samples, of the larger
+    deviation at a run's two ends. At those ends ``med - s`` and ``s - med``
+    equal the absolute deviations whenever they are the larger one.
+
+    With n = 2k or 2k + 1 values the median of the deviations needs the
+    (k + 1)-th smallest, and the k-th when n is even. As a run's start a
+    moves right its first-sample deviation ``med - s[a]`` falls and its
+    last-sample one rises, both monotone in floating point, so the larger is
+    least just before or just after the start where the rising one reaches
+    the falling one. For runs of k + 1 every ``step``-th start brackets that
+    crossing; the crossing for runs of k lies at most one start later. Only
+    the ``step + 2`` starts from the bracket's left end are evaluated: the
+    least over a subset holding the minimiser is the same value. A deviation
+    is NaN only where ``med`` is NaN or an infinity the row holds; every
+    bracket of two or more starts then reaches such a sample, so the NaN
+    reaches the result as it reaches ``np.median``'s.
     """
-    n = s.shape[1]
+    n_rows, n = s.shape
     k = n // 2
     mc = med[:, None]
-    left = mc - s[:, : n - k + 1]  # at the first sample of the run of k starting at a = 0 .. n - k
-    right = s[:, k - 1 :] - mc  # at the last sample of that run
+    # grid starts at which a run of k + 1 still has the larger deviation at
+    # its first sample: all of them lie before the crossing
+    below = (s[:, k::step] - mc < mc - s[:, : n - k : step]).sum(axis=1)
+    width = min(step + 2, n - k + 1)
+    first = np.minimum(np.maximum((below - 1) * step, 0), n - k + 1 - width)
+    a = (first + np.arange(0, n_rows * n, n))[:, None] + np.arange(width)
+    flat = s.ravel()
+    left = mc - flat[a]  # at the first sample of the runs starting at a
+    right = flat[a + (k - 1)] - mc  # at the last sample of the runs of k
     # the run of k + 1 starting at a ends where the run of k starting at a + 1 does
     upper = np.maximum(left[:, :-1], right[:, 1:]).min(axis=1)  # the (k + 1)-th smallest
     if n % 2:
@@ -242,7 +317,7 @@ def _rolling_block_stats(v, block_n: int):
     # strided view is the span of block j + 2
     last = n // block_n - 3
     if last >= 2:
-        spans = np.sort(sliding_window_view(v, 5 * block_n)[::block_n], axis=1)
+        spans = np.sort(strided_rows(v, 5 * block_n, block_n), axis=1)
         med_b[2 : last + 1] = _sorted_row_medians(spans)
         mad_b[2 : last + 1] = _sorted_row_mads(spans, med_b[2 : last + 1])
     for i in [*range(min(2, n_blocks)), *range(max(2, last + 1), n_blocks)]:
@@ -262,16 +337,25 @@ def _local_maxima(v) -> np.ndarray:
     return np.nonzero(core)[0] + 1
 
 
-def _select_peaks(integ, cands, ref_n: int) -> np.ndarray:
-    """Candidates in order; one within ``ref_n`` of the last kept peak replaces it if higher."""
-    kept: list = []
-    for idx in cands:
-        if kept and idx - kept[-1] < ref_n:
-            if integ[idx] > integ[kept[-1]]:
-                kept[-1] = int(idx)
+def _select_peaks(v, cands, ref_n: int) -> np.ndarray:
+    """Candidates in order; one within ``ref_n`` of the last kept peak replaces it if higher in v.
+
+    Candidates no two of which are closer than ``ref_n`` are all kept as
+    they are; otherwise the rule runs over plain Python lists.
+    """
+    if not (cands[1:] - cands[:-1] < ref_n).any():
+        return cands
+    at = cands.tolist()
+    height = v[cands].tolist()
+    kept = [0]
+    for j in range(1, len(at)):
+        last = kept[-1]
+        if at[j] - at[last] < ref_n:
+            if height[j] > height[last]:
+                kept[-1] = j
         else:
-            kept.append(int(idx))
-    return np.asarray(kept, dtype=np.int64)
+            kept.append(j)
+    return cands[kept]
 
 
 def _fill_gaps(integ, low_maxima, kept, med_rr, gap_factor, ref_n):
@@ -280,7 +364,9 @@ def _fill_gaps(integ, low_maxima, kept, med_rr, gap_factor, ref_n):
     ``low_maxima`` are the maxima at or above the low threshold, sorted, so
     each gap's maxima are one slice of them. None when no gap gains a peak.
     """
-    gaps = np.nonzero(np.diff(kept) > gap_factor * med_rr)[0]
+    gaps = np.nonzero(kept[1:] - kept[:-1] > gap_factor * med_rr)[0]
+    if gaps.size == 0:
+        return None
     starts = np.searchsorted(low_maxima, kept[gaps] + ref_n, "right")
     stops = np.searchsorted(low_maxima, kept[gaps + 1] - ref_n, "left")
     additions = []
@@ -296,31 +382,20 @@ def _fill_gaps(integ, low_maxima, kept, med_rr, gap_factor, ref_n):
 def _refine_to_signal(x, peaks, radius: int) -> np.ndarray:
     """Each peak moved to the largest sample within ``radius`` of it, deduplicated.
 
-    Peaks whose whole neighbourhood lies inside x take one argmax over the
-    strided neighbourhoods; the window is truncated for the rest.
+    Peaks are sorted. Those whose whole neighbourhood lies inside x are one
+    slice of them and take one argmax over the strided neighbourhoods; the
+    window is truncated for the rest.
     """
     refined = np.empty(peaks.size, dtype=np.int64)
-    interior = (peaks >= radius) & (peaks + radius < x.size)
-    if interior.any():
-        lo = peaks[interior] - radius
-        refined[interior] = lo + np.argmax(sliding_window_view(x, 2 * radius + 1)[lo], axis=1)
-    for i in np.nonzero(~interior)[0]:
+    lo, hi = peaks.searchsorted((radius, x.size - radius))
+    if hi > lo:
+        start = peaks[lo:hi] - radius
+        refined[lo:hi] = start + np.argmax(strided_rows(x, 2 * radius + 1)[start], axis=1)
+    for i in [*range(lo), *range(max(lo, hi), peaks.size)]:
         p = peaks[i]
-        lo = max(0, p - radius)
-        hi = min(x.size, p + radius + 1)
-        refined[i] = lo + int(np.argmax(x[lo:hi]))
+        a = max(0, p - radius)
+        refined[i] = a + int(np.argmax(x[a : min(x.size, p + radius + 1)]))
     return np.unique(refined)
-
-
-def _dedupe(x, peaks, ref_n: int) -> np.ndarray:
-    kept: list = []
-    for idx in peaks:
-        if kept and idx - kept[-1] < ref_n:
-            if x[idx] > x[kept[-1]]:
-                kept[-1] = int(idx)
-        else:
-            kept.append(int(idx))
-    return np.asarray(kept, dtype=np.int64)
 
 
 # --- RR conditioning and metrics ---------------------------------------------
@@ -345,11 +420,10 @@ def filter_rr(rr: RrSeries) -> RrSeries:
     if iv.size == 0:
         return rr
     n = iv.size
-    run_med = np.empty(n)
-    if n >= 11:
-        run_med[5 : n - 5] = _sorted_row_medians(np.sort(sliding_window_view(iv, 11), axis=1))
-    for i in [*range(min(5, n)), *range(max(5, n - 5), n)]:
-        run_med[i] = _median(iv[max(0, i - 5) : i + 6])
+    at = np.arange(n)[:, None] + np.arange(-5, 6)
+    inside = (at >= 0) & (at < n)
+    windows = np.where(inside, iv[np.clip(at, 0, n - 1)], np.inf)
+    run_med = _sorted_prefix_medians(np.sort(windows, axis=1), inside.sum(axis=1))
     keep = (
         (iv >= RR_ABS_BOUNDS_MS[0])
         & (iv <= RR_ABS_BOUNDS_MS[1])
@@ -375,72 +449,63 @@ def qtc(x, fs: float, r_peaks) -> float:
 
     Q onset is the steepest negative slope within 50 ms before R; the T end
     is where the steepest post-apex descending tangent meets the local
-    isoelectric level (median of the PR segment).
+    isoelectric level (median of the PR segment). A beat counts when its RR
+    lies in [0.3, 2] s, each of its search windows fits inside x, the tangent
+    descends and meets the level within 0.3 s, and QT lies in [200, 600] ms.
+    Every beat is measured at once: windows of one length are rows of
+    samples, and the T-wave windows, whose length follows the RR, are padded
+    with values that never win their argmax or argmin.
     """
     x = np.asarray(x, dtype=np.float64)
     r_peaks = np.asarray(r_peaks, dtype=np.int64)
     if r_peaks.size < 2:
         raise NoMeasurableBeats("need at least 2 R-peaks")
-    values = []
-    for i in range(1, r_peaks.size):
-        r = int(r_peaks[i])
-        rr_s = (r_peaks[i] - r_peaks[i - 1]) / fs
-        if not 0.3 <= rr_s <= 2.0:
-            continue
-        q = _q_onset(x, fs, r)
-        if q is None:
-            continue
-        iso = _isoelectric(x, fs, r)
-        if iso is None:
-            continue
-        t_end_s = _t_end_tangent(x, fs, r, rr_s, iso)
-        if t_end_s is None:
-            continue
-        qt_ms = (t_end_s - q / fs) * 1000.0
-        if not 200.0 <= qt_ms <= 600.0:
-            continue
-        values.append(qt_ms / math.sqrt(rr_s))
-    if not values:
+    n = x.size
+    q_n = int(round(0.050 * fs))
+    iso_n = int(round(0.090 * fs))
+    t_n = int(round(0.100 * fs))
+    down_n = int(round(0.160 * fs))
+    r = r_peaks[1:]
+    rr_s = np.diff(r_peaks) / fs
+    t_lo = r + t_n
+    t_hi = np.minimum(r + np.rint(np.minimum(0.400, 0.7 * rr_s) * fs).astype(np.int64), n - 2)
+    ok = (
+        (rr_s >= 0.3)
+        & (rr_s <= 2.0)
+        & (q_n >= 3)
+        & (r - iso_n >= 0)  # so r - q_n >= 2, and the Q window's first slope lies inside x
+        & (iso_n - q_n >= 2)
+        & (t_hi - t_lo >= 4)
+    )
+    if not ok.any():
         raise NoMeasurableBeats("no beat yielded a usable QT")
-    return _median(values)
+    r, rr_s, t_lo, t_hi = r[ok], rr_s[ok], t_lo[ok], t_hi[ok]
 
-
-def _q_onset(x, fs, r):
-    a = r - int(round(0.050 * fs))
-    if a < 1 or r - a < 3:
-        return None
-    slope = x[a : r] - x[a - 1 : r - 1]
-    return a + int(np.argmin(slope))
-
-
-def _isoelectric(x, fs, r):
-    lo = r - int(round(0.090 * fs))
-    hi = r - int(round(0.050 * fs))
-    if lo < 0 or hi - lo < 2:
-        return None
-    return _median(x[lo:hi])
-
-
-def _t_end_tangent(x, fs, r, rr_s, iso):
-    lo = r + int(round(0.100 * fs))
-    hi = r + int(round(min(0.400, 0.7 * rr_s) * fs))
-    hi = min(hi, x.size - 2)
-    if hi - lo < 4:
-        return None
-    apex = lo + int(np.argmax(x[lo:hi]))
-    d_hi = min(apex + int(round(0.160 * fs)), x.size - 1)
-    if d_hi - apex < 3:
-        return None
-    slopes = x[apex + 1 : d_hi + 1] - x[apex:d_hi]
-    k = int(np.argmin(slopes))
-    slope_per_s = slopes[k] * fs
-    if slope_per_s >= 0:
-        return None
-    s_idx = apex + k
-    extension_s = (iso - x[s_idx]) / slope_per_s
-    if not 0.0 <= extension_s <= 0.30:
-        return None
-    return s_idx / fs + extension_s
+    # Q onset: the steepest single-sample fall in the q_n samples before R
+    q_at = (r - q_n)[:, None] + np.arange(q_n)
+    q = r - q_n + np.argmin(x[q_at] - x[q_at - 1], axis=1)
+    # isoelectric level: median of the samples 90 to 50 ms before R
+    iso = _sorted_row_medians(np.sort(x[(r - iso_n)[:, None] + np.arange(iso_n - q_n)], axis=1))
+    # T apex: the highest sample in [t_lo, t_hi)
+    at = np.arange(int((t_hi - t_lo).max()))
+    in_t = at < (t_hi - t_lo)[:, None]
+    apex = t_lo + np.argmax(np.where(in_t, x[np.minimum(t_lo[:, None] + at, n - 1)], -np.inf), axis=1)
+    # the steepest fall in the down_n samples after the apex, inside x
+    d_hi = np.minimum(apex + down_n, n - 1)
+    at = np.arange(int((d_hi - apex).max()))
+    in_d = at < (d_hi - apex)[:, None]
+    d_at = np.minimum(apex[:, None] + at, n - 2)
+    slopes = np.where(in_d, x[d_at + 1] - x[d_at], np.inf)
+    k = np.argmin(slopes, axis=1)
+    slope_per_s = slopes[np.arange(k.size), k] * fs
+    ok = (d_hi - apex >= 3) & (slope_per_s < 0)
+    s_idx = apex[ok] + k[ok]
+    extension_s = (iso[ok] - x[s_idx]) / slope_per_s[ok]
+    qt_ms = (s_idx / fs + extension_s - q[ok] / fs) * 1000.0
+    usable = (extension_s >= 0.0) & (extension_s <= 0.30) & (qt_ms >= 200.0) & (qt_ms <= 600.0)
+    if not usable.any():
+        raise NoMeasurableBeats("no beat yielded a usable QT")
+    return _median(qt_ms[usable] / np.sqrt(rr_s[ok][usable]))
 
 
 def lf_hf(rr: RrSeries, resample_hz: float = TACHOGRAM_HZ, segment_len: int = 256) -> float:
@@ -455,13 +520,7 @@ def lf_hf(rr: RrSeries, resample_hz: float = TACHOGRAM_HZ, segment_len: int = 25
         raise InsufficientData("resampled tachogram too short")
     tach = np.interp(grid, rr.onsets_s, rr.intervals_ms)
     tach = tach - tach.mean()
-    psd = welch_psd(tach, resample_hz, min(segment_len, tach.size))
-    try:
-        lf = band_power(psd, *LF_BAND)
-        hf = band_power(psd, *HF_BAND)
-    except EmptyBand:
-        return 0.0
-    return lf / max(hf, 1e-12)
+    return _lf_hf_ratio(welch_psd(tach, resample_hz, min(segment_len, tach.size)))
 
 
 def _noise_moments(noise):
@@ -484,7 +543,11 @@ def _noise_moments(noise):
 
 def _noise_lfhf(noise, fs: float, segment_len: int) -> float:
     """LF/HF power ratio of a noise trace's Welch PSD; 0 when a band holds no bin."""
-    psd = welch_psd(noise, fs, min(segment_len, noise.size))
+    return _lf_hf_ratio(welch_psd(noise, fs, min(segment_len, noise.size)))
+
+
+def _lf_hf_ratio(psd) -> float:
+    """LF over HF band power of a PSD, the HF power floored at 1e-12; 0 when a band holds no bin."""
     try:
         lf = band_power(psd, *LF_BAND)
         hf = band_power(psd, *HF_BAND)

@@ -146,6 +146,38 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "ingest_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        ("payload", "field"),
+        [
+            ('{"window_s": "10"}', "window_s"),
+            ('{"n_trees": 2.5}', "n_trees"),
+            ('{"window_s": NaN}', "window_s"),
+            ('{"context_s": 5}', "context_s"),
+            ('{"max_depth": -1}', "max_depth"),
+            ('{"sim_max_duration_s": -5}', "sim_max_duration_s"),
+        ],
+        ids=["string_number", "fractional_count", "nan", "context_shorter_than_window",
+             "negative_depth", "negative_duration"],
+    )
+    def test_bad_config_is_config_invalid(self, tmp_path, capsys, payload, field):
+        config = tmp_path / "config.json"
+        config.write_text(payload)
+        out = tmp_path / "out"
+        code = main(["run", "--synthetic", "--config", str(config), "--out-dir", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {field} ")
+        assert not (out / "synthetic_records").exists()
+
+    @pytest.mark.parametrize("value", ["-5", "0", "nan"])
+    def test_bad_simulate_duration_is_config_invalid(self, synthetic_run, tmp_path, capsys, value):
+        argv = ["simulate", *_synthetic_args(synthetic_run, tmp_path, "--max-duration-s", value)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error: sim_max_duration_s ")
+        assert not (tmp_path / "trace.jsonl").exists()
+
     def test_individual_steps_rerun_on_existing_artifacts(self, synthetic_run):
         data_dir = synthetic_run / "synthetic_records"
         code = main(

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import signal as scipy_signal
 
 from stresstwin.dsp import (
     PsdEstimate,
     band_power,
     bandpass_filter,
     design_bandpass_sos,
+    strided_rows,
     welch_psd,
     zscore,
 )
@@ -70,7 +73,47 @@ class TestBandpass:
         assert np.array_equal(bandpass_filter(x, FS, 5.0, 15.0), before)
 
 
+def _bandpass_reference(x, fs, low_hz=0.5, high_hz=45.0):
+    """Reference: np.pad reflect, forward pass, backward pass over a contiguous reversed copy."""
+    sos = design_bandpass_sos(low_hz, high_hz, fs)
+    padded = np.pad(np.asarray(x, dtype=np.float64), 24, mode="reflect")
+    y = scipy_signal.sosfilt(sos, padded)
+    y = scipy_signal.sosfilt(sos, y[::-1].copy())[::-1]
+    return np.ascontiguousarray(y[24 : 24 + np.size(x)])
+
+
+class TestBandpassMatchesReference:
+    @pytest.mark.parametrize("n", [49, 50, 73, 1000, 21600])
+    @pytest.mark.parametrize("band", [(0.5, 45.0), (5.0, 15.0)])
+    def test_bitwise(self, n, band):
+        x = np.random.default_rng(n).normal(0.0, 1.0, n)
+        got = bandpass_filter(x, FS, *band)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), _bandpass_reference(x, FS, *band).view(np.int64))
+
+    def test_strided_input(self):
+        x = np.random.default_rng(1).normal(0.0, 1.0, 4001)[::2]
+        assert np.array_equal(bandpass_filter(x, FS).view(np.int64), _bandpass_reference(x, FS).view(np.int64))
+
+
+class TestStridedRows:
+    @pytest.mark.parametrize(("n", "width", "step"), [(5, 5, 1), (10, 3, 1), (21, 8, 4), (22, 8, 4), (23, 8, 4)])
+    def test_rows_of_sliding_window_view(self, n, width, step):
+        x = np.arange(n, dtype=np.float64)
+        for v in (x, np.arange(2 * n, dtype=np.float64)[::2]):
+            rows = strided_rows(v, width, step)
+            assert np.array_equal(rows, sliding_window_view(v, width)[::step])
+            assert not rows.flags.writeable
+
+
 class TestZscore:
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -3.5])
+    @pytest.mark.parametrize("n", [2, 3, 999, 21600])
+    def test_matches_mean_and_std(self, n, offset):
+        x = np.random.default_rng(n).normal(offset, 2.0, n)
+        ref = (x - float(np.mean(x))) / float(np.std(x, ddof=1))
+        assert np.array_equal(zscore(x).view(np.int64), ref.view(np.int64))
+
     def test_triple(self):
         assert np.allclose(zscore([1.0, 2.0, 3.0]), [-1.0, 0.0, 1.0])
 
@@ -185,6 +228,35 @@ class TestWelchCache:
         assert np.array_equal(second.freqs, expected[0])
         assert np.array_equal(second.freqs, np.fft.rfftfreq(256, d=1.0 / FS))
         assert np.array_equal(second.psd, expected[1])
+
+
+def _band_power_reference(psd, lo_hz, hi_hz):
+    """Reference: a boolean mask of the bins and np.trapezoid."""
+    mask = (psd.freqs >= lo_hz) & (psd.freqs <= hi_hz)
+    if not np.any(mask):
+        raise EmptyBand("no bins")
+    return float(np.trapezoid(psd.psd[mask], psd.freqs[mask]))
+
+
+class TestBandPowerMatchesReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        segment_len = int(rng.integers(8, 600))
+        fs = float(rng.choice([4.0, 360.0, rng.uniform(1.0, 500.0)]))
+        psd = welch_psd(rng.normal(size=segment_len + int(rng.integers(0, 400))), fs, segment_len)
+        edges = psd.freqs[rng.integers(0, psd.freqs.size, 4)]  # bands ending exactly on bins
+        bands = [(0.04, 0.15), (0.15, 0.40), tuple(sorted(rng.uniform(0.0, fs / 2, 2))), *zip(edges[:2], edges[2:])]
+        for lo, hi in bands:
+            if not 0 <= lo < hi:
+                continue
+            try:
+                ref = _band_power_reference(psd, lo, hi)
+            except EmptyBand:
+                with pytest.raises(EmptyBand):
+                    band_power(psd, lo, hi)
+                continue
+            assert band_power(psd, lo, hi).hex() == ref.hex()
 
 
 class TestBandPower:

@@ -19,14 +19,16 @@ from stresstwin.errors import (
 from stresstwin.hrv import (
     CONTEXT_S,
     NOISE_SEGMENT,
-    _dedupe,
     _fill_gaps,
     _local_maxima,
     _median,
     _noise_lfhf,
     _noise_moments,
+    _percentile,
     _refine_to_signal,
     _rolling_block_stats,
+    _select_peaks,
+    _sorted_prefix_medians,
     _sorted_row_mads,
     _sorted_row_medians,
     RrSeries,
@@ -339,6 +341,16 @@ class TestMedian:
     def test_float_row_mads(self, a):
         _assert_same_bits(*_row_mads(a))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_FLOATS, min_size=1, max_size=12), min_size=1, max_size=5))
+    def test_padded_prefix_medians(self, rows):
+        width = max(len(r) for r in rows)
+        padded = np.array([r + [math.inf] * (width - len(r)) for r in rows])
+        lengths = np.array([len(r) for r in rows])
+        with np.errstate(all="ignore"):
+            got = _sorted_prefix_medians(np.sort(padded, axis=1), lengths)
+        _assert_same_bits(got, np.array([_np_median(np.array(r)) for r in rows]))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_row_mads_of_skewed_spans(self, seed):
         # five-second spans of a squared, smoothed signal, as the detector sees them
@@ -358,16 +370,111 @@ class TestMedian:
             _assert_same_bits(*_row_mads(v[None, :]))
 
 
-def _select_peaks_loop(integ, maxima, thr, ref_n):
-    cands = maxima[integ[maxima] >= thr[maxima]]
+def _special_values(rng, n, pool):
+    """n floats: ties from a small pool, then NaN, +inf or -inf at a few places."""
+    kind = rng.integers(4)
+    if kind == 0:
+        v = rng.choice(np.array([0.0, -0.0, 0.25, 1.0, 3.0]), n)
+    elif kind == 1:
+        v = rng.normal(0.0, 1.0, n)
+    elif kind == 2:
+        v = rng.gamma(0.3, 1.0, n)  # skewed, as the integrated signal
+    else:
+        v = np.round(rng.normal(0.0, 3.0, n))
+    special = pool[rng.integers(len(pool))]
+    if special is not None:
+        v[rng.integers(0, n, rng.integers(1, 4))] = special
+    return v
+
+
+class TestBracketedMad:
+    """The bracketed run search gives np.median's MAD for rows long enough to need the bracket."""
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 32])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_matches_np_median(self, seed, step):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        specials = [None] * 3 + [np.nan, np.inf, -np.inf]
+        rows = np.stack([_special_values(rng, n, specials) for _ in range(int(rng.integers(1, 5)))])
+        with np.errstate(all="ignore"):
+            s = np.sort(rows, axis=1)
+            got = _sorted_row_mads(s, _sorted_row_medians(s), step)
+            ref = np.median(np.abs(rows - np.median(rows, axis=1)[:, None]), axis=1)
+        _assert_same_bits(got, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(2, 120)), elements=_FLOATS),
+           st.integers(1, 40))
+    def test_any_floats_any_step(self, a, step):
+        with np.errstate(all="ignore"):
+            s = np.sort(a, axis=1)
+            got = _sorted_row_mads(s, _sorted_row_medians(s), step)
+            ref = np.median(np.abs(a - np.median(a, axis=1)[:, None]), axis=1)
+        _assert_same_bits(got, ref)
+
+
+def _np_percentile(v, q):
+    with np.errstate(all="ignore"):  # inf - inf in numpy's lerp
+        return np.percentile(v, q)
+
+
+def _assert_same_percentile(got, ref):
+    """Bits equal, except that a zero may have either sign: numpy's own sign
+    of a zero percentile follows where its partition leaves -0.0 and 0.0."""
+    if ref == 0.0:
+        assert got == 0.0
+    else:
+        _assert_same_bits(got, ref)
+
+
+class TestPercentile:
+    """One partition and numpy's own lerp give np.percentile's bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 60), elements=_FLOATS),
+           st.sampled_from([99, 0, 50, 100, 99.0]) | st.floats(0.0, 100.0))
+    def test_small_arrays(self, v, q):
+        with np.errstate(all="ignore"):
+            got = _percentile(v, q)
+        _assert_same_percentile(got, _np_percentile(v, q))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 50_000), st.integers(0, 2**32 - 1), st.sampled_from([99, 1, 50, 99.9, 100]))
+    def test_long_arrays(self, n, seed, q):
+        v = _special_values(np.random.default_rng(seed), n, [None] * 3 + [np.nan, np.inf, -np.inf])
+        with np.errstate(all="ignore"):
+            got = _percentile(v, q)
+        _assert_same_percentile(got, _np_percentile(v, q))
+
+    @pytest.mark.parametrize("v", [[0.1, 0.7], [0.1, 0.3, 0.7, 0.9], [1.0, 1.0 + 2**-52], [-0.7, 0.1]])
+    def test_half_weight_interpolates_from_above(self, v):
+        # at a weight of exactly 0.5 numpy interpolates down from the upper
+        # value, which rounds differently from up from the lower one
+        v = np.array(v)
+        _assert_same_bits(_percentile(v, 50), _np_percentile(v, 50))
+
+    def test_leaves_input_unchanged(self):
+        v = np.random.default_rng(0).normal(size=1000)
+        before = v.copy()
+        _percentile(v, 99)
+        assert np.array_equal(v, before)
+
+
+def _thin_loop(v, cands, ref_n):
+    """The refractory rule as one loop: a candidate within ref_n of the last kept one replaces it if higher."""
     kept: list = []
     for idx in cands:
         if kept and idx - kept[-1] < ref_n:
-            if integ[idx] > integ[kept[-1]]:
+            if v[idx] > v[kept[-1]]:
                 kept[-1] = int(idx)
         else:
             kept.append(int(idx))
     return np.asarray(kept, dtype=np.int64)
+
+
+def _select_peaks_loop(integ, maxima, thr, ref_n):
+    return _thin_loop(integ, maxima[integ[maxima] >= thr[maxima]], ref_n)
 
 
 def _refine_loop(x, peaks, radius):
@@ -404,7 +511,7 @@ def _detect_r_peaks_reference(x, fs):
                 break
             kept = inserted
     refined = _refine_loop(x, kept, int(round(0.10 * fs)))
-    return _dedupe(x, refined, ref_n)
+    return _thin_loop(x, refined, ref_n)
 
 
 def _ecg_at_snr(snr_db, seconds=60.0, seed=0):
@@ -427,7 +534,30 @@ def _with_nan():
     return x
 
 
+def _clustered_spikes(seed=5, seconds=60.0):
+    """Chains of spikes each closer than the refractory period to the next, the chain longer than it."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 0.02, int(seconds * FS))
+    t = 200
+    while t < x.size - 400:
+        for off in np.cumsum(rng.integers(20, 80, rng.integers(1, 5))):
+            x[t + off] += rng.uniform(0.5, 2.0)
+        t += int(rng.integers(250, 450))
+    return zscore(bandpass_filter(x, FS))
+
+
+def _double_humps():
+    """Each beat of a clean ECG followed by a copy at 0.7 of its height, 90 ms later."""
+    x = _ecg_at_snr(30.0)
+    echo = np.zeros_like(x)
+    echo[int(0.09 * FS) :] = 0.7 * x[: -int(0.09 * FS)]
+    return zscore(x + echo)
+
+
 DETECTOR_INPUTS = {
+    "snr_-12": lambda: _ecg_at_snr(-12.0),
+    "clustered_spikes": _clustered_spikes,
+    "double_humps": _double_humps,
     "snr_-6": lambda: _ecg_at_snr(-6.0),
     "snr_0": lambda: _ecg_at_snr(0.0),
     "snr_12": lambda: _ecg_at_snr(12.0),
@@ -443,7 +573,8 @@ DETECTOR_INPUTS = {
 
 
 class TestRefineToSignal:
-    @pytest.mark.parametrize("n", [11, 12, 60])  # neighbourhood = whole signal, and longer
+    # shorter than a neighbourhood, as long as one, and longer
+    @pytest.mark.parametrize("n", [7, 10, 11, 12, 60])
     def test_matches_loop_at_every_position(self, n):
         rng = np.random.default_rng(n)
         x = rng.integers(0, 4, n).astype(np.float64)  # ties: the first maximum wins
@@ -455,13 +586,42 @@ class TestRefineToSignal:
         assert _refine_to_signal(np.zeros(20), np.empty(0, dtype=np.int64), 5).size == 0
 
 
+class TestSelectPeaks:
+    """The list-based refractory rule keeps the candidates the per-candidate loop keeps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=0, max_size=80), st.integers(1, 25), st.integers(0, 2**32 - 1))
+    def test_matches_loop(self, gaps, ref_n, seed):
+        rng = np.random.default_rng(seed)
+        cands = np.cumsum([3, *gaps]).astype(np.int64)
+        v = np.zeros(cands[-1] + 1)
+        # ties and NaN heights, or distinct ones
+        pool = np.array([0.0, 1.0, 2.0, 2.0, 5.0, math.nan])
+        v[cands] = rng.choice(pool, cands.size) if seed % 2 else rng.normal(0.0, 1.0, cands.size)
+        got = _select_peaks(v, cands, ref_n)
+        ref = _thin_loop(v, cands, ref_n)
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+
+    def test_chain_compares_with_the_kept_peak(self):
+        # 0 -> 6 -> 12 are each closer than 10 to the next, but 12 is 12 past
+        # the kept 0, so it starts a new run even though 6 was dropped
+        v = np.zeros(20)
+        v[[0, 6, 12]] = [3.0, 1.0, 2.0]
+        cands = np.array([0, 6, 12])
+        assert _select_peaks(v, cands, 10).tolist() == _thin_loop(v, cands, 10).tolist() == [0, 12]
+
+    def test_no_conflict_returns_input(self):
+        cands = np.array([0, 10, 25], dtype=np.int64)
+        assert _select_peaks(np.ones(30), cands, 10) is cands
+
+
 class TestDetectorMatchesReference:
     @pytest.mark.parametrize("name", DETECTOR_INPUTS)
     def test_same_peaks(self, name):
         x = DETECTOR_INPUTS[name]()
         got = detect_r_peaks(x, FS)
         ref = _detect_r_peaks_reference(x, FS)
-        if name.startswith("snr_") or name == "flat_then_burst":
+        if name.startswith("snr_") or name in ("flat_then_burst", "clustered_spikes", "double_humps"):
             assert ref.size > 5
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
@@ -500,7 +660,135 @@ class TestScalarMetrics:
             bpm(self._series([]))
 
 
+def _qtc_loop(x, fs, r_peaks):
+    """Reference: the tangent-method QTc one beat at a time, with np.median."""
+    x = np.asarray(x, dtype=np.float64)
+    r_peaks = np.asarray(r_peaks, dtype=np.int64)
+    if r_peaks.size < 2:
+        raise NoMeasurableBeats("need at least 2 R-peaks")
+    values = []
+    for i in range(1, r_peaks.size):
+        r = int(r_peaks[i])
+        rr_s = (r_peaks[i] - r_peaks[i - 1]) / fs
+        if not 0.3 <= rr_s <= 2.0:
+            continue
+        a = r - int(round(0.050 * fs))
+        if a < 1 or r - a < 3:
+            continue
+        q = a + int(np.argmin(x[a:r] - x[a - 1 : r - 1]))
+        lo, hi = r - int(round(0.090 * fs)), r - int(round(0.050 * fs))
+        if lo < 0 or hi - lo < 2:
+            continue
+        iso = float(np.median(x[lo:hi]))
+        lo = r + int(round(0.100 * fs))
+        hi = min(r + int(round(min(0.400, 0.7 * rr_s) * fs)), x.size - 2)
+        if hi - lo < 4:
+            continue
+        apex = lo + int(np.argmax(x[lo:hi]))
+        d_hi = min(apex + int(round(0.160 * fs)), x.size - 1)
+        if d_hi - apex < 3:
+            continue
+        slopes = x[apex + 1 : d_hi + 1] - x[apex:d_hi]
+        k = int(np.argmin(slopes))
+        slope_per_s = slopes[k] * fs
+        if slope_per_s >= 0:
+            continue
+        s_idx = apex + k
+        extension_s = (iso - x[s_idx]) / slope_per_s
+        if not 0.0 <= extension_s <= 0.30:
+            continue
+        qt_ms = (s_idx / fs + extension_s - q / fs) * 1000.0
+        if not 200.0 <= qt_ms <= 600.0:
+            continue
+        values.append(qt_ms / math.sqrt(rr_s))
+    if not values:
+        raise NoMeasurableBeats("no beat yielded a usable QT")
+    return float(np.median(values))
+
+
+def _qtc_outcome(fn, x, peaks):
+    with np.errstate(all="ignore"):
+        try:
+            return fn(x, FS, peaks)
+        except NoMeasurableBeats:
+            return "NoMeasurableBeats"
+
+
+def _assert_same_qtc(got, ref):
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        _assert_same_bits(got, ref)
+
+
+def _qtc_case(name):
+    """(signal, R peaks) for one oracle case."""
+    rec = synth_ecg(75, 20.0, qt_ms=380.0)
+    filt, peaks = _detect(rec)
+    n = filt.size
+    if name == "clean":
+        return filt, peaks
+    if name == "rr_out_of_range":
+        # a 0.14 s and a 3.2 s interval between usable ones
+        return filt, np.sort(np.concatenate([np.delete(peaks, [5, 6, 7]), [peaks[10] + 50]]))
+    if name == "near_end":
+        # beats whose T-wave and down-slope windows run into the end of x
+        return filt[: peaks[-2] + int(0.35 * FS)], peaks[:-1]
+    if name == "at_the_very_end":
+        return filt, np.concatenate([peaks[peaks < n - 400], [n - 140, n - 40, n - 3]])
+    if name == "near_start":
+        return filt, np.concatenate([[3, 17, 33], peaks[peaks > 400]])
+    if name == "flat_t_wave":
+        x = filt.copy()
+        for p in peaks[::2]:
+            x[p + int(0.06 * FS) : p + int(0.6 * FS)] = x[p + int(0.06 * FS)]
+        return x, peaks
+    if name == "nan_sample":
+        x = filt.copy()
+        x[peaks[2] - 10] = np.nan  # inside a Q-onset window
+        x[peaks[3] - 25] = np.nan  # inside an isoelectric window
+        x[peaks[4] + int(0.2 * FS)] = np.nan  # on a T wave
+        return x, peaks
+    if name.startswith("snr_"):
+        x = _ecg_at_snr(float(name[4:]))
+        return x, detect_r_peaks(x, FS)
+    # one beat 120 samples before the end, its T apex `back` samples before it
+    back = {"apex_ten_before_the_end": 10, "apex_three_before_the_end": 3}[name]
+    t = np.arange(2000)
+    x = np.exp(-0.5 * ((t - (t.size - back)) / 4.0) ** 2)
+    x[t.size - 120] = 5.0
+    if back == 10:
+        x[-2] = 1.5  # higher than the apex, one sample past the apex search
+    return x, np.array([t.size - 420, t.size - 120])
+
+
+QTC_CASES = ["clean", "rr_out_of_range", "near_end", "at_the_very_end", "near_start", "flat_t_wave",
+             "nan_sample", "snr_-6", "snr_6", "snr_24", "apex_ten_before_the_end", "apex_three_before_the_end"]
+
+
 class TestQtc:
+    @pytest.mark.parametrize("name", QTC_CASES)
+    def test_matches_per_beat_loop(self, name):
+        x, peaks = _qtc_case(name)
+        got = _qtc_outcome(qtc, x, peaks)
+        ref = _qtc_outcome(_qtc_loop, x, peaks)
+        # an apex three samples from the end leaves too short a down-slope
+        assert isinstance(ref, str) == (name == "apex_three_before_the_end")
+        _assert_same_qtc(got, ref)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_beats_match_per_beat_loop(self, seed):
+        # random signals and beat positions, with every exclusion reachable
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(200, 4000))
+        x = np.cumsum(rng.normal(0.0, 1.0, n)) * 0.05
+        peaks = np.unique(rng.integers(0, n, int(rng.integers(2, 30))))
+        if seed % 3 == 0:
+            x[rng.integers(0, n, 3)] = np.nan
+        if seed % 4 == 1:
+            x = np.round(x, 1)  # ties in every argmin, argmax and median
+        _assert_same_qtc(_qtc_outcome(qtc, x, peaks), _qtc_outcome(_qtc_loop, x, peaks))
+
     def test_bazett_identity_at_60(self):
         # constant 60 bpm: sqrt(RR)=1, so QTc == QT as constructed
         rec = synth_ecg(60, 60.0, qt_ms=380.0)

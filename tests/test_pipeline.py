@@ -140,6 +140,30 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             load_config(None, {"split_unit": "nonsense"})
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"seed": True},
+            {"seed": -1},
+            {"n_trees": True},
+            {"tick_ms": 0},
+            {"stride_s": float("inf")},
+            {"eps": 10**400},  # an int beyond the float range
+            {"max_depth": 0},
+            {"max_depth": 2.0},
+            {"sim_max_duration_s": float("nan")},
+            {"sim_latency_table": [1, 2]},
+            {"data_dir": 5},
+        ],
+    )
+    def test_mistyped_values_rejected(self, override):
+        with pytest.raises(ConfigInvalid):
+            load_config(None, override)
+
+    def test_edge_values_accepted(self):
+        cfg = load_config(None, {"context_s": 10, "window_s": 10, "max_depth": 1, "sim_max_duration_s": 1})
+        assert cfg.context_s == cfg.window_s
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigInvalid):
             load_config(None, {"not_a_key": 1})
