@@ -153,6 +153,11 @@ class _Run:
         config.validate()
         self.config = config
         self.records = list(noisy_records)
+        for rec in self.records:
+            if round(config.chunk_s * rec.fs) < 1:
+                raise ConfigInvalid(
+                    f"chunk_s {config.chunk_s} holds no sample of {rec.record_name} at {rec.fs} Hz"
+                )
         self.levels = levels
         if config.scripted_levels is None and levels is None:
             raise ConfigInvalid("window levels are required unless levels are scripted")

@@ -178,6 +178,19 @@ class TestExitCodes:
         assert "Traceback" not in err and err.startswith("error: sim_max_duration_s ")
         assert not (tmp_path / "trace.jsonl").exists()
 
+    @pytest.mark.parametrize("chunk_s", [1e-9, 0.001])
+    def test_chunk_shorter_than_a_sample_is_config_invalid(self, synthetic_run, tmp_path, capsys, chunk_s):
+        # at 360 Hz a chunk must hold round(chunk_s * 360) >= 1 samples
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"chunk_s": {chunk_s}}}')
+        out = tmp_path / "scripted_trace.jsonl"
+        extra = ("--config", str(config), "--records", "S00e24", "--scripted", "[[0,1],[60,3]]", "--out", str(out))
+        argv = ["simulate", *_synthetic_args(synthetic_run, tmp_path, *extra)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error: chunk_s ")
+        assert not out.exists()
+
     def test_individual_steps_rerun_on_existing_artifacts(self, synthetic_run):
         data_dir = synthetic_run / "synthetic_records"
         code = main(

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from stresstwin.hrv import (
     _fill_gaps,
     _local_maxima,
     _median,
+    _moving_mean,
     _noise_lfhf,
     _noise_moments,
     _percentile,
@@ -546,6 +549,18 @@ def _clustered_spikes(seed=5, seconds=60.0):
     return zscore(bandpass_filter(x, FS))
 
 
+def _artifact_spikes():
+    """A clean ECG carrying a few +-1e4 spikes, as electrode pops leave in a window.
+
+    The running sum of the integrator carries each spike's rounding error
+    past it. The spikes also set the detector's scale, so it keeps them and
+    none of the 75 beats it finds without them.
+    """
+    x = _ecg_at_snr(24.0, seed=4)
+    x[[2000, 7500, 13000, 19500]] += [1e4, -1e4, 1e4, -1e4]
+    return x
+
+
 def _double_humps():
     """Each beat of a clean ECG followed by a copy at 0.7 of its height, 90 ms later."""
     x = _ecg_at_snr(30.0)
@@ -558,6 +573,7 @@ DETECTOR_INPUTS = {
     "snr_-12": lambda: _ecg_at_snr(-12.0),
     "clustered_spikes": _clustered_spikes,
     "double_humps": _double_humps,
+    "artifact_spikes": _artifact_spikes,
     "snr_-6": lambda: _ecg_at_snr(-6.0),
     "snr_0": lambda: _ecg_at_snr(0.0),
     "snr_12": lambda: _ecg_at_snr(12.0),
@@ -570,6 +586,41 @@ DETECTOR_INPUTS = {
     "partial_last_block": lambda: _ecg_at_snr(12.0, seconds=7.3),
     "nan_sample": _with_nan,
 }
+
+
+def _convolved_mean(v, win):
+    """``np.convolve(v, np.ones(win) / win, "same")``, cut to v's length when v is the shorter.
+
+    "same" returns max(v.size, win) values, centred on the full convolution;
+    the v.size values centred the same way are the moving mean of each sample.
+    """
+    full = np.convolve(v, np.ones(win) / win, mode="full")
+    return full[(win - 1) // 2 : (win - 1) // 2 + v.size]
+
+
+class TestMovingMean:
+    """The detector's running-sum integrator against the convolution it replaces."""
+
+    @pytest.mark.parametrize("win", [3, 4, 54, 55])
+    @pytest.mark.parametrize("n", [1, 2, 5, 53, 54, 55, 21600])
+    def test_matches_convolution(self, n, win):
+        v = np.random.default_rng(n * 100 + win).normal(0.0, 1.0, n) ** 2
+        ref = _convolved_mean(v, win)
+        if n >= win:
+            assert np.array_equal(ref, np.convolve(v, np.ones(win) / win, mode="same"))
+        got = _moving_mean(v, win)
+        assert got.shape == v.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-14 * ref.max())
+
+    @pytest.mark.parametrize("win", [3, 4, 54, 55])
+    @pytest.mark.parametrize("n", [5, 60, 200])
+    def test_impulse_lands_on_the_same_samples(self, n, win):
+        for at in sorted({0, 1, n // 2, n - 2, n - 1}):
+            v = np.zeros(n)
+            v[at] = 1.0
+            got = np.nonzero(_moving_mean(v, win))[0]
+            assert np.array_equal(got, np.nonzero(_convolved_mean(v, win))[0])
+            assert got.tolist() == list(range(max(0, at - (win - 1) // 2), min(n, at + win // 2 + 1)))
 
 
 class TestRefineToSignal:
@@ -844,16 +895,62 @@ class TestLfHf:
 
 
 def _noise_moments_reference(noise):
-    """Reference: np.std for the spread, a second centred pass for the shape moments."""
+    """Reference: np.std for the spread, a second centred pass for the shape moments.
+
+    The third and fourth powers come from the squares, as ``_noise_moments``
+    takes them.
+    """
     mu = float(np.mean(noise))
     std = float(np.std(noise, ddof=1))
     centered = noise - mu
-    m2 = float(np.mean(centered**2))
+    sq = centered**2
+    m2 = float(np.mean(sq))
     if m2 == 0.0:
         return mu, std, 0.0, 0.0
-    skew = float(np.mean(centered**3)) / m2**1.5
-    kurt = float(np.mean(centered**4)) / m2**2 - 3.0
+    skew = float(np.mean(sq * centered)) / m2**1.5
+    kurt = float(np.mean(sq * sq)) / m2**2 - 3.0
     return mu, std, skew, kurt
+
+
+def _pow_shape_moments(noise):
+    """Skewness and excess kurtosis from ``centered**3`` and ``centered**4``, the formula before the squares."""
+    centered = noise - float(np.mean(noise))
+    m2 = float(np.mean(centered**2))
+    return float(np.mean(centered**3)) / m2**1.5, float(np.mean(centered**4)) / m2**2 - 3.0
+
+
+def _exact_shape_moments(noise):
+    """Skewness and excess kurtosis of the float samples in exact arithmetic, then rounded.
+
+    The central moments are fractions; the kurtosis is one, and the skewness
+    is the signed square root of the fraction ``m3**2 / m2**3``, taken to 60
+    digits.
+    """
+    xs = [Fraction(v) for v in noise.tolist()]
+    mu = sum(xs) / len(xs)
+    centered = [x - mu for x in xs]
+    sq = [c * c for c in centered]
+    m2 = sum(sq) / len(xs)
+    m3 = sum(s * c for s, c in zip(sq, centered)) / len(xs)
+    m4 = sum(s * s for s in sq) / len(xs)
+    skew_sq = m3 * m3 / m2**3
+    with localcontext() as ctx:
+        ctx.prec = 60
+        skew = float((Decimal(skew_sq.numerator) / Decimal(skew_sq.denominator)).sqrt())
+    return math.copysign(skew, m3), float(m4 / (m2 * m2) - 3)
+
+
+def _shape_test_noise(seed):
+    """Windows of skewed, heavy-tailed, coloured and far-from-zero noise, 8 to 3,600 samples."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 4
+    if kind == 0:
+        return rng.normal(0.1, 0.3, int(rng.choice([8, 64, 3600]))) ** 3
+    if kind == 1:
+        return _colored_noise(3600, FS, rng) * 0.3 + 0.01
+    if kind == 2:
+        return rng.exponential(1.0, int(rng.choice([8, 500, 3600]))) * 1e3 + 5e3
+    return rng.standard_t(3, int(rng.choice([9, 64, 3600]))) * 1e-3
 
 
 def _noise_stats(noise):
@@ -877,7 +974,8 @@ class TestNoiseStats:
         noise = np.random.default_rng(n).normal(0.1, 0.3, n) ** 3
         mu = float(np.mean(noise))
         centered = noise - mu
-        m2 = float(np.mean(centered**2))
+        sq = centered**2
+        m2 = float(np.mean(sq))
         psd = welch_psd(noise, FS, min(8192, n))
         try:
             ratio = band_power(psd, 0.04, 0.15) / max(band_power(psd, 0.15, 0.40), 1e-12)
@@ -886,8 +984,8 @@ class TestNoiseStats:
         expected = (
             mu,
             float(np.std(noise, ddof=1)),
-            float(np.mean(centered**3)) / m2**1.5,
-            float(np.mean(centered**4)) / m2**2 - 3.0,
+            float(np.mean(sq * centered)) / m2**1.5,
+            float(np.mean(sq * sq)) / m2**2 - 3.0,
             ratio,
         )
         assert _noise_stats(noise) == expected
@@ -904,6 +1002,16 @@ class TestNoiseStats:
     def test_moments_match_reference_bitwise(self, noise):
         got = np.array(_noise_moments(noise))
         assert got.tobytes() == np.array(_noise_moments_reference(noise)).tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shape_moments_near_exact(self, seed):
+        # both the shared-squares and the ** formula round to within 1e-13 of
+        # the exact moments (measured: under 2e-15), relative to 1 + |value|
+        noise = _shape_test_noise(seed)
+        exact = _exact_shape_moments(noise)
+        for got in (_noise_moments(noise)[2:], _pow_shape_moments(noise)):
+            for g, e in zip(got, exact):
+                assert abs(g - e) <= 1e-13 * (1.0 + abs(e))
 
     def test_hand_computed_skew(self):
         # pattern 0,0,0,1: g1 = +2/sqrt(3)

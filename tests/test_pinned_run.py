@@ -3,7 +3,10 @@
 A refactor that claims to keep behaviour unchanged proves it here. The
 first seven digests were recorded from the pipeline before the per-window
 kernels were batched, the last five before the stages became in-memory
-functions (Python 3.11.7, numpy 2.4.6, scipy 1.17.1). Regenerating them is a
+functions (Python 3.11.7, numpy 2.4.6, scipy 1.17.1). ``features.csv``,
+``labeled.csv``, ``model.json`` and ``shap_beeswarm.csv`` were re-recorded
+when the noise skewness and kurtosis came to be taken from shared squares,
+which moved those two columns in their last bits. Regenerating them is a
 deliberate step, to be stated with its reason in CHANGES.md: a changed
 digest means the pipeline's output changed.
 """
@@ -14,9 +17,9 @@ from stresstwin.cli import EXIT_OK, main
 
 PINNED_SHA256 = {
     "baseline.json": "141d58ec4ecf533f317cf20ea010dee56fc60b0af99f1973541466c8f85c779b",
-    "features.csv": "944254655ce47484f8762b2153b8b9677bb2f6e85f7c59d5a979c96e315fe7a1",
-    "labeled.csv": "24a85180aec6423ece7c59c993cfcd09e89a1375bebdff86aeec6a51074f74d8",
-    "model.json": "ba6dd466b7522e5c5ece5fd747b09f8012d5aed3c7dd313eee007e1af6fe23df",
+    "features.csv": "51f79cef4609a16eb2cb675cbcbd89995870acaebe44e8b2185de605780d3f9b",
+    "labeled.csv": "e8897dc7298816d13b121cc9ee6358e43bb9266ed7ebb58732882a6d521bb802",
+    "model.json": "52a570c8fa86afaabe3d9d7154882c531d4d2cddf55c9c820775e286188ee057",
     "split.json": "33c15e5cba9aa0dc84916c1b058951a014605944a58213361a00c264ec7d6809",
     "report.csv": "5cb76c8a83159a0a5394043bfb927ae80855485031e803990e0c002807936d52",
     "trace.jsonl": "374eb3289ef8102c7590281275363573d57fa2f85befe4d3a6767b5af30b5c62",
@@ -24,7 +27,7 @@ PINNED_SHA256 = {
     "eval_report.json": "6f9811a0fd166d899e70a34aa292bb1511896ce4e0d47a4819349e3b67c609b6",
     "confusion_matrix.csv": "0fa448101af709485ebf086216e4efca70b892ebea5ca77599b4c6fe7309995e",
     "shap_summary.csv": "71a694b3d2b4a81c34530effff3565cff7a9dc37dad40f1731c2b36b7416aeb6",
-    "shap_beeswarm.csv": "31f84cbf21b7ed9e00776c1a4fed159333b837894630df68d836f88de814d3e5",
+    "shap_beeswarm.csv": "7228a0dcf2861e23bffeea264b0d7c8438eaff04dc4afeb165dce6fd3f3f4d4d",
 }
 
 
