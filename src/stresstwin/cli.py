@@ -20,7 +20,7 @@ from pathlib import Path
 from .config import ENV_DATA_DIR, ENV_OUT_DIR, RunConfig, load_config
 from .errors import IoError, StressTwinError
 from .forest import evaluate, load_forest, save_forest
-from .ingest import load_record
+from .ingest import load_header, load_record
 from .pipeline import (
     FEATURE_CSV_COLUMNS,
     LABELED_CSV_COLUMNS,
@@ -276,8 +276,9 @@ def _cmd_report(args, cfg: RunConfig, out: Path) -> None:
 
 
 def _cmd_simulate(args, cfg: RunConfig, out: Path) -> None:
+    # the simulator reads only each record's name, rate and length
     _, noisy_paths = discover_records(cfg.data_dir, cfg.baseline_record)
-    noisy = [load_record(p) for name, p in noisy_paths if not args.records or name in args.records]
+    noisy = [load_header(p) for name, p in noisy_paths if not args.records or name in args.records]
     if args.max_duration_s is not None:
         cfg.sim_max_duration_s = args.max_duration_s
         cfg.validate()

@@ -5,7 +5,10 @@ explanation pass weights conditional expectations by them. Training is a
 pure function of (data, params, seed): bootstrap and feature draws use one
 Generator per tree seeded ``seed + tree_index``, and the dataset is
 canonically sorted by key before any index is drawn. The split scan scores
-every candidate threshold of a node at once, in numpy.
+every candidate threshold of a node at once, in numpy. The trees grow on
+forked workers (``fanout.fork_map``), one per usable core; since each reads
+only the dataset and its own Generator, the forest is still a pure function
+of the seed, whichever worker grows which tree.
 
 Prediction steps one packed node table for the whole forest: every tree's
 nodes concatenated with offsets, each leaf a self-loop (threshold ``+inf``,
@@ -27,6 +30,7 @@ from .errors import (
     EmptyDataset,
     InvalidParam,
 )
+from .fanout import fork_map
 
 CLASSES = (1, 2, 3, 4, 5)
 N_CLASSES = len(CLASSES)
@@ -372,14 +376,14 @@ def train_forest(dataset: Dataset, params: ForestParams | None = None, seed: int
     ds = _canonical_order(dataset)
     y_codes = ds.y - 1
     n = len(ds)
-    trees = []
-    for t in range(params.n_trees):
+
+    def grow(t):
         rng = np.random.default_rng(seed + t)
         boot = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(ds.X, y_codes, rng, params)
-        trees.append(builder.build(np.sort(boot)))
+        return _TreeBuilder(ds.X, y_codes, rng, params).build(np.sort(boot))
+
     return RandomForest(
-        trees=trees,
+        trees=fork_map(grow, range(params.n_trees)),
         n_features=ds.X.shape[1],
         classes=CLASSES,
         seed=seed,

@@ -58,6 +58,7 @@ from .errors import (
     TooFewIntervals,
     ZeroVariance,
 )
+from .fanout import fork_map
 from .stress import relative_deviation
 
 FEATURE_COLUMNS = (
@@ -588,7 +589,7 @@ def _lf_hf_ratio(psd) -> float:
 
 def window_iter(record, window_s: float = 10.0, stride_s: float = 5.0):
     """(start_time_s, sample slice) for each full window; partial tail dropped."""
-    n = record.channel(0).size
+    n = record.n_samples
     win_n = int(round(window_s * record.fs))
     stride_n = int(round(stride_s * record.fs))
     if win_n > n:
@@ -723,13 +724,18 @@ def compute_baseline(
     stride_s: float = 5.0,
     context_s: float = CONTEXT_S,
 ) -> BaselineProfile:
-    """Median absolute features over all valid windows of the clean record."""
+    """Median absolute features over all valid windows of the clean record.
+
+    The windows are analysed on forked workers (``fanout.fork_map``).
+    """
     ch = clean_record.channel(0)
-    rows = []
-    for _, seg in iter_window_segments(clean_record, window_s, stride_s, context_s):
-        values = _segment_absolute_features(ch[seg], clean_record.fs, window_s)
-        if values is not None:
-            rows.append(values)
+
+    def analyse(window):
+        _, seg = window
+        return _segment_absolute_features(ch[seg], clean_record.fs, window_s)
+
+    windows = iter_window_segments(clean_record, window_s, stride_s, context_s)
+    rows = [values for values in fork_map(analyse, windows) if values is not None]
     if not rows:
         raise NoValidWindows(f"record {clean_record.record_name} has no valid windows")
     med = _sorted_row_medians(np.sort(np.asarray(rows).T, axis=1))

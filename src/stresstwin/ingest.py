@@ -56,6 +56,10 @@ class RecordHeader:
     n_samples: int
     signals: tuple
 
+    @property
+    def fs(self) -> float:
+        return self.sampling_rate
+
 
 @dataclass
 class EcgRecord:
@@ -67,8 +71,12 @@ class EcgRecord:
     snr_db: int | None = None
 
     @property
+    def n_samples(self) -> int:
+        return len(self.channels[0])
+
+    @property
     def duration_s(self) -> float:
-        return len(self.channels[0]) / self.fs
+        return self.n_samples / self.fs
 
     def channel(self, idx: int = 0) -> np.ndarray:
         return self.channels[idx]
@@ -233,42 +241,56 @@ def encode_format212(ch0, ch1) -> bytes:
     return frames.tobytes()
 
 
-def load_record(header_path, data_path=None) -> EcgRecord:
-    """Load a WFDB record (.hea + format-212 .dat) and convert to mV."""
+def _read_header(header_path) -> RecordHeader:
     header_path = Path(header_path)
     try:
         header_text = header_path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"{header_path.name}: header is not UTF-8 text") from exc
-    header = parse_header(header_text)
-    if data_path is None:
-        data_path = header_path.parent / header.signals[0].file_name
-    raw = Path(data_path).read_bytes()
+    return parse_header(header_text)
 
+
+def _data_path(header_path, header: RecordHeader) -> Path:
+    return Path(header_path).parent / header.signals[0].file_name
+
+
+def _frames(header: RecordHeader, n_bytes: int) -> int:
+    """Format-212 frames (3 bytes each) that hold every declared sample.
+
+    LengthMismatch when ``n_bytes`` hold fewer frames than that.
+    """
     n = header.n_samples
     if header.n_signals == 2:
-        available = len(raw) // 3
-        if available < n:
+        if n_bytes // 3 < n:
             raise LengthMismatch(
-                f"{header.record_name}: decoded {available} samples per channel, header says {n}"
+                f"{header.record_name}: decoded {n_bytes // 3} samples per channel, header says {n}"
             )
-        adu0, adu1 = decode_format212(raw, n)
-        adu_channels = [adu0, adu1]
-    elif header.n_signals == 1:
+        return n
+    if header.n_signals == 1:
         pairs = (n + 1) // 2
-        if len(raw) // 3 < pairs:
-            raise LengthMismatch(
-                f"{header.record_name}: byte stream too short for {n} samples"
-            )
-        adu0, adu1 = decode_format212(raw, pairs)
+        if n_bytes // 3 < pairs:
+            raise LengthMismatch(f"{header.record_name}: byte stream too short for {n} samples")
+        return pairs
+    raise UnsupportedFormat(
+        f"{header.n_signals}-signal format-212 records are not supported"
+    )
+
+
+def load_record(header_path, data_path=None) -> EcgRecord:
+    """Load a WFDB record (.hea + format-212 .dat) and convert to mV."""
+    header = _read_header(header_path)
+    if data_path is None:
+        data_path = _data_path(header_path, header)
+    raw = Path(data_path).read_bytes()
+    pairs = _frames(header, len(raw))
+    adu0, adu1 = decode_format212(raw, pairs)
+    if header.n_signals == 2:
+        adu_channels = [adu0, adu1]
+    else:
         interleaved = np.empty(2 * pairs, dtype=np.int32)
         interleaved[0::2] = adu0
         interleaved[1::2] = adu1
-        adu_channels = [interleaved[:n]]
-    else:
-        raise UnsupportedFormat(
-            f"{header.n_signals}-signal format-212 records are not supported"
-        )
+        adu_channels = [interleaved[: header.n_samples]]
 
     channels = []
     for spec, adu in zip(header.signals, adu_channels):
@@ -280,3 +302,14 @@ def load_record(header_path, data_path=None) -> EcgRecord:
         record_name=header.record_name,
         snr_db=snr_from_name(header.record_name),
     )
+
+
+def load_header(header_path) -> RecordHeader:
+    """A record's header, after checking from its .dat file's size that every
+    declared sample is there; no sample is read or decoded.
+
+    Raises what ``load_record`` raises for the same header and file length.
+    """
+    header = _read_header(header_path)
+    _frames(header, _data_path(header_path, header).stat().st_size)
+    return header

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InvalidParam
+from .fanout import fork_map
 from .forest import (
     Dataset,
     ForestParams,
@@ -91,45 +92,55 @@ def baseline_from_clean(clean, cfg) -> BaselineProfile:
     return compute_baseline(clean, cfg.window_s, cfg.stride_s, cfg.context_s)
 
 
-def extract_record_rows(noisy, clean, baseline: BaselineProfile, cfg) -> list:
-    """Windowed feature rows (dicts keyed by FEATURE_CSV_COLUMNS) for one record."""
-    rows = []
-    fs = noisy.fs
-    ch_noisy = noisy.channel(0)
-    ch_clean = clean.channel(0)
-    if ch_noisy.size != ch_clean.size or fs != clean.fs:
+def _record_windows(noisy, clean, cfg) -> list:
+    """(noisy, clean, window start, context segment) for each window of one record."""
+    if noisy.channel(0).size != clean.channel(0).size or noisy.fs != clean.fs:
         raise InvalidParam(
             f"record {noisy.record_name} is not aligned with clean {clean.record_name}"
         )
-    for start_s, seg in iter_window_segments(noisy, cfg.window_s, cfg.stride_s, cfg.context_s):
-        feats = extract_window_features(
-            ch_noisy[seg],
-            ch_clean[seg],
-            baseline,
-            fs,
-            window_s=cfg.window_s,
-            window_start=start_s,
-            eps=cfg.eps,
-        )
-        row = {col: getattr(feats, col) for col in FEATURE_COLUMNS}
-        row["window_start"] = start_s
-        row["record_name"] = noisy.record_name
-        row["valid"] = feats.valid
-        rows.append(row)
-    return rows
+    return [
+        (noisy, clean, start_s, seg)
+        for start_s, seg in iter_window_segments(noisy, cfg.window_s, cfg.stride_s, cfg.context_s)
+    ]
+
+
+def _window_row(window, baseline: BaselineProfile, cfg) -> dict:
+    """One feature row (a dict keyed by FEATURE_CSV_COLUMNS)."""
+    noisy, clean, start_s, seg = window
+    feats = extract_window_features(
+        noisy.channel(0)[seg],
+        clean.channel(0)[seg],
+        baseline,
+        noisy.fs,
+        window_s=cfg.window_s,
+        window_start=start_s,
+        eps=cfg.eps,
+    )
+    row = {col: getattr(feats, col) for col in FEATURE_COLUMNS}
+    row["window_start"] = start_s
+    row["record_name"] = noisy.record_name
+    row["valid"] = feats.valid
+    return row
+
+
+def extract_record_rows(noisy, clean, baseline: BaselineProfile, cfg) -> list:
+    """Windowed feature rows of one record, in-process."""
+    return [_window_row(w, baseline, cfg) for w in _record_windows(noisy, clean, cfg)]
 
 
 def feature_rows(noisy_records, clean, baseline: BaselineProfile, cfg) -> list:
-    """Feature rows of every noisy record, against a baseline of ``clean``."""
+    """Feature rows of every noisy record, against a baseline of ``clean``.
+
+    The windows of all the records are analysed together on forked workers
+    (``fanout.fork_map``); the rows come back in record and window order.
+    """
     if baseline.source_record != clean.record_name:
         raise InvalidParam(
             f"baseline was computed from record {baseline.source_record!r}, "
             f"not from the clean record {clean.record_name!r}"
         )
-    rows = []
-    for rec in noisy_records:
-        rows.extend(extract_record_rows(rec, clean, baseline, cfg))
-    return rows
+    windows = [w for rec in noisy_records for w in _record_windows(rec, clean, cfg)]
+    return fork_map(lambda window: _window_row(window, baseline, cfg), windows)
 
 
 def label_rows(rows, baseline: BaselineProfile, eps: float) -> list:
@@ -197,7 +208,11 @@ def window_levels(rows, forest, records) -> dict:
 
 
 def simulate(noisy_records, rows, forest, cfg, scripted=None):
-    """Closed-loop trace; window levels are predicted from the feature rows unless scripted."""
+    """Closed-loop trace; window levels are predicted from the feature rows unless scripted.
+
+    The simulator reads each record's ``record_name``, ``fs`` and
+    ``n_samples`` only, so ``noisy_records`` may be ``RecordHeader``s.
+    """
     sim_cfg = SimulatorConfig(
         window_s=cfg.window_s,
         stride_s=cfg.stride_s,

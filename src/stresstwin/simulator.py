@@ -187,7 +187,7 @@ class _Run:
         cfg = self.config
         offset_ms = 0
         for rec_idx, rec in enumerate(self.records):
-            dur_s = rec.duration_s
+            dur_s = rec.n_samples / rec.fs
             if cfg.max_duration_s is not None:
                 dur_s = min(dur_s, cfg.max_duration_s)
             dur_ms = int(round(dur_s * 1000))

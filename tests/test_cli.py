@@ -250,6 +250,18 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert out.exists()
 
+    def test_simulate_decodes_no_sample(self, synthetic_run, tmp_path, monkeypatch):
+        # the simulator reads each record's name, rate and length from its header
+        def no_decode(*args):
+            raise AssertionError("simulate decoded samples")
+
+        monkeypatch.setattr("stresstwin.ingest.decode_format212", no_decode)
+        for name in ("features.csv", "model.json"):
+            shutil.copy(synthetic_run / name, tmp_path / name)
+        argv = ["simulate", *_synthetic_args(synthetic_run, tmp_path, "--max-duration-s", "120")]
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "trace.jsonl").read_bytes() == (synthetic_run / "trace.jsonl").read_bytes()
+
 
 def _synthetic_args(synthetic_run, out, *extra):
     data_dir = synthetic_run / "synthetic_records"
@@ -283,6 +295,16 @@ class TestLoadErrors:
         shutil.copy(synthetic_run / "model.json", tmp_path / "model.json")
         argv = ["simulate", *_synthetic_args(synthetic_run, tmp_path, "--records", "S00e06")]
         self._fails(argv, capsys, "no feature row for record S00e06 window at 0.0 s")
+
+    def test_simulate_with_truncated_dat(self, synthetic_run, tmp_path, capsys):
+        data_dir = tmp_path / "records"
+        shutil.copytree(synthetic_run / "synthetic_records", data_dir)
+        dat = data_dir / "S00e24.dat"
+        dat.write_bytes(dat.read_bytes()[:-3])
+        argv = ["simulate", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+                "--clean-record", "S00", "--records", "S00e24", "--scripted", "[[0,1]]"]
+        self._fails(argv, capsys, "S00e24: decoded 86399 samples per channel, header says 86400")
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_split_window_without_labeled_row(self, synthetic_run, tmp_path, capsys):
         rows = read_rows_csv(synthetic_run / "labeled.csv")
