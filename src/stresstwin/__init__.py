@@ -26,7 +26,7 @@ from .hrv import (
 from .ingest import EcgRecord, RecordHeader, decode_format212, load_record, parse_header
 from .interventions import ControlCommand, commands_for_level, plan_for_level
 from .shapley import ShapExplanation, brute_force_shap, forest_shap, tree_shap
-from .simulator import SimTrace, SimulatorConfig, export_trace, run_simulation
+from .simulator import SimTrace, export_trace, run_simulation
 from .stress import StressLevel, composite_score, relative_deviation, rule_label, score_to_level
 from .synth import synth_ecg
 
@@ -60,7 +60,6 @@ __all__ = [
     "forest_shap",
     "tree_shap",
     "SimTrace",
-    "SimulatorConfig",
     "export_trace",
     "run_simulation",
     "StressLevel",

@@ -18,7 +18,7 @@ import traceback
 from pathlib import Path
 
 from .config import ENV_DATA_DIR, ENV_OUT_DIR, RunConfig, load_config
-from .errors import IoError, StressTwinError
+from .errors import InvalidParam, IoError, StressTwinError
 from .forest import evaluate, load_forest, save_forest
 from .ingest import load_header, load_record
 from .pipeline import (
@@ -139,6 +139,7 @@ def _config_from_args(args) -> RunConfig:
         "output_dir": getattr(args, "out_dir", None),
         "seed": getattr(args, "seed", None),
         "baseline_record": getattr(args, "clean_record", None),
+        "sim_max_duration_s": getattr(args, "max_duration_s", None),
     }
     return load_config(getattr(args, "config", None), overrides)
 
@@ -278,13 +279,12 @@ def _cmd_report(args, cfg: RunConfig, out: Path) -> None:
 def _cmd_simulate(args, cfg: RunConfig, out: Path) -> None:
     # the simulator reads only each record's name, rate and length
     _, noisy_paths = discover_records(cfg.data_dir, cfg.baseline_record)
+    unknown = sorted(set(args.records or ()) - {name for name, _ in noisy_paths})
+    if unknown:
+        raise InvalidParam(f"--records names no noisy record of {cfg.baseline_record}: {', '.join(unknown)}")
     noisy = [load_header(p) for name, p in noisy_paths if not args.records or name in args.records]
-    if args.max_duration_s is not None:
-        cfg.sim_max_duration_s = args.max_duration_s
-        cfg.validate()
     if args.scripted:
-        scripted = tuple((float(t), int(lvl)) for t, lvl in json.loads(args.scripted))
-        trace = simulate(noisy, None, None, cfg, scripted)
+        trace = simulate(noisy, None, None, cfg, json.loads(args.scripted))
     else:
         rows = read_rows_csv(_artifact(None, out, "features.csv"))
         forest = load_forest(_artifact(args.model, out, "model.json"))

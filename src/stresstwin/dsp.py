@@ -1,16 +1,17 @@
 """Numeric signal kernels: zero-phase bandpass, z-scoring, Welch PSD, band power.
 
 ``bandpass_filter`` runs scipy's second-order-section cascade forward and
-backward over a Butterworth design, on the input reflect-padded by slicing.
-It designs each (band, fs, order) once per process and reuses the cached
-sections; ``design_bandpass_sos`` itself returns a fresh array on every call,
-so no caller can write into the cached one. ``zscore`` takes the mean and
-the sample standard deviation as ``np.mean`` and ``np.std`` do, operation for
-operation, from one centred copy. ``welch_psd`` detrends, windows and
-transforms all of its segments as one array of ``strided_rows``, with the
-window, its scale, the frequency grid and the detrend ramp made once per
-(segment length, rate, window); each call hands out its own copy of the
-frequency grid, so no caller can write into the cached one. ``band_power``
+backward over a Butterworth design of order ``BUTTER_ORDER``, on the input
+reflect-padded by slicing. It designs each (band, fs) once per process and
+reuses the cached sections; ``design_bandpass_sos`` itself returns a fresh
+array on every call, so no caller can write into the cached one. ``zscore``
+takes the mean and the sample standard deviation as ``np.mean`` and
+``np.std`` do, operation for operation, from one centred copy. ``welch_psd``
+cuts half-overlapping segments and linearly detrends, Hann-windows and
+transforms all of them as one array of ``strided_rows``, with the window,
+its scale, the frequency grid and the detrend ramp made once per (segment
+length, rate); each call hands out its own copy of the frequency grid, so no
+caller can write into the cached one. ``band_power``
 integrates the one slice of an ascending grid that a band covers. Every
 result is bit for bit that of the plain numpy calls named in each function.
 """
@@ -26,7 +27,7 @@ from scipy import signal as _scipy_signal
 from .errors import EmptyBand, InvalidBand, SegmentTooLong, SignalTooShort, ZeroVariance
 
 DEFAULT_BAND = (0.5, 45.0)
-DEFAULT_ORDER = 4  # Butterworth design order; bandpass realizes 4 biquads
+BUTTER_ORDER = 4  # Butterworth design order; bandpass realizes 4 biquads
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,11 @@ class PsdEstimate:
     df: float
 
 
-def design_bandpass_sos(low_hz: float, high_hz: float, fs: float, order: int = DEFAULT_ORDER):
+def design_bandpass_sos(low_hz: float, high_hz: float, fs: float):
     """Butterworth bandpass coefficients as second-order sections."""
     if low_hz >= high_hz or high_hz >= fs / 2 or low_hz < 0:
         raise InvalidBand(f"band [{low_hz}, {high_hz}] invalid for fs={fs}")
-    return _scipy_signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
+    return _scipy_signal.butter(BUTTER_ORDER, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
 
 
 # Shared by every bandpass_filter call with the same arguments. Not marked
@@ -48,21 +49,15 @@ def design_bandpass_sos(low_hz: float, high_hz: float, fs: float, order: int = D
 _cached_bandpass_sos = functools.lru_cache(design_bandpass_sos)
 
 
-def bandpass_filter(
-    x,
-    fs: float,
-    low_hz: float = DEFAULT_BAND[0],
-    high_hz: float = DEFAULT_BAND[1],
-    order: int = DEFAULT_ORDER,
-):
+def bandpass_filter(x, fs: float, low_hz: float = DEFAULT_BAND[0], high_hz: float = DEFAULT_BAND[1]):
     """Zero-phase bandpass: reflect-pad, filter forward, then backward.
 
     Output has the input's length; passband gain is ~1 because the
     forward-backward pass squares the magnitude response and cancels phase.
     """
-    sos = _cached_bandpass_sos(low_hz, high_hz, fs, order)
+    sos = _cached_bandpass_sos(low_hz, high_hz, fs)
     x = np.asarray(x, dtype=np.float64)
-    n_poles = 2 * order
+    n_poles = 2 * BUTTER_ORDER
     if x.size <= 6 * n_poles:
         raise SignalTooShort(f"need more than {6 * n_poles} samples, got {x.size}")
     padlen = 3 * n_poles
@@ -100,7 +95,7 @@ def zscore(x):
 
 @dataclass(frozen=True)
 class _SegmentConstants:
-    """What every Welch call with one segment length, rate and window shares."""
+    """What every Welch call with one segment length and rate shares."""
 
     win: np.ndarray
     scale: float  # density normalization: 1 / (fs * sum(win**2))
@@ -112,13 +107,8 @@ class _SegmentConstants:
 # Bounded: the tachogram's segment length follows the beats in each context,
 # so lf_hf alone asks for a few hundred lengths.
 @functools.lru_cache(maxsize=1024)
-def _segment_constants(segment_len: int, fs: float, window_kind: str) -> _SegmentConstants:
-    if window_kind == "hann":
-        win = np.hanning(segment_len)
-    elif window_kind in ("rect", "boxcar"):
-        win = np.ones(segment_len)
-    else:
-        raise InvalidBand(f"unknown window kind {window_kind!r}")
+def _segment_constants(segment_len: int, fs: float) -> _SegmentConstants:
+    win = np.hanning(segment_len)
     t = np.arange(segment_len, dtype=np.float64)
     ramp = t - (segment_len - 1) / 2.0
     freqs = np.fft.rfftfreq(segment_len, d=1.0 / fs)
@@ -138,15 +128,9 @@ def _detrend_linear(segs, ramp, ramp_ss):
     return segs - (mean + slope * ramp)
 
 
-def welch_psd(
-    x,
-    fs: float,
-    segment_len: int,
-    overlap_fraction: float = 0.5,
-    window_kind: str = "hann",
-    detrend: str = "linear",
-) -> PsdEstimate:
-    """One-sided Welch PSD: mean of windowed, detrended segment periodograms.
+def welch_psd(x, fs: float, segment_len: int) -> PsdEstimate:
+    """One-sided Welch PSD: mean of the periodograms of half-overlapping,
+    linearly detrended, Hann-windowed segments.
 
     Density-normalized so that sum(psd) * df approximates the signal variance.
     """
@@ -155,16 +139,9 @@ def welch_psd(
         raise SegmentTooLong(f"segment {segment_len} longer than signal {x.size}")
     if segment_len < 4:
         raise SignalTooShort("segment must hold at least 4 samples")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise InvalidBand(f"overlap fraction {overlap_fraction} outside [0, 1)")
-    const = _segment_constants(segment_len, fs, window_kind)
-
-    step = max(1, segment_len - int(overlap_fraction * segment_len))
-    segs = strided_rows(x, segment_len, step)
-    if detrend == "linear":
-        segs = _detrend_linear(segs, const.ramp, const.ramp_ss)
-    elif detrend == "constant":
-        segs = segs - segs.mean(axis=1)[:, None]
+    const = _segment_constants(segment_len, fs)
+    segs = strided_rows(x, segment_len, segment_len - segment_len // 2)
+    segs = _detrend_linear(segs, const.ramp, const.ramp_ss)
     spec = np.fft.rfft(segs * const.win, axis=1)
     pxx = (spec.real**2 + spec.imag**2) * const.scale
     pxx[:, 1:] *= 2.0

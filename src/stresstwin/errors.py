@@ -107,10 +107,6 @@ class DimensionMismatch(StressTwinError):
     """Feature vector length differs from the model's feature count."""
 
 
-class MissingCover(StressTwinError):
-    """Tree node covers are absent or inconsistent."""
-
-
 class TooManyFeatures(StressTwinError):
     """Exhaustive subset enumeration limited to 15 features."""
 

@@ -87,6 +87,7 @@ class _NodeTable:
     threshold: np.ndarray  # (nodes,) +inf at leaves
     left: np.ndarray  # (nodes,) int64 node index, itself at leaves
     right: np.ndarray
+    cover: np.ndarray  # (nodes,) float64
     value: np.ndarray  # (nodes, 5) hist / cover
     roots: np.ndarray  # (trees,) int64
     depth: int  # steps that bring every root to its leaf
@@ -213,8 +214,10 @@ def _pack(trees, n_features: int) -> _NodeTable:
     """Check that every tree's arrays form one tree and concatenate them.
 
     Raises InvalidParam naming the first bad tree, so a corrupt model never
-    reaches prediction: an index out of range would raise IndexError or wrap
-    round silently, and a zero cover would give NaN probabilities.
+    reaches prediction or explanation: an index out of range would raise
+    IndexError or wrap round silently, a zero cover would give NaN
+    probabilities, and covers that do not partition would skew the
+    attributions' conditional expectations.
     """
     if not trees:
         raise InvalidParam("a forest needs at least one tree")
@@ -253,6 +256,8 @@ def _pack(trees, n_features: int) -> _NodeTable:
     parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=own.size)
     check(parents != (own != offset), "a node is not the child of exactly one split")
     check(~(cover > 0) | ~np.isfinite(cover), "a node's cover is not positive and finite")
+    kids = cover[np.where(split, left, own)] + cover[np.where(split, right, own)]
+    check(split & ~np.isclose(kids, cover), "a split's children's covers do not sum to its own")
     check(~np.all(np.isfinite(hist), axis=1), "a node's class histogram is not finite")
 
     depth = np.zeros(own.size, dtype=np.int64)
@@ -272,7 +277,7 @@ def _pack(trees, n_features: int) -> _NodeTable:
     threshold[leaf] = np.inf
     left[leaf] = own[leaf]
     right[leaf] = own[leaf]
-    return _NodeTable(feature, threshold, left, right, hist / cover[:, None], roots, level - 1)
+    return _NodeTable(feature, threshold, left, right, cover, hist / cover[:, None], roots, level - 1)
 
 
 # --- training ----------------------------------------------------------------

@@ -5,7 +5,10 @@ derivative, squaring, 150 ms moving integration) followed by local-maxima
 selection against a rolling robust threshold, with a second lower-threshold
 pass inside suspiciously long RR gaps. The thresholds are computed once per
 1 s block, from the median and MAD of the five blocks around it, and read
-only at the local maxima. QT is measured with the tangent method and
+only at the local maxima. The detector's settings are the module constants
+``FRONT_BAND``, ``INTEGRATION_S``, ``PROMINENCE_K``, ``REFRACTORY_S`` and
+``GAP_FACTOR``; the tachogram's LF/HF ratio uses ``TACHOGRAM_HZ`` and
+``TACHOGRAM_SEGMENT``. QT is measured with the tangent method and
 rate-corrected with Bazett's formula.
 
 The moving integration is a running sum (``_moving_mean``), as Pan and
@@ -80,12 +83,20 @@ FEATURE_COLUMNS = (
 LF_BAND = (0.04, 0.15)
 HF_BAND = (0.15, 0.40)
 TACHOGRAM_HZ = 4.0
+TACHOGRAM_SEGMENT = 256  # Welch segment (samples) of the tachogram's LF/HF ratio
 RR_ABS_BOUNDS_MS = (300.0, 2000.0)
 RR_RELATIVE_TOL = 0.20
 MIN_WINDOW_RR = 5
 LFHF_MIN_SPAN_S = 30.0
 CONTEXT_S = 60.0  # trailing buffer feeding the LF/HF estimates
 NOISE_SEGMENT = 8192  # Welch segment (samples) of the noise LF/HF ratio
+
+# R-peak detector
+FRONT_BAND = (5.0, 15.0)  # Pan-Tompkins front-end bandpass, Hz
+INTEGRATION_S = 0.150  # moving-integration window
+PROMINENCE_K = 4.0  # threshold: block median plus this many MADs
+REFRACTORY_S = 0.25  # two peaks closer than this are one beat
+GAP_FACTOR = 1.8  # RR gaps this many median RRs long are searched again
 
 
 @dataclass(frozen=True)
@@ -152,15 +163,7 @@ def _invalid_features(window_start: float, noise_moments=None) -> WindowFeatures
 # --- R-peak detection --------------------------------------------------------
 
 
-def detect_r_peaks(
-    x,
-    fs: float,
-    prominence_k: float = 4.0,
-    refractory_s: float = 0.25,
-    integration_s: float = 0.150,
-    front_band=(5.0, 15.0),
-    gap_factor: float = 1.8,
-) -> np.ndarray:
+def detect_r_peaks(x, fs: float) -> np.ndarray:
     """R-peak sample indices in a bandpass-filtered ECG.
 
     May return an empty array; never raises on degenerate input.
@@ -170,7 +173,7 @@ def detect_r_peaks(
         return np.empty(0, dtype=np.int64)
 
     try:
-        front = bandpass_filter(x, fs, front_band[0], front_band[1])
+        front = bandpass_filter(x, fs, *FRONT_BAND)
     except SignalTooShort:
         return np.empty(0, dtype=np.int64)
     # the squared np.diff(front, prepend=front[0]), in one buffer
@@ -178,19 +181,19 @@ def detect_r_peaks(
     sq[0] = front[0] - front[0]
     np.subtract(front[1:], front[:-1], out=sq[1:])
     sq *= sq
-    win = max(3, int(round(integration_s * fs)))
+    win = max(3, int(round(INTEGRATION_S * fs)))
     integ = _moving_mean(sq, win)
 
     block_n = int(fs)
     med, mad = _rolling_block_stats(integ, block_n)
     scale = _percentile(integ, 99)
-    thr = med + np.maximum(prominence_k * mad, 0.10 * scale)
-    thr_low = med + np.maximum(0.5 * prominence_k * mad, 0.05 * scale)
+    thr = med + np.maximum(PROMINENCE_K * mad, 0.10 * scale)
+    thr_low = med + np.maximum(0.5 * PROMINENCE_K * mad, 0.05 * scale)
 
     maxima = _local_maxima(integ)
     height = integ[maxima]
     block = maxima // block_n
-    ref_n = int(round(refractory_s * fs))
+    ref_n = int(round(REFRACTORY_S * fs))
     kept = _select_peaks(integ, maxima[height >= thr[block]], ref_n)
 
     # second pass: hunt for missed beats inside gaps much longer than typical
@@ -198,7 +201,7 @@ def detect_r_peaks(
         low_maxima = maxima[height >= thr_low[block]]
         for _ in range(5):
             med_rr = _median(kept[1:] - kept[:-1])
-            inserted = _fill_gaps(integ, low_maxima, kept, med_rr, gap_factor, ref_n)
+            inserted = _fill_gaps(integ, low_maxima, kept, med_rr, GAP_FACTOR, ref_n)
             if inserted is None:
                 break
             kept = inserted
@@ -534,19 +537,19 @@ def qtc(x, fs: float, r_peaks) -> float:
     return _median(qt_ms[usable] / np.sqrt(rr_s[ok][usable]))
 
 
-def lf_hf(rr: RrSeries, resample_hz: float = TACHOGRAM_HZ, segment_len: int = 256) -> float:
-    """LF/HF power ratio of the tachogram, resampled to a uniform grid."""
+def lf_hf(rr: RrSeries) -> float:
+    """LF/HF power ratio of the tachogram, resampled to a ``TACHOGRAM_HZ`` grid."""
     if len(rr) < 4:
         raise InsufficientData("too few intervals for a spectral estimate")
     if rr.span_s() < LFHF_MIN_SPAN_S:
         raise InsufficientData(f"tachogram spans {rr.span_s():.1f} s, need {LFHF_MIN_SPAN_S}")
     t_end = rr.onsets_s[-1]
-    grid = np.arange(rr.onsets_s[0], t_end, 1.0 / resample_hz)
+    grid = np.arange(rr.onsets_s[0], t_end, 1.0 / TACHOGRAM_HZ)
     if grid.size < 16:
         raise InsufficientData("resampled tachogram too short")
     tach = np.interp(grid, rr.onsets_s, rr.intervals_ms)
     tach = tach - tach.mean()
-    return _lf_hf_ratio(welch_psd(tach, resample_hz, min(segment_len, tach.size)))
+    return _lf_hf_ratio(welch_psd(tach, TACHOGRAM_HZ, min(TACHOGRAM_SEGMENT, tach.size)))
 
 
 def _noise_moments(noise):

@@ -31,7 +31,7 @@ from .hrv import (
 )
 from .ingest import load_record, snr_from_name
 from .shapley import shap_summary
-from .simulator import SimulatorConfig, run_simulation, window_key
+from .simulator import run_simulation, window_key
 from .stress import assess
 
 FEATURE_CSV_COLUMNS = FEATURE_COLUMNS + ("window_start", "record_name", "valid")
@@ -123,11 +123,6 @@ def _window_row(window, baseline: BaselineProfile, cfg) -> dict:
     return row
 
 
-def extract_record_rows(noisy, clean, baseline: BaselineProfile, cfg) -> list:
-    """Windowed feature rows of one record, in-process."""
-    return [_window_row(w, baseline, cfg) for w in _record_windows(noisy, clean, cfg)]
-
-
 def feature_rows(noisy_records, clean, baseline: BaselineProfile, cfg) -> list:
     """Feature rows of every noisy record, against a baseline of ``clean``.
 
@@ -213,18 +208,8 @@ def simulate(noisy_records, rows, forest, cfg, scripted=None):
     The simulator reads each record's ``record_name``, ``fs`` and
     ``n_samples`` only, so ``noisy_records`` may be ``RecordHeader``s.
     """
-    sim_cfg = SimulatorConfig(
-        window_s=cfg.window_s,
-        stride_s=cfg.stride_s,
-        tick_ms=cfg.tick_ms,
-        dwell_windows=cfg.dwell_windows,
-        chunk_s=cfg.chunk_s,
-        scripted_levels=scripted,
-        max_duration_s=cfg.sim_max_duration_s,
-        latency_table=cfg.sim_latency_table,
-    )
     levels = None if scripted is not None else window_levels(rows, forest, noisy_records)
-    return run_simulation(noisy_records, levels, sim_cfg, cfg.seed)
+    return run_simulation(noisy_records, levels, cfg, scripted)
 
 
 def rows_to_dataset(rows) -> Dataset:

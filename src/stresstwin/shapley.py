@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, InvalidParam, MissingCover, TooManyFeatures
-from .forest import CLASSES, N_CLASSES, RandomForest, predict_proba
+from .errors import DimensionMismatch, EmptyDataset, InvalidParam, TooManyFeatures
+from .forest import CLASSES, N_CLASSES, RandomForest, _pack, predict_proba
 
 MAX_BRUTE_FORCE_FEATURES = 15
 
@@ -54,22 +54,6 @@ class ShapExplanation:
         return {c: self.for_class(c) for c in self.classes}
 
 
-def validate_covers(tree) -> None:
-    if tree.cover.size == 0 or np.any(tree.cover <= 0):
-        raise MissingCover("tree has empty or non-positive covers")
-    internal = tree.feature >= 0
-    if np.any(internal):
-        idx = np.nonzero(internal)[0]
-        child_sum = tree.cover[tree.left[idx]] + tree.cover[tree.right[idx]]
-        if not np.allclose(child_sum, tree.cover[idx]):
-            raise MissingCover("child covers do not partition their parents")
-
-
-def _node_values(tree) -> np.ndarray:
-    """Per-node class proportions; equals the cover-weighted leaf expectation."""
-    return tree.hist / tree.cover[:, None]
-
-
 # --- batched path evaluation ----------------------------------------------------
 
 
@@ -84,26 +68,25 @@ class _PathGroup:
     value: np.ndarray  # (paths, n_classes) leaf values divided by the tree count
 
 
-def _path_groups(trees) -> list:
-    """Split every tree into root-to-leaf paths with repeated features merged."""
-    scale = 1.0 / len(trees)
+def _path_groups(table) -> list:
+    """Split every tree of a packed node table (``forest._pack``, checked
+    there) into root-to-leaf paths with repeated features merged."""
+    values = table.value * (1.0 / table.roots.size)
+    feature = table.feature.tolist()
+    threshold = table.threshold.tolist()
+    left = table.left.tolist()
+    right = table.right.tolist()
+    cover = table.cover.tolist()
     by_length: dict = {}
-    for tree in trees:
-        validate_covers(tree)
-        values = _node_values(tree) * scale
-        feature = tree.feature.tolist()
-        threshold = tree.threshold.tolist()
-        left = tree.left.tolist()
-        right = tree.right.tolist()
-        cover = tree.cover.tolist()
-        stack = [(0, {})]
+    for root in table.roots.tolist():
+        stack = [(root, {})]
         while stack:
             node, elements = stack.pop()
-            f = feature[node]
-            if f < 0:
+            if left[node] == node:  # a leaf loops onto itself
                 if elements:
                     by_length.setdefault(len(elements), []).append((elements, values[node]))
                 continue
+            f = feature[node]
             thr = threshold[node]
             lo, hi, zero = elements.get(f, (-math.inf, math.inf, 1.0))
             for child, child_lo, child_hi in (
@@ -167,9 +150,9 @@ def _group_phi(group: _PathGroup, X: np.ndarray, n_features: int) -> np.ndarray:
     return np.matmul(per_path.transpose(0, 2, 1), group.value)
 
 
-def _mean_tree_phi(trees, X: np.ndarray, n_features: int) -> np.ndarray:
-    """Mean over trees of the attributions, shape (samples, n_features, n_classes)."""
-    groups = _path_groups(trees)
+def _mean_tree_phi(table, X: np.ndarray, n_features: int) -> np.ndarray:
+    """Mean over a packed table's trees of the attributions, shape (samples, n_features, n_classes)."""
+    groups = _path_groups(table)
     phi = np.zeros((X.shape[0], n_features, N_CLASSES))
     for start in range(0, X.shape[0], SAMPLE_CHUNK):
         chunk = X[start : start + SAMPLE_CHUNK]
@@ -195,8 +178,9 @@ def tree_shap(tree, x, n_features: int):
     phi0 + phi.sum(axis=0) equals the tree's class probabilities at x.
     """
     x = _point(x, n_features)
-    phi = _mean_tree_phi([tree], x.reshape(1, -1), n_features)[0]
-    return phi, _node_values(tree)[0]
+    table = _pack([tree], n_features)
+    phi = _mean_tree_phi(table, x.reshape(1, -1), n_features)[0]
+    return phi, table.value[0]
 
 
 # --- exhaustive oracle ---------------------------------------------------------
@@ -207,7 +191,7 @@ def _subset_values(tree, x, n_features: int) -> np.ndarray:
     n_masks = 1 << n_features
     masks = np.arange(n_masks, dtype=np.int64)
     v = np.zeros((n_masks, N_CLASSES))
-    values = _node_values(tree)
+    values = tree.hist / tree.cover[:, None]
     stack = [(0, np.ones(n_masks))]
     while stack:
         node, w = stack.pop()
@@ -230,13 +214,15 @@ def brute_force_shap(tree, x, n_features: int):
     """Shapley values by full subset enumeration; oracle for tree_shap.
 
     phi_j = sum over S not containing j of |S|!(d-|S|-1)!/d! * (v(S+j) - v(S)).
+    The tree is checked as a forest's trees are (``forest._pack``), and then
+    walked as it is stored, not through the packed table.
     """
     if n_features > MAX_BRUTE_FORCE_FEATURES:
         raise TooManyFeatures(f"{n_features} features exceeds 2^{MAX_BRUTE_FORCE_FEATURES} enumeration")
     x = np.asarray(x, dtype=np.float64)
     if x.size != n_features:
         raise DimensionMismatch(f"expected {n_features} features, got {x.size}")
-    validate_covers(tree)
+    _pack([tree], n_features)
     d = n_features
     v = _subset_values(tree, x, d)
     masks = np.arange(1 << d, dtype=np.int64)
@@ -260,8 +246,9 @@ def brute_force_shap(tree, x, n_features: int):
 def forest_shap(forest: RandomForest, x) -> ShapExplanation:
     """Mean of per-tree attributions, matching probability averaging."""
     x = _point(x, forest.n_features)
-    phi = _mean_tree_phi(forest.trees, x.reshape(1, -1), forest.n_features)[0]
-    phi0 = sum(_node_values(tree)[0] for tree in forest.trees) / len(forest.trees)
+    table = forest._table
+    phi = _mean_tree_phi(table, x.reshape(1, -1), forest.n_features)[0]
+    phi0 = sum(table.value[root] for root in table.roots) / table.roots.size  # tree by tree
     return ShapExplanation(phi=phi, phi0=phi0)
 
 
@@ -279,7 +266,7 @@ def shap_summary(forest: RandomForest, dataset, feature_names) -> tuple:
     n, d = X.shape
     proba = predict_proba(forest, X)
     pred_levels = np.asarray(CLASSES)[np.argmax(proba, axis=1)]
-    phi = _mean_tree_phi(forest.trees, X, d)
+    phi = _mean_tree_phi(forest._table, X, d)
     beeswarm = []
     for i in range(n):
         cls_idx = int(pred_levels[i]) - 1

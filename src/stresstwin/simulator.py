@@ -1,8 +1,10 @@
 """Deterministic closed-loop simulation: sensor -> edge -> inference -> actuators.
 
 Runs on a virtual millisecond clock driven by a (time, sequence) ordered
-event heap, so a run is a pure function of (records, window levels, config,
-seed). Real time never enters; repeated runs produce byte-identical traces.
+event heap, so a run is a pure function of the records, the window levels
+(or a scripted level schedule) and the ``RunConfig``, whose ``seed`` draws
+the actuator latencies. Real time never enters; repeated runs produce
+byte-identical traces.
 Records play back sequentially on one timeline with windowing state reset at
 record boundaries. Windows follow ``hrv.window_iter``'s sample grid, as the
 features stage does, and each window's level is looked up in a map that the
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig, _is_count, _is_real
 from .errors import ConfigInvalid, InvalidParam, IoError
 from .hrv import window_iter
 from .interventions import (
@@ -54,40 +57,21 @@ class SimTrace:
         return [e for e in self.events if e.kind == kind]
 
 
-@dataclass
-class SimulatorConfig:
-    window_s: float = 10.0
-    stride_s: float = 5.0
-    tick_ms: int = 200
-    dwell_windows: int = 2
-    chunk_s: float = 1.0
-    scripted_levels: tuple | None = None  # ((t_s, level), ...) replaces the window levels
-    max_duration_s: float | None = None
-    latency_table: dict | None = None  # scale -> (lo_ms, hi_ms) override
-
-    def validate(self) -> None:
-        if self.window_s <= 0 or self.stride_s <= 0 or self.tick_ms <= 0:
-            raise ConfigInvalid("window, stride and tick period must be positive")
-        if self.dwell_windows < 1:
-            raise ConfigInvalid("dwell needs at least 1 window")
-        if self.chunk_s <= 0:
-            raise ConfigInvalid("chunk period must be positive")
-        if self.scripted_levels is not None:
-            for t_s, lvl in self.scripted_levels:
-                if lvl not in (1, 2, 3, 4, 5):
-                    raise ConfigInvalid(f"scripted level {lvl} outside 1..5")
-                if t_s < 0:
-                    raise ConfigInvalid("scripted times must be non-negative")
-        if self.latency_table is not None:
-            if set(self.latency_table) != set(LATENCY_RANGE_MS):
-                raise ConfigInvalid("latency table must cover exactly the four scales")
-            for scale, (lo, hi) in self.latency_table.items():
-                if not 0 < lo <= hi:
-                    raise ConfigInvalid(f"bad latency range for {scale}: [{lo}, {hi}]")
-
-    def latency_range_ms(self, scale: str) -> tuple:
-        table = self.latency_table or LATENCY_RANGE_MS
-        return tuple(table[scale])
+def _checked_schedule(scripted) -> tuple:
+    """A scripted schedule as ((t_s, level), ...); ConfigInvalid unless it is a
+    list of [time, level] pairs, each time finite and >= 0, each level an
+    integer from 1 to 5."""
+    if not isinstance(scripted, (list, tuple)):
+        raise ConfigInvalid(f"scripted schedule must be a list of [time, level] pairs, got {scripted!r}")
+    for entry in scripted:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise ConfigInvalid(f"scripted entry {entry!r} is not a [time, level] pair")
+        t_s, level = entry
+        if not _is_real(t_s) or t_s < 0:
+            raise ConfigInvalid(f"scripted time {t_s!r} is not a finite number >= 0")
+        if not _is_count(level) or level not in (1, 2, 3, 4, 5):
+            raise ConfigInvalid(f"scripted level {level!r} is not an integer from 1 to 5")
+    return tuple(sorted((float(t_s), level) for t_s, level in scripted))
 
 
 def window_key(record, start_s: float) -> tuple:
@@ -149,19 +133,21 @@ class _Actuators:
 
 
 class _Run:
-    def __init__(self, noisy_records, levels, config, seed):
-        config.validate()
-        self.config = config
+    def __init__(self, noisy_records, levels, cfg, scripted):
+        cfg.validate()
+        self.cfg = cfg
         self.records = list(noisy_records)
         for rec in self.records:
-            if round(config.chunk_s * rec.fs) < 1:
+            if round(cfg.chunk_s * rec.fs) < 1:
                 raise ConfigInvalid(
-                    f"chunk_s {config.chunk_s} holds no sample of {rec.record_name} at {rec.fs} Hz"
+                    f"chunk_s {cfg.chunk_s} holds no sample of {rec.record_name} at {rec.fs} Hz"
                 )
+        self.scripted = None if scripted is None else _checked_schedule(scripted)
         self.levels = levels
-        if config.scripted_levels is None and levels is None:
+        if self.scripted is None and levels is None:
             raise ConfigInvalid("window levels are required unless levels are scripted")
-        self.rng = np.random.default_rng(seed)
+        self.latency_ms = cfg.sim_latency_table or LATENCY_RANGE_MS
+        self.rng = np.random.default_rng(cfg.seed)
         self.trace = SimTrace()
         self.heap: list = []
         self.seq = 0
@@ -184,12 +170,12 @@ class _Run:
     # -- handlers ----------------------------------------------------------
 
     def run(self) -> SimTrace:
-        cfg = self.config
+        cfg = self.cfg
         offset_ms = 0
         for rec_idx, rec in enumerate(self.records):
             dur_s = rec.n_samples / rec.fs
-            if cfg.max_duration_s is not None:
-                dur_s = min(dur_s, cfg.max_duration_s)
+            if cfg.sim_max_duration_s is not None:
+                dur_s = min(dur_s, cfg.sim_max_duration_s)
             dur_ms = int(round(dur_s * 1000))
             n_chunks = int(dur_s / cfg.chunk_s)
             for k in range(1, n_chunks + 1):
@@ -241,14 +227,14 @@ class _Run:
 
     def _scripted_level(self, t_s: float) -> int:
         level = INITIAL_LEVEL
-        for start_s, lvl in sorted(self.config.scripted_levels):
+        for start_s, lvl in self.scripted:
             if t_s >= start_s:
                 level = lvl
         return level
 
     def _window_level(self, payload: dict):
         """The window's level, or None when the window is invalid."""
-        if self.config.scripted_levels is not None:
+        if self.scripted is not None:
             end_local_s = payload["window_end_local_s"]
             global_t_s = (payload["record_offset_ms"] + end_local_s * 1000.0) / 1000.0
             return self._scripted_level(global_t_s)
@@ -265,7 +251,7 @@ class _Run:
         if level is not None:
             self.window_levels.append(level)
             self.committed = commit_level(
-                self.committed, self.window_levels, self.config.dwell_windows
+                self.committed, self.window_levels, self.cfg.dwell_windows
             )
         payload["level"] = level
         payload["valid"] = level is not None
@@ -277,7 +263,7 @@ class _Run:
         commands = commands_for_level(self.committed, at_ms / 1000.0, self.allocator)
         self.actuators.expect_batch(batch_id, len(commands))
         for cmd in commands:
-            lo, hi = self.config.latency_range_ms(cmd.scale)
+            lo, hi = self.latency_ms[cmd.scale]
             latency_ms = int(self.rng.integers(lo, hi + 1))
             issued = dict(command_to_dict(cmd))
             issued["batch"] = batch_id
@@ -306,19 +292,17 @@ class _Run:
             self.schedule(at_ms, KIND_FEEDBACK, {"actuators": self.actuators.snapshot()})
 
 
-def run_simulation(
-    noisy_records,
-    levels: dict | None,
-    config: SimulatorConfig | None = None,
-    seed: int = 0,
-) -> SimTrace:
+def run_simulation(noisy_records, levels: dict | None, cfg: RunConfig, scripted=None) -> SimTrace:
     """Simulate the closed loop over the given records; see module docstring.
 
-    ``levels`` maps the ``window_key`` of each window to its level (None:
-    invalid window); it may be None when the config scripts the levels.
+    The window geometry, tick period, dwell, chunk period, duration cap,
+    latency table and seed of ``cfg`` drive the run, and ``cfg`` is
+    validated first. ``levels`` maps the ``window_key`` of each window to
+    its level (None: invalid window). ``scripted``, a list of [time_s, level]
+    pairs, replaces the window levels: each window takes the level of the
+    latest pair at or before its end; ``levels`` may then be None.
     """
-    run = _Run(noisy_records, levels, config or SimulatorConfig(), seed)
-    return run.run()
+    return _Run(noisy_records, levels, cfg, scripted).run()
 
 
 def export_trace(trace: SimTrace, path) -> None:

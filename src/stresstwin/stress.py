@@ -13,7 +13,6 @@ from .errors import InvalidLevel, InvalidWindow, NonFiniteInput, OutOfRange
 
 LEVEL_LABELS = {1: "Normal", 2: "Mild", 3: "Moderate", 4: "High", 5: "Extreme"}
 
-SCORE_WEIGHTS = {"rel_sdnn": 0.5, "rel_bpm": 0.3, "rel_qtc": 0.2}
 DEFAULT_EPS = 1e-6
 
 

@@ -31,13 +31,13 @@ from stresstwin.hrv import FEATURE_COLUMNS, compute_baseline, detect_r_peaks
 from stresstwin.ingest import decode_format212, encode_format212, parse_header
 from stresstwin.interventions import LATENCY_RANGE_MS
 from stresstwin.pipeline import (
-    extract_record_rows,
+    feature_rows,
     label_rows,
     load_series,
     rows_to_dataset,
 )
 from stresstwin.shapley import brute_force_shap, forest_shap, shap_summary, tree_shap
-from stresstwin.simulator import SimulatorConfig, export_trace, run_simulation
+from stresstwin.simulator import export_trace, run_simulation
 from stresstwin.stress import composite_score, relative_deviation, rule_label, score_to_level
 from stresstwin.synth import make_synthetic_nst, synth_ecg
 from tests.test_stress import make_features
@@ -67,9 +67,7 @@ def synthetic_dataset(tmp_path_factory):
     cfg = RunConfig(data_dir=str(d), baseline_record="S00")
     clean, noisy = load_series(d, "S00")
     baseline = compute_baseline(clean, cfg.window_s, cfg.stride_s, cfg.context_s)
-    rows = []
-    for rec in noisy:
-        rows.extend(extract_record_rows(rec, clean, baseline, cfg))
+    rows = feature_rows(noisy, clean, baseline, cfg)
     labeled = label_rows(rows, baseline, cfg.eps)
     return rows_to_dataset(labeled)
 
@@ -211,9 +209,9 @@ def test_criterion_08_forest(synthetic_dataset, tmp_path):
 @_criterion(9, "latency bounds, 200 ms tick cadence, trace determinism, 5 s personal response")
 def test_criterion_09_simulator(tmp_path):
     rec = synth_ecg(70, 150.0, seed=5)
-    cfg = SimulatorConfig(scripted_levels=((0.0, 1), (100.0, 4)))
-    trace_a = run_simulation([rec], None, cfg, seed=9)
-    trace_b = run_simulation([rec], None, cfg, seed=9)
+    cfg, scripted = RunConfig(seed=9), ((0.0, 1), (100.0, 4))
+    trace_a = run_simulation([rec], None, cfg, scripted)
+    trace_b = run_simulation([rec], None, cfg, scripted)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     export_trace(trace_a, pa)
     export_trace(trace_b, pb)
@@ -260,9 +258,7 @@ def test_criterion_10_real_series_properties(tmp_path):
     clean, noisy = load_series(data_dir, "118")
     baseline = compute_baseline(clean, cfg.window_s, cfg.stride_s, cfg.context_s)
     assert min(baseline.sdnn, baseline.bpm, baseline.qtc, baseline.lfhf) > 0
-    rows = []
-    for rec in noisy:
-        rows.extend(extract_record_rows(rec, clean, baseline, cfg))
+    rows = feature_rows(noisy, clean, baseline, cfg)
     labeled = label_rows(rows, baseline, cfg.eps)
     dataset = rows_to_dataset(labeled)
     train_ds, test_ds = stratified_split(dataset, 0.7, seed=cfg.seed)

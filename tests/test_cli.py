@@ -8,6 +8,7 @@ import pytest
 
 from stresstwin.cli import EXIT_DATA, EXIT_OK, main
 from stresstwin.forest import load_forest, predict_proba
+from stresstwin.interventions import LATENCY_RANGE_MS
 from stresstwin.synth import synth_ecg, write_wfdb212
 from stresstwin.pipeline import (
     FEATURE_COLUMNS,
@@ -19,6 +20,12 @@ from stresstwin.pipeline import (
 )
 from tests.test_forest import MODEL_FAULTS, _corrupt, predict_proba_reference
 from tests.test_pinned_run import PINNED_SHA256
+
+
+def _latency_config(**scales) -> str:
+    """A config whose sim_latency_table is the default one with ``scales`` replaced (None: dropped)."""
+    table = {**LATENCY_RANGE_MS, **scales}
+    return json.dumps({"sim_latency_table": {k: v for k, v in table.items() if v is not None}})
 
 
 @pytest.fixture(scope="session")
@@ -155,9 +162,15 @@ class TestExitCodes:
             ('{"context_s": 5}', "context_s"),
             ('{"max_depth": -1}', "max_depth"),
             ('{"sim_max_duration_s": -5}', "sim_max_duration_s"),
+            (_latency_config(Room=["a", "b"]), "sim_latency_table"),
+            (_latency_config(Room=5), "sim_latency_table"),
+            (_latency_config(Landscape=None), "sim_latency_table"),
+            (_latency_config(Room=[1.5, 2.5]), "sim_latency_table"),
+            (_latency_config(Room=[True, 2]), "sim_latency_table"),
         ],
         ids=["string_number", "fractional_count", "nan", "context_shorter_than_window",
-             "negative_depth", "negative_duration"],
+             "negative_depth", "negative_duration", "latency_strings", "latency_not_a_pair",
+             "latency_missing_scale", "latency_fractions", "latency_bool"],
     )
     def test_bad_config_is_config_invalid(self, tmp_path, capsys, payload, field):
         config = tmp_path / "config.json"
@@ -176,6 +189,30 @@ class TestExitCodes:
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.startswith("error: sim_max_duration_s ")
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        ("extra", "message"),
+        [
+            (("--scripted", '"x"'), "scripted schedule "),
+            (("--scripted", '{"0": 1}'), "scripted schedule "),
+            (("--scripted", "[[0]]"), "scripted entry "),
+            (("--scripted", '[["a", 2]]'), "scripted time "),
+            (("--scripted", "[[NaN, 2]]"), "scripted time "),
+            (("--scripted", "[[Infinity, 2]]"), "scripted time "),
+            (("--scripted", "[[0, 1.5]]"), "scripted level "),
+            (("--scripted", "[[0, 1]]", "--records", "S00e99"), "--records "),
+            (("--scripted", "[[0, 1]]", "--records", "S00e06", "nope"), "--records "),
+        ],
+        ids=["scripted_string", "scripted_object", "scripted_no_level", "scripted_string_time",
+             "scripted_nan_time", "scripted_infinite_time", "scripted_fractional_level",
+             "unknown_record", "one_unknown_record"],
+    )
+    def test_bad_simulate_input_is_data_error(self, synthetic_run, tmp_path, capsys, extra, message):
+        argv = ["simulate", *_synthetic_args(synthetic_run, tmp_path, *extra)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith(f"error: {message}")
         assert not (tmp_path / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("chunk_s", [1e-9, 0.001])

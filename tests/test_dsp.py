@@ -165,24 +165,21 @@ class TestWelch:
         assert np.allclose(a, b, atol=1e-6)
 
 
-def _welch_loop(x, fs, segment_len, overlap_fraction=0.5, detrend="linear"):
-    """Reference: one Hann-windowed periodogram per segment, summed in order."""
+def _welch_loop(x, fs, segment_len):
+    """Reference: one detrended, Hann-windowed periodogram per half-overlapping segment, summed in order."""
     win = np.hanning(segment_len)
-    step = max(1, segment_len - int(overlap_fraction * segment_len))
+    step = max(1, segment_len - int(0.5 * segment_len))
     scale = 1.0 / (fs * np.sum(win**2))
     acc = np.zeros(segment_len // 2 + 1)
     count = 0
     for start in range(0, x.size - segment_len + 1, step):
         seg = x[start : start + segment_len]
-        if detrend == "linear":
-            n = seg.size
-            t = np.arange(n, dtype=np.float64)
-            t_mean = (n - 1) / 2.0
-            denom = np.sum((t - t_mean) ** 2)
-            slope = np.sum((t - t_mean) * (seg - seg.mean())) / denom
-            seg = seg - (seg.mean() + slope * (t - t_mean))
-        elif detrend == "constant":
-            seg = seg - seg.mean()
+        n = seg.size
+        t = np.arange(n, dtype=np.float64)
+        t_mean = (n - 1) / 2.0
+        denom = np.sum((t - t_mean) ** 2)
+        slope = np.sum((t - t_mean) * (seg - seg.mean())) / denom
+        seg = seg - (seg.mean() + slope * (t - t_mean))
         spec = np.fft.rfft(seg * win)
         pxx = (spec.real**2 + spec.imag**2) * scale
         pxx[1:] *= 2.0
@@ -197,22 +194,20 @@ class TestWelchMatchesSegmentLoop:
     """The batched segments give the per-segment loop's bits, not just its values."""
 
     @pytest.mark.parametrize(
-        "size, segment_len, overlap",
+        "size, segment_len",
         [
-            (3600, 3600, 0.5),  # one segment spanning the signal
-            (5000, 1001, 0.5),  # odd segment: no unmirrored Nyquist bin
-            (21600, 8192, 0.5),  # noise LF/HF over a 60 s context
-            (4000, 256, 0.0),
-            (4000, 256, 0.75),
-            (300, 4, 0.75),  # step of one sample
+            (3600, 3600),  # one segment spanning the signal
+            (5000, 1001),  # odd segment: no unmirrored Nyquist bin
+            (21600, 8192),  # noise LF/HF over a 60 s context
+            (4000, 256),  # tachogram LF/HF segment
+            (300, 4),  # shortest segment: a step of two samples
         ],
     )
-    @pytest.mark.parametrize("detrend", ["linear", "constant", "none"])
-    def test_bitwise(self, size, segment_len, overlap, detrend):
+    def test_bitwise(self, size, segment_len):
         rng = np.random.default_rng(size + segment_len)
         x = rng.normal(0, 1, size) + np.linspace(0, 3, size)
-        got = welch_psd(x, FS, segment_len, overlap_fraction=overlap, detrend=detrend).psd
-        assert np.array_equal(got, _welch_loop(x, FS, segment_len, overlap, detrend))
+        got = welch_psd(x, FS, segment_len).psd
+        assert np.array_equal(got, _welch_loop(x, FS, segment_len))
 
 
 class TestWelchCache:

@@ -500,6 +500,8 @@ def _corrupt(tree: dict, fault: str) -> None:
         tree["hist"] = [row[:4] for row in tree["hist"]]
     elif fault == "leaf_cover_zero":
         tree["cover"][leaf] = 0.0
+    elif fault == "covers_do_not_partition":
+        tree["cover"][0] += 1.0
     elif fault == "max_depth_too_small":
         tree["max_depth"] -= 1
     elif fault == "max_depth_too_large":
@@ -517,6 +519,7 @@ MODEL_FAULTS = (
     "lengths_disagree",
     "hist_not_five_classes",
     "leaf_cover_zero",
+    "covers_do_not_partition",
     "max_depth_too_small",
     "max_depth_too_large",
 )

@@ -12,7 +12,7 @@ from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
     baseline_from_json,
     baseline_to_json,
-    extract_record_rows,
+    feature_rows,
     label_rows,
     read_rows_csv,
     rows_to_dataset,
@@ -44,10 +44,10 @@ def baseline():
 class TestExtractRecordRows:
     @pytest.mark.parametrize(("n", "fs"), [(7200, 360.0), (10800, 250.0)], ids=["length", "rate"])
     def test_misaligned_pair_rejected(self, baseline, n, fs):
-        clean = EcgRecord(channels=[np.zeros(10800)], fs=360.0, record_name="c")
-        noisy = EcgRecord(channels=[np.zeros(n)], fs=fs, record_name="ce06")
+        clean = EcgRecord(channels=[np.zeros(10800)], fs=360.0, record_name="t")
+        noisy = EcgRecord(channels=[np.zeros(n)], fs=fs, record_name="te06")
         with pytest.raises(InvalidParam, match="not aligned"):
-            extract_record_rows(noisy, clean, baseline, RunConfig())
+            feature_rows([noisy], clean, baseline, RunConfig())
 
 
 class TestLabeling:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stresstwin.errors import EmptyDataset, InvalidParam, MissingCover, TooManyFeatures
+from stresstwin.errors import EmptyDataset, InvalidParam, TooManyFeatures
 from stresstwin.forest import (
     Dataset,
     DecisionTree,
@@ -131,7 +131,7 @@ class TestTreeShap:
     def test_missing_cover_rejected(self):
         tree = depth1_tree()
         tree.cover[0] = 99.0  # break the partition
-        with pytest.raises(MissingCover):
+        with pytest.raises(InvalidParam, match="covers do not sum"):
             tree_shap(tree, np.zeros(4), 4)
 
     def test_symmetry_under_feature_swap(self):

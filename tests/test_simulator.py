@@ -8,7 +8,6 @@ from stresstwin.hrv import compute_baseline
 from stresstwin.interventions import LATENCY_RANGE_MS, plan_for_level
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
-    extract_record_rows,
     feature_rows,
     label_rows,
     read_rows_csv,
@@ -19,19 +18,19 @@ from stresstwin.pipeline import (
 )
 from stresstwin.config import RunConfig
 from stresstwin.simulator import (
-    SimulatorConfig,
     commit_level,
     export_trace,
     run_simulation,
 )
 from stresstwin.synth import synth_ecg, synth_ecg_profile
 
+SCRIPT = ((0.0, 1), (100.0, 4))
+
 
 @pytest.fixture(scope="module")
 def scripted_trace():
     rec = synth_ecg(70, 150.0, seed=5)
-    cfg = SimulatorConfig(scripted_levels=((0.0, 1), (100.0, 4)))
-    return run_simulation([rec], None, cfg, seed=9)
+    return run_simulation([rec], None, RunConfig(seed=9), SCRIPT)
 
 
 def dwell_fold(levels, dwell_windows=2):
@@ -67,8 +66,7 @@ class TestDwellFilter:
 class TestScriptedRun:
     def test_trace_determinism_bytes(self, tmp_path, scripted_trace):
         rec = synth_ecg(70, 150.0, seed=5)
-        cfg = SimulatorConfig(scripted_levels=((0.0, 1), (100.0, 4)))
-        again = run_simulation([rec], None, cfg, seed=9)
+        again = run_simulation([rec], None, RunConfig(seed=9), SCRIPT)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         export_trace(scripted_trace, p1)
         export_trace(again, p2)
@@ -156,17 +154,19 @@ class TestExportTrace:
 
 class TestConfigValidation:
     def test_bad_tick(self):
-        with pytest.raises(ConfigInvalid):
-            SimulatorConfig(tick_ms=0).validate()
+        rec = synth_ecg(70, 30.0)
+        with pytest.raises(ConfigInvalid, match="^tick_ms "):
+            run_simulation([rec], None, RunConfig(tick_ms=0), SCRIPT)
 
     def test_bad_scripted_level(self):
+        rec = synth_ecg(70, 30.0)
         with pytest.raises(ConfigInvalid):
-            SimulatorConfig(scripted_levels=((0.0, 9),)).validate()
+            run_simulation([rec], None, RunConfig(), ((0.0, 9),))
 
     def test_model_required_without_script(self):
         rec = synth_ecg(70, 30.0)
         with pytest.raises(ConfigInvalid):
-            run_simulation([rec], None, SimulatorConfig(), seed=0)
+            run_simulation([rec], None, RunConfig())
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ def steady_model():
     clean = synth_ecg_profile([(90.0, 70.0, 58.0, 378.0)], seed=21, record_name="C0")
     baseline = compute_baseline(clean)
     cfg = RunConfig()
-    rows = extract_record_rows(clean, clean, baseline, cfg)
+    rows = feature_rows([clean], clean, baseline, cfg)
     # force a second class so training is non-degenerate
     ds = rows_to_dataset(label_rows(rows, baseline, cfg.eps))
     y = ds.y.copy()
@@ -189,8 +189,8 @@ class TestModelDrivenRun:
         # a clean low-variability record classifies level 1 throughout:
         # only the startup batch is ever issued
         clean, _, rows, forest = steady_model
-        sim_cfg = SimulatorConfig(max_duration_s=60.0)
-        trace = run_simulation([clean], window_levels(rows, forest, [clean]), sim_cfg, seed=3)
+        cfg = RunConfig(sim_max_duration_s=60.0, seed=3)
+        trace = run_simulation([clean], window_levels(rows, forest, [clean]), cfg)
         issued = trace.of_kind("CommandIssued")
         assert issued
         assert {e.payload["stress_level"] for e in issued} == {1}
@@ -222,4 +222,4 @@ class TestModelDrivenRun:
         levels = window_levels(rows, forest, [clean])
         del levels[("C0", 9000)]
         with pytest.raises(InvalidParam, match=r"record C0 window at 25\.0 s"):
-            run_simulation([clean], levels, SimulatorConfig(), seed=3)
+            run_simulation([clean], levels, RunConfig(seed=3))
