@@ -610,8 +610,11 @@ def _segment_absolute_features(segment, fs: float, window_s: float):
     (adaptive peak threshold, tangent QT, RR statistics) is amplitude-scale
     invariant, so standardization only evens out per-record gain. Returns
     (sdnn, bpm, qtc, lfhf) or None when the window cannot produce valid
-    features (too few beats, unmeasurable QT, under-spanned LF/HF).
+    features (an invalid sample, which ingest makes NaN, anywhere in the
+    segment, too few beats, unmeasurable QT, under-spanned LF/HF).
     """
+    if np.isnan(segment).any():
+        return None
     try:
         filt = zscore(bandpass_filter(segment, fs))
     except (SignalTooShort, ZeroVariance):
@@ -668,7 +671,8 @@ def extract_window_features(
     clean-baseline profile, and the noise descriptors come from the
     noisy-minus-clean residual: its mean, standard deviation, skewness and
     kurtosis over the analysis window, its LF/HF ratio over the whole
-    segment (window plus context).
+    segment (window plus context). A window whose noisy or clean segment
+    holds an invalid (NaN) sample is invalid, with every column NaN.
     """
     noisy_segment = np.asarray(noisy_segment, dtype=np.float64)
     clean_segment = np.asarray(clean_segment, dtype=np.float64)
@@ -677,6 +681,8 @@ def extract_window_features(
 
     win_n = int(round(window_s * fs))
     noise_full = noisy_segment - clean_segment
+    if np.isnan(noise_full).any():
+        return _invalid_features(window_start)
     noise_win = noise_full[-win_n:]
     n_mean, n_std, n_skew, n_kurt = _noise_moments(noise_win)
     n_lfhf = _noise_lfhf(noise_full, fs, NOISE_SEGMENT)

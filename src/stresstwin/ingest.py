@@ -33,6 +33,8 @@ SNR_SUFFIX_DB = {
 }
 _SUFFIXES_BY_LENGTH = sorted(SNR_SUFFIX_DB, key=len, reverse=True)
 
+INVALID_ADU = -2048  # format 212's "invalid sample" code (WFDB signal(5))
+
 _FORMAT_RE = re.compile(r"^(\d+)")
 _GAIN_RE = re.compile(r"^([-+0-9.eE]+)(?:\(([-+0-9]+)\))?(?:/(\S+))?$")
 
@@ -277,7 +279,10 @@ def _frames(header: RecordHeader, n_bytes: int) -> int:
 
 
 def load_record(header_path, data_path=None) -> EcgRecord:
-    """Load a WFDB record (.hea + format-212 .dat) and convert to mV."""
+    """Load a WFDB record (.hea + format-212 .dat) and convert to mV.
+
+    A sample holding the invalid-sample code ``INVALID_ADU`` becomes NaN.
+    """
     header = _read_header(header_path)
     if data_path is None:
         data_path = _data_path(header_path, header)
@@ -295,6 +300,7 @@ def load_record(header_path, data_path=None) -> EcgRecord:
     channels = []
     for spec, adu in zip(header.signals, adu_channels):
         mv = (adu.astype(np.float64) - spec.baseline_adu) / spec.gain
+        mv[adu == INVALID_ADU] = np.nan
         channels.append(mv)
     return EcgRecord(
         channels=channels,

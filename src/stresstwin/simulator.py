@@ -1,19 +1,36 @@
 """Deterministic closed-loop simulation: sensor -> edge -> inference -> actuators.
 
-Runs on a virtual millisecond clock driven by a (time, sequence) ordered
-event heap, so a run is a pure function of the records, the window levels
-(or a scripted level schedule) and the ``RunConfig``, whose ``seed`` draws
-the actuator latencies. Real time never enters; repeated runs produce
+Runs on a virtual millisecond clock that plays events in (time, sequence)
+order, so a run is a pure function of the records, the window levels (or a
+scripted level schedule) and the ``RunConfig``, whose ``seed`` draws the
+actuator latencies. Real time never enters; repeated runs produce
 byte-identical traces.
 Records play back sequentially on one timeline with windowing state reset at
 record boundaries. Windows follow ``hrv.window_iter``'s sample grid, as the
 features stage does, and each window's level is looked up in a map that the
 caller builds from the feature rows.
+
+Sequence numbers are taken in order of scheduling: first the sensor chunks
+and windows of every record, then one contiguous block for the strategy
+ticks (one per ``tick_ms`` from 0 to the end of the timeline), then every
+event that the play-out itself schedules. The ticks never enter the event
+heap: tick ``i`` carries sequence number ``block start + i`` and plays
+whenever its ``(at_ms, seq)`` sorts before the heap's top. A tick that
+shares a millisecond with a chunk or window thus plays after it, and before
+every event that the play-out schedules for that millisecond (inferences,
+commands, actuator and feedback events).
+
+``export_trace`` writes one line per event, the canonical JSON form
+``json.dumps(event, ensure_ascii=True, sort_keys=True, separators=(",", ":"))``
+of the object with keys ``at_ms``, ``seq``, ``kind`` and ``payload``:
+``{"at_ms":<int>,"kind":<string>,"payload":<object>,"seq":<int>}``.
 """
 
 import heapq
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +55,9 @@ KIND_FEEDBACK = "Feedback"
 INITIAL_LEVEL = 1  # committed before the first window, commanded at t = 0
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One trace event; as a tuple it sorts by (at_ms, seq) on the event heap."""
+
     at_ms: int
     seq: int
     kind: str
@@ -161,11 +179,8 @@ class _Run:
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, at_ms: int, kind: str, payload: dict) -> None:
-        heapq.heappush(self.heap, (int(at_ms), self.seq, kind, payload))
+        heapq.heappush(self.heap, SimEvent._make((at_ms, self.seq, kind, payload)))
         self.seq += 1
-
-    def log(self, at_ms: int, seq: int, kind: str, payload: dict) -> None:
-        self.trace.events.append(SimEvent(at_ms=at_ms, seq=seq, kind=kind, payload=payload))
 
     # -- handlers ----------------------------------------------------------
 
@@ -177,17 +192,15 @@ class _Run:
             if cfg.sim_max_duration_s is not None:
                 dur_s = min(dur_s, cfg.sim_max_duration_s)
             dur_ms = int(round(dur_s * 1000))
-            n_chunks = int(dur_s / cfg.chunk_s)
+            # chunk k ends at k * chunk_s, kept with the window loop's tolerance
+            n_chunks = int((dur_s + 1e-9) / cfg.chunk_s)
+            chunk_n = int(round(cfg.chunk_s * rec.fs))
             for k in range(1, n_chunks + 1):
-                at = offset_ms + int(round(k * cfg.chunk_s * 1000))
+                t_local_s = k * cfg.chunk_s
                 self.schedule(
-                    at,
+                    offset_ms + int(round(t_local_s * 1000)),
                     KIND_SENSOR,
-                    {
-                        "record": rec.record_name,
-                        "t_local_s": k * cfg.chunk_s,
-                        "n_samples": int(round(cfg.chunk_s * rec.fs)),
-                    },
+                    {"record": rec.record_name, "t_local_s": t_local_s, "n_samples": chunk_n},
                 )
             for start_s, window in window_iter(rec, cfg.window_s, cfg.stride_s):
                 end_s = window.stop / rec.fs
@@ -206,24 +219,36 @@ class _Run:
                 )
             offset_ms += dur_ms
 
-        for at in range(0, offset_ms + 1, cfg.tick_ms):
-            self.schedule(at, KIND_TICK, {})
-
-        while self.heap:
-            at_ms, seq, kind, payload = heapq.heappop(self.heap)
-            if kind == KIND_WINDOW:
-                self.schedule(at_ms, KIND_INFER, dict(payload))
-            elif kind == KIND_INFER:
-                self._on_infer(at_ms, payload)
-            elif kind == KIND_TICK:
-                payload["committed"] = self.committed
-                payload["issued"] = self.committed != self.last_commanded
-            self.log(at_ms, seq, kind, payload)
-            if kind == KIND_TICK and payload["issued"]:
+        # the ticks take the next block of sequence numbers and play from a
+        # range, merged with the heap by (at_ms, seq); see the module docstring
+        ticks = range(0, offset_ms + 1, cfg.tick_ms)
+        tick_seq = self.seq
+        self.seq += len(ticks)
+        heap = self.heap
+        pop = heapq.heappop
+        log = self.trace.events.append
+        make = SimEvent._make  # a plain tuple.__new__, without SimEvent()'s Python frame
+        for seq, at_ms in enumerate(ticks, tick_seq):
+            while heap and heap[0] < (at_ms, seq):
+                self._play(pop(heap))
+            issued = self.committed != self.last_commanded
+            log(make((at_ms, seq, KIND_TICK, {"committed": self.committed, "issued": issued})))
+            if issued:
                 self._issue_batch(at_ms)
-            elif kind == KIND_APPLIED:
-                self._on_applied(at_ms, payload)
+        while heap:
+            self._play(pop(heap))
         return self.trace
+
+    def _play(self, event: SimEvent) -> None:
+        """Handle and log one event from the heap."""
+        at_ms, _, kind, payload = event
+        if kind == KIND_WINDOW:
+            self.schedule(at_ms, KIND_INFER, dict(payload))
+        elif kind == KIND_INFER:
+            self._on_infer(at_ms, payload)
+        self.trace.events.append(event)
+        if kind == KIND_APPLIED:
+            self._on_applied(at_ms, payload)
 
     def _scripted_level(self, t_s: float) -> int:
         level = INITIAL_LEVEL
@@ -305,19 +330,38 @@ def run_simulation(noisy_records, levels: dict | None, cfg: RunConfig, scripted=
     return _Run(noisy_records, levels, cfg, scripted).run()
 
 
+_EXPORT_BATCH = 4096  # events per write
+
+
 def export_trace(trace: SimTrace, path) -> None:
-    """One canonical JSON object per event, ordered by (time, sequence)."""
+    """One canonical JSON line per event, in trace order; see module docstring."""
+    # json.dumps builds an encoder per call; one C encoder (the one json.dumps
+    # itself runs underneath) with the same settings, made once, writes the
+    # same bytes
+    canonical = json.JSONEncoder(ensure_ascii=True, sort_keys=True, separators=(",", ":"))
+    encode = c_make_encoder(
+        {},
+        canonical.default,
+        encode_basestring_ascii,
+        None,
+        canonical.key_separator,
+        canonical.item_separator,
+        canonical.sort_keys,
+        canonical.skipkeys,
+        canonical.allow_nan,
+    )
+    events = trace.events
     try:
         with open(path, "w") as fh:
-            for ev in trace.events:
+            for start in range(0, len(events), _EXPORT_BATCH):
                 fh.write(
-                    json.dumps(
-                        {"at_ms": ev.at_ms, "seq": ev.seq, "kind": ev.kind, "payload": ev.payload},
-                        ensure_ascii=True,
-                        sort_keys=True,
-                        separators=(",", ":"),
+                    "".join(
+                        [
+                            f'{{"at_ms":{at_ms},"kind":{encode_basestring_ascii(kind)},'
+                            f'"payload":{"".join(encode(payload, 0))},"seq":{seq}}}\n'
+                            for at_ms, seq, kind, payload in events[start : start + _EXPORT_BATCH]
+                        ]
                     )
                 )
-                fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write trace to {path}: {exc}") from exc

@@ -10,7 +10,7 @@ exactly c + 2*sigma, which is how ``qt_ms`` is honoured.
 import numpy as np
 
 from .errors import InvalidParam
-from .ingest import EcgRecord, encode_format212, snr_from_name
+from .ingest import INVALID_ADU, EcgRecord, encode_format212, snr_from_name
 
 # beat geometry relative to the beat onset (seconds)
 _Q_CENTER, _Q_SIGMA, _Q_AMP = 0.010, 0.008, -0.15
@@ -137,7 +137,8 @@ def write_wfdb212(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ch0, ch1 = channels_mv
-    adu = [np.clip(np.round(ch * gain + baseline_adu), -2048, 2047).astype(np.int64) for ch in (ch0, ch1)]
+    # the lowest 12-bit value is format 212's invalid-sample code, never written
+    adu = [np.clip(np.round(ch * gain + baseline_adu), INVALID_ADU + 1, 2047).astype(np.int64) for ch in (ch0, ch1)]
     data = encode_format212(adu[0], adu[1])
     (out_dir / f"{record_name}.dat").write_bytes(data)
     n = len(ch0)

@@ -8,6 +8,8 @@ import pytest
 
 from stresstwin.cli import EXIT_DATA, EXIT_OK, main
 from stresstwin.forest import load_forest, predict_proba
+from stresstwin.hrv import iter_window_segments
+from stresstwin.ingest import decode_format212, encode_format212, load_record
 from stresstwin.interventions import LATENCY_RANGE_MS
 from stresstwin.synth import synth_ecg, write_wfdb212
 from stresstwin.pipeline import (
@@ -316,6 +318,50 @@ class TestSubcommandChain:
             assert main(argv) == EXIT_OK, step
         got = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in PINNED_SHA256}
         assert sorted(n for n in PINNED_SHA256 if got[n] != PINNED_SHA256[n]) == []
+
+
+class TestInvalidSamples:
+    def test_run_marks_windows_over_invalid_samples(self, synthetic_run, tmp_path, capsys):
+        # S00e24 holds the invalid-sample code from 100 s to 101 s in both channels
+        data_dir = tmp_path / "records"
+        data_dir.mkdir()
+        for name in ("S00", "S00e06", "S00e24"):
+            for ext in ("hea", "dat"):
+                shutil.copy(synthetic_run / "synthetic_records" / f"{name}.{ext}", data_dir)
+        record = load_record(data_dir / "S00e24.hea")
+        lo, hi = int(100 * record.fs), int(101 * record.fs)
+        dat = data_dir / "S00e24.dat"
+        c0, c1 = decode_format212(dat.read_bytes(), record.n_samples)
+        c0[lo:hi] = c1[lo:hi] = -2048
+        dat.write_bytes(encode_format212(c0, c1))
+
+        out = tmp_path / "out"
+        argv = ["run", "--data-dir", str(data_dir), "--out-dir", str(out), "--clean-record", "S00"]
+        assert main(argv) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+
+        hit = {
+            start_s
+            for start_s, seg in iter_window_segments(record)
+            if seg.start < hi and seg.stop > lo
+        }
+        assert hit
+
+        def rows_and_lines(path):
+            rows = read_rows_csv(path)
+            lines = path.read_text().splitlines()[1:]
+            return [(r, line) for r, line in zip(rows, lines) if r["record_name"] in ("S00e06", "S00e24")]
+
+        before = rows_and_lines(synthetic_run / "features.csv")
+        after = rows_and_lines(out / "features.csv")
+        assert len(after) == len(before) == 2 * len(iter_window_segments(record))
+        for (old, old_line), (new, new_line) in zip(before, after):
+            assert (new["record_name"], new["window_start"]) == (old["record_name"], old["window_start"])
+            if new["record_name"] == "S00e24" and new["window_start"] in hit:
+                assert new["valid"] is False
+                assert all(np.isnan(new[c]) for c in FEATURE_COLUMNS)
+            else:
+                assert new_line == old_line
 
 
 class TestLoadErrors:

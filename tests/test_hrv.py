@@ -30,6 +30,7 @@ from stresstwin.hrv import (
     _percentile,
     _refine_to_signal,
     _rolling_block_stats,
+    _segment_absolute_features,
     _select_peaks,
     _sorted_prefix_medians,
     _sorted_row_mads,
@@ -1088,6 +1089,21 @@ class TestExtractWindowFeatures:
         assert not feats.valid
         assert np.isfinite(feats.noise_std)
 
+    @pytest.mark.parametrize("side", ["noisy", "clean"])
+    def test_invalid_sample_in_context_invalidates_window(self, side):
+        # one NaN (an invalid sample after ingest) in the first second of the
+        # 60 s context, 50 s before the analysis window
+        rec = synth_ecg(72, 90.0, qt_ms=380.0, noise_std=0.01, seed=2)
+        baseline = compute_baseline(rec)
+        noisy_seg, start_s = self._segments(rec)
+        segments = {"noisy": noisy_seg.copy(), "clean": np.zeros_like(noisy_seg)}
+        assert extract_window_features(*segments.values(), baseline, FS, window_start=start_s).valid
+        segments[side][100] = np.nan
+        feats = extract_window_features(*segments.values(), baseline, FS, window_start=start_s)
+        assert not feats.valid
+        assert feats.window_start == start_s
+        assert np.isnan(feats.as_vector()).all()
+
 
 class TestComputeBaseline:
     def test_synthetic_oracle(self):
@@ -1103,6 +1119,25 @@ class TestComputeBaseline:
         rec = EcgRecord(channels=[np.zeros(n), np.zeros(n)], fs=FS, record_name="z")
         with pytest.raises(NoValidWindows):
             compute_baseline(rec)
+
+    def test_invalid_samples_skip_windows(self):
+        rec = synth_ecg(60, 120.0, qt_ms=380.0, noise_std=0.005, seed=6)
+        at = int(100 * FS)
+        masked = EcgRecord(channels=[c.copy() for c in rec.channels], fs=FS, record_name=rec.record_name)
+        masked.channels[0][at : at + 36] = np.nan
+        ch = rec.channel(0)
+        kept = []
+        for _, seg in iter_window_segments(rec):
+            values = _segment_absolute_features(masked.channel(0)[seg], FS, 10.0)
+            if seg.start < at + 36 and seg.stop > at:
+                assert values is None
+            else:
+                assert values == _segment_absolute_features(ch[seg], FS, 10.0)
+                kept.append(values)
+        assert kept
+        expected = np.maximum(np.median(np.asarray([v for v in kept if v is not None]), axis=0), 1e-9)
+        profile = compute_baseline(masked)
+        assert (profile.sdnn, profile.bpm, profile.qtc, profile.lfhf) == tuple(expected)
 
     def test_profile_record_spans_regimes(self):
         rec = synth_ecg_profile(

@@ -169,6 +169,31 @@ class TestLoadRecord:
         assert np.allclose(loaded.channel(0), (adu - 1024) / 200.0)
 
 
+    def test_invalid_sample_code_is_nan(self, tmp_path):
+        rec = synth_ecg(80, 12.0, seed=7)
+        write_wfdb212(tmp_path, "T04", rec.channels, rec.fs)
+        good = load_record(tmp_path / "T04.hea")
+        dat = tmp_path / "T04.dat"
+        c0, c1 = decode_format212(dat.read_bytes(), good.n_samples)
+        c0[100:110] = -2048
+        c1[200] = -2048
+        dat.write_bytes(encode_format212(c0, c1))
+        loaded = load_record(tmp_path / "T04.hea")
+        nan0, nan1 = np.isnan(loaded.channel(0)), np.isnan(loaded.channel(1))
+        assert np.flatnonzero(nan0).tolist() == list(range(100, 110))
+        assert np.flatnonzero(nan1).tolist() == [200]
+        assert np.array_equal(loaded.channel(0)[~nan0], good.channel(0)[~nan0])
+        assert np.array_equal(loaded.channel(1)[~nan1], good.channel(1)[~nan1])
+        # decoding still returns the raw code
+        assert decode_format212(dat.read_bytes(), good.n_samples)[0][100] == -2048
+
+    def test_writer_never_writes_invalid_code(self, tmp_path):
+        low = np.full(360, -100.0)  # far below the 12-bit range at gain 200
+        write_wfdb212(tmp_path, "L00", [low, low], 360.0)
+        c0, c1 = decode_format212((tmp_path / "L00.dat").read_bytes(), 360)
+        assert c0.min() == c1.min() == -2047
+        assert not np.isnan(load_record(tmp_path / "L00.hea").channel(0)).any()
+
     def test_header_not_utf8(self, tmp_path):
         rec = synth_ecg(80, 12.0)
         write_wfdb212(tmp_path, "T03", rec.channels, rec.fs)

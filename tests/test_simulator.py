@@ -1,10 +1,12 @@
+import hashlib
 import json
+from collections import defaultdict
 
 import pytest
 
-from stresstwin.errors import ConfigInvalid, InvalidParam
+from stresstwin.errors import ConfigInvalid, InvalidParam, IoError
 from stresstwin.forest import Dataset, ForestParams, train_forest
-from stresstwin.hrv import compute_baseline
+from stresstwin.hrv import compute_baseline, window_iter
 from stresstwin.interventions import LATENCY_RANGE_MS, plan_for_level
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
@@ -21,16 +23,54 @@ from stresstwin.simulator import (
     commit_level,
     export_trace,
     run_simulation,
+    window_key,
 )
 from stresstwin.synth import synth_ecg, synth_ecg_profile
 
 SCRIPT = ((0.0, 1), (100.0, 4))
+# recorded while every tick still went through the event heap
+TIE_ORDER_SHA256 = "0e05e19ac5530902c2448bdf88382ba2cb4e2425f46410e2d46614f6a6aa5fe8"
+ALL_KINDS = {
+    "SensorChunk",
+    "WindowReady",
+    "Inference",
+    "StrategyTick",
+    "CommandIssued",
+    "ActuatorApplied",
+    "Feedback",
+}
 
 
 @pytest.fixture(scope="module")
 def scripted_trace():
     rec = synth_ecg(70, 150.0, seed=5)
     return run_simulation([rec], None, RunConfig(seed=9), SCRIPT)
+
+
+@pytest.fixture(scope="module")
+def levels_trace():
+    """A run driven by a window-level map, as a model's predictions drive it, over a
+    record whose name needs escaping; 1.1 s chunks end at times such as 31.900000000000002 s."""
+    rec = synth_ecg(70, 90.0, seed=3)
+    rec.record_name = 'S"é\\'
+    cycle = (None, 2, 2, None, 4, 4, 4, 1, 1, 5, 5, 3, 3)
+    levels = {
+        window_key(rec, start_s): cycle[i % len(cycle)]
+        for i, (start_s, _) in enumerate(window_iter(rec, 10.0, 5.0))
+    }
+    return run_simulation([rec], levels, RunConfig(chunk_s=1.1, seed=4))
+
+
+def canonical_lines(trace) -> list:
+    return [
+        json.dumps(
+            {"at_ms": e.at_ms, "seq": e.seq, "kind": e.kind, "payload": e.payload},
+            ensure_ascii=True,
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for e in trace.events
+    ]
 
 
 def dwell_fold(levels, dwell_windows=2):
@@ -143,6 +183,20 @@ class TestExportTrace:
         for line in lines:
             payload = json.loads(line)
             assert {"at_ms", "seq", "kind", "payload"} <= set(payload)
+        assert lines == canonical_lines(scripted_trace)
+
+    def test_every_line_is_canonical_json(self, tmp_path, levels_trace):
+        path = tmp_path / "trace.jsonl"
+        export_trace(levels_trace, path)
+        text = path.read_text()
+        assert text.splitlines() == canonical_lines(levels_trace)
+        assert text.endswith("\n") and "\r" not in text
+        # what the trace holds, so that the comparison above covers it
+        assert {e.kind for e in levels_trace.events} == ALL_KINDS
+        assert any(e.payload["actuators"] for e in levels_trace.of_kind("Feedback"))
+        assert any(e.payload["level"] is None for e in levels_trace.of_kind("Inference"))
+        assert '"t_local_s":31.900000000000002' in text
+        assert '"record":"S\\"\\u00e9\\\\"' in text
 
     def test_empty_trace(self, tmp_path):
         from stresstwin.simulator import SimTrace
@@ -150,6 +204,44 @@ class TestExportTrace:
         path = tmp_path / "empty.jsonl"
         export_trace(SimTrace(), path)
         assert path.read_text() == ""
+
+    def test_unwritable_path_is_io_error(self, tmp_path, scripted_trace):
+        with pytest.raises(IoError, match="cannot write trace"):
+            export_trace(scripted_trace, tmp_path / "missing" / "trace.jsonl")
+
+
+class TestTieOrder:
+    def test_chunk_tick_and_batch_ties_pinned(self, tmp_path):
+        # 200 ms chunks and ticks share every tick's millisecond with a chunk,
+        # windows end on the same grid and each batch is issued on a tick; the
+        # digest pins the order of every such tie
+        rec = synth_ecg(70, 150.0, seed=5)
+        script = ((0.0, 1), (30.0, 3), (60.0, 5), (100.0, 2))
+        trace = run_simulation([rec], None, RunConfig(seed=9, chunk_s=0.2, tick_ms=200), script)
+        kinds_at = defaultdict(set)
+        for e in trace.events:
+            kinds_at[e.at_ms].add(e.kind)
+        shared = [k for k in kinds_at.values() if {"SensorChunk", "StrategyTick", "CommandIssued"} <= k]
+        assert len(shared) >= 3
+        assert any({"WindowReady", "Inference", "SensorChunk", "StrategyTick"} <= k for k in kinds_at.values())
+        path = tmp_path / "trace.jsonl"
+        export_trace(trace, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TIE_ORDER_SHA256
+
+
+class TestSensorChunks:
+    @pytest.mark.parametrize("dur_s", [33.0, 55.0, 66.0, 99.0, 110.0, 121.0])
+    def test_last_chunk_kept(self, dur_s):
+        # 33 / 1.1 is 29.999999999999996 in floating point
+        rec = synth_ecg(70, dur_s)
+        trace = run_simulation([rec], None, RunConfig(chunk_s=1.1), [[0, 1]])
+        chunks = trace.of_kind("SensorChunk")
+        assert len(chunks) == round(dur_s / 1.1)
+        assert chunks[-1].at_ms == int(dur_s * 1000)
+
+    def test_default_chunk_count(self, scripted_trace):
+        chunks = scripted_trace.of_kind("SensorChunk")
+        assert [e.at_ms for e in chunks] == list(range(1000, 150001, 1000))
 
 
 class TestConfigValidation:
