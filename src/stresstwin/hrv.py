@@ -610,11 +610,11 @@ def _segment_absolute_features(segment, fs: float, window_s: float):
     (adaptive peak threshold, tangent QT, RR statistics) is amplitude-scale
     invariant, so standardization only evens out per-record gain. Returns
     (sdnn, bpm, qtc, lfhf) or None when the window cannot produce valid
-    features (an invalid sample, which ingest makes NaN, anywhere in the
-    segment, too few beats, unmeasurable QT, under-spanned LF/HF).
+    features (too few beats, unmeasurable QT, under-spanned LF/HF). Both
+    callers reject a segment holding an invalid sample, which ingest makes
+    NaN, before they get here, each with the one scan it needs; a NaN would
+    spread through the filter to every sample and leave no beat.
     """
-    if np.isnan(segment).any():
-        return None
     try:
         filt = zscore(bandpass_filter(segment, fs))
     except (SignalTooShort, ZeroVariance):
@@ -740,8 +740,10 @@ def compute_baseline(
     ch = clean_record.channel(0)
 
     def analyse(window):
-        _, seg = window
-        return _segment_absolute_features(ch[seg], clean_record.fs, window_s)
+        segment = ch[window[1]]
+        if np.isnan(segment).any():  # an invalid sample, which ingest makes NaN
+            return None
+        return _segment_absolute_features(segment, clean_record.fs, window_s)
 
     windows = iter_window_segments(clean_record, window_s, stride_s, context_s)
     rows = [values for values in fork_map(analyse, windows) if values is not None]

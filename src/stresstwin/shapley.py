@@ -248,7 +248,7 @@ def forest_shap(forest: RandomForest, x) -> ShapExplanation:
     x = _point(x, forest.n_features)
     table = forest._table
     phi = _mean_tree_phi(table, x.reshape(1, -1), forest.n_features)[0]
-    phi0 = sum(table.value[root] for root in table.roots) / table.roots.size  # tree by tree
+    phi0 = table.mean_over_trees(table.roots)
     return ShapExplanation(phi=phi, phi0=phi0)
 
 

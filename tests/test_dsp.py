@@ -83,17 +83,54 @@ def _bandpass_reference(x, fs, low_hz=0.5, high_hz=45.0):
 
 
 class TestBandpassMatchesReference:
+    """The direct kernel calls give the public ``scipy.signal.sosfilt``'s bits."""
+
     @pytest.mark.parametrize("n", [49, 50, 73, 1000, 21600])
     @pytest.mark.parametrize("band", [(0.5, 45.0), (5.0, 15.0)])
     def test_bitwise(self, n, band):
+        self._assert_bitwise(n, band, FS)
+
+    @pytest.mark.parametrize("n", [49, 50, 73, 1000, 21600])
+    @pytest.mark.parametrize(
+        "fs, band",
+        [(fs, band) for fs in (250.0, 500.0, 1000.0) for band in ((0.5, 45.0), (5.0, 15.0), (1.0, 100.0))]
+        + [(FS, (1.0, 100.0))],
+    )
+    def test_bitwise_at_other_rates_and_bands(self, n, fs, band):
+        self._assert_bitwise(n, band, fs)
+
+    @staticmethod
+    def _assert_bitwise(n, band, fs):
         x = np.random.default_rng(n).normal(0.0, 1.0, n)
-        got = bandpass_filter(x, FS, *band)
+        got = bandpass_filter(x, fs, *band)
         assert got.flags.c_contiguous
-        assert np.array_equal(got.view(np.int64), _bandpass_reference(x, FS, *band).view(np.int64))
+        assert np.array_equal(got.view(np.int64), _bandpass_reference(x, fs, *band).view(np.int64))
 
     def test_strided_input(self):
         x = np.random.default_rng(1).normal(0.0, 1.0, 4001)[::2]
         assert np.array_equal(bandpass_filter(x, FS).view(np.int64), _bandpass_reference(x, FS).view(np.int64))
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda a: a,
+            lambda a: a[::-1],  # negative stride
+            lambda a: a[::-3],
+            lambda a: a.astype(np.float32),  # converted on the way in
+            lambda a: a.tolist(),
+        ],
+        ids=["contiguous", "reversed", "reversed_strided", "float32", "list"],
+    )
+    def test_input_left_unmodified(self, view):
+        base = np.random.default_rng(4).normal(0.0, 1.0, 9000)
+        base.setflags(write=False)  # a read-only input is filtered, not written
+        x = view(base)
+        before = np.array(x, dtype=np.float64)
+        got = bandpass_filter(x, FS)
+        assert np.array_equal(np.asarray(x, dtype=np.float64), before)
+        assert np.array_equal(base, np.random.default_rng(4).normal(0.0, 1.0, 9000))
+        assert np.array_equal(got.view(np.int64), _bandpass_reference(before, FS).view(np.int64))
+        assert got.flags.c_contiguous and got.flags.writeable
 
 
 class TestStridedRows:

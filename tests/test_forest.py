@@ -451,6 +451,36 @@ class TestPackedTable:
         assert proba.shape == (n_rows, 5)
         assert np.array_equal(proba, predict_proba_reference(forest, X))
 
+    @pytest.mark.parametrize("n_trees", [1, 100])
+    def test_one_row_and_a_large_batch(self, n_trees):
+        forest = train_forest(five_class_dataset(seed=11), ForestParams(n_trees=n_trees, mtry=2), seed=11)
+        if n_trees > 1:
+            assert len({tree.max_depth for tree in forest.trees}) > 1  # trees of unequal depth
+        X = probes_on_thresholds(forest, 5000, 11)
+        ref = predict_proba_reference(forest, X)
+        assert np.array_equal(predict_proba(forest, X), ref)
+        for i in range(0, 5000, 250):
+            level, proba = predict(forest, X[i])
+            assert np.array_equal(proba, ref[i])
+            assert level == int(np.argmax(ref[i])) + 1
+
+    def test_one_row_through_hand_built_trees(self):
+        trees = [depth1_tree(feature=0, thr=0.5), repeated_feature_tree(0.0), single_leaf_tree(cls=4)]
+        for forest in (RandomForest(trees=trees[:1], n_features=2), RandomForest(trees=trees, n_features=2)):
+            for x in ([0.5, -1.0], [np.nextafter(0.5, 1.0), 2.0], [-3.0, 0.0]):
+                _, proba = predict(forest, x)
+                assert np.array_equal(proba, predict_proba_reference(forest, [x])[0])
+
+    def test_base_value_sums_the_roots_in_tree_order(self):
+        forest = train_forest(five_class_dataset(seed=9), ForestParams(n_trees=100, mtry=2, max_depth=0), seed=9)
+        expected = np.zeros(5)
+        for tree in forest.trees:
+            expected += tree.hist[0] / tree.cover[0]
+        # with every tree a single leaf, the base value is the prediction, bit for bit
+        phi0 = forest_shap(forest, np.zeros(4)).phi0
+        assert np.array_equal(phi0, expected / 100)
+        assert np.array_equal(phi0, predict_proba(forest, np.zeros((1, 4)))[0])
+
     def test_round_tripped_forest(self, tmp_path):
         forest = train_forest(five_class_dataset(seed=6), SMALL, seed=4)
         save_forest(forest, tmp_path / "model.json")

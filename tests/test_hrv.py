@@ -184,6 +184,26 @@ class TestRollingBlockStats:
         assert np.array_equal(np.repeat(med_b, block_n)[:n], ref_med)
         assert np.array_equal(np.repeat(mad_b, block_n)[:n], ref_mad)
 
+    # block_n 5, n 37: edge spans of 15, 20, 22, 17 and 12 values, odd and even
+    @pytest.mark.parametrize("n, block_n", [(1, 4), (2, 4), (3, 4), (7, 4), (37, 5), (38, 5), (21600 + 179, 360)])
+    @pytest.mark.parametrize("kind", ["ties", "nan_at_start", "nan_at_end", "skewed"])
+    def test_edge_spans_match_np_median(self, n, block_n, kind):
+        rng = np.random.default_rng(n * block_n)
+        if kind == "ties":
+            v = rng.integers(0, 3, n).astype(np.float64)  # long runs of tied values
+        else:
+            v = rng.gamma(0.5, 1.0, n)
+        if kind == "nan_at_start":
+            v[0] = np.nan
+        elif kind == "nan_at_end":
+            v[-1] = np.nan
+        med_b, mad_b = _rolling_block_stats(v, block_n)
+        ref_med, ref_mad = _block_stats_loop(v, block_n)
+        _assert_same_bits(np.repeat(med_b, block_n)[:n], ref_med)
+        _assert_same_bits(np.repeat(mad_b, block_n)[:n], ref_mad)
+        if kind.startswith("nan"):  # the NaN reaches the three spans that hold it, and no other
+            assert np.isnan(med_b).sum() == np.isnan(mad_b).sum() == min(3, med_b.size)
+
 
 def _fill_gaps_loop(integ, maxima, kept, thr_low, med_rr, gap_factor, ref_n):
     """Reference: every kept pair in turn, masking all maxima for each long gap."""
