@@ -27,7 +27,7 @@ from .ingest import EcgRecord, RecordHeader, decode_format212, load_record, pars
 from .interventions import ControlCommand, commands_for_level, plan_for_level
 from .shapley import ShapExplanation, brute_force_shap, forest_shap, tree_shap
 from .simulator import SimTrace, export_trace, run_simulation
-from .stress import StressLevel, composite_score, relative_deviation, rule_label, score_to_level
+from .stress import composite_score, relative_deviation, rule_label, score_to_level
 from .synth import synth_ecg
 
 __version__ = "0.1.0"
@@ -62,7 +62,6 @@ __all__ = [
     "SimTrace",
     "export_trace",
     "run_simulation",
-    "StressLevel",
     "composite_score",
     "relative_deviation",
     "rule_label",

@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigInvalid
-from .interventions import LATENCY_RANGE_MS
 
 ENV_DATA_DIR = "STRESSTWIN_DATA_DIR"
 ENV_OUT_DIR = "STRESSTWIN_OUT_DIR"
@@ -33,7 +32,6 @@ class RunConfig:
     tick_ms: int = 200
     chunk_s: float = 1.0
     sim_max_duration_s: float | None = None
-    sim_latency_table: dict | None = None
 
     def validate(self) -> None:
         for name in _NAMES:
@@ -54,8 +52,6 @@ class RunConfig:
         duration = self.sim_max_duration_s
         if duration is not None and (not _is_real(duration) or duration <= 0):
             raise ConfigInvalid(f"sim_max_duration_s must be null or a positive finite number, got {duration!r}")
-        if self.sim_latency_table is not None:
-            _check_latency_table(self.sim_latency_table)
         if not self.train_fraction < 1.0:
             raise ConfigInvalid("train_fraction must be inside (0, 1)")
         if self.context_s < self.window_s:
@@ -83,25 +79,6 @@ def _is_real(value) -> bool:
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_latency_table(table) -> None:
-    """Exactly the four scales, each mapped to integer milliseconds [lo, hi] with 0 < lo <= hi."""
-    if not isinstance(table, dict) or set(table) != set(LATENCY_RANGE_MS):
-        raise ConfigInvalid(
-            f"sim_latency_table must be null or map exactly the scales {list(LATENCY_RANGE_MS)}, got {table!r}"
-        )
-    for scale, bounds in table.items():
-        if not (
-            isinstance(bounds, (list, tuple))
-            and len(bounds) == 2
-            and all(_is_count(v) for v in bounds)
-            and 0 < bounds[0] <= bounds[1]
-        ):
-            raise ConfigInvalid(
-                f"sim_latency_table {scale} must be a pair of integer milliseconds "
-                f"[lo, hi] with 0 < lo <= hi, got {bounds!r}"
-            )
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

@@ -50,6 +50,7 @@ from scipy.ndimage import uniform_filter1d
 
 from .dsp import band_power, bandpass_filter, strided_rows, welch_psd, zscore
 from .errors import (
+    ConfigInvalid,
     EmptyBand,
     InsufficientData,
     InvalidParam,
@@ -591,10 +592,17 @@ def _lf_hf_ratio(psd) -> float:
 
 
 def window_iter(record, window_s: float = 10.0, stride_s: float = 5.0):
-    """(start_time_s, sample slice) for each full window; partial tail dropped."""
+    """(start_time_s, sample slice) for each full window; partial tail dropped.
+
+    ConfigInvalid when the window or the stride rounds to no sample at the
+    record's rate.
+    """
     n = record.n_samples
     win_n = int(round(window_s * record.fs))
     stride_n = int(round(stride_s * record.fs))
+    for name, value, n_samples in (("window_s", window_s, win_n), ("stride_s", stride_s, stride_n)):
+        if n_samples < 1:
+            raise ConfigInvalid(f"{name} {value} holds no sample of {record.record_name} at {record.fs} Hz")
     if win_n > n:
         raise RecordTooShort(f"record holds {n} samples, window needs {win_n}")
     out = []

@@ -1,83 +1,80 @@
 """Rules engine mapping stress levels to tiered environmental commands.
 
-The level catalog ships as a data file so the action wording can change
-without touching code. Each action is assigned to exactly one spatial
-scale: wearable and enclosure-level devices act at the Personal scale,
-light and sound shaping at the Room scale, HVAC-class systems at the
-Building scale, and everything outdoors at the Landscape scale.
+``CATALOG`` is the paper's Five-Level Stress–Intervention Mapping: each
+level's actions, indoor then outdoor in the paper's order, each with the one
+spatial scale it acts at. Wearable and enclosure-level devices act at the
+Personal scale, light and sound shaping at the Room scale, HVAC-class
+systems at the Building scale, and every outdoor action at the Landscape
+scale. ``LATENCY_MS`` holds each scale's response-time bounds.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .errors import InvalidLevel, InvalidParam
-from .stress import StressLevel
 
-SCALE_ORDER = ("Personal", "Room", "Building", "Landscape")
-
-
-@dataclass(frozen=True)
-class Scale:
-    name: str
-    latency_min_s: float
-    latency_max_s: float
-
-
-# response-time bounds in seconds; Personal is open at zero
-SCALES = {
-    "Personal": Scale("Personal", 0.0, 5.0),
-    "Room": Scale("Room", 15.0, 30.0),
-    "Building": Scale("Building", 60.0, 300.0),
-    "Landscape": Scale("Landscape", 300.0, 900.0),
+# level -> ((action, scale), ...)
+CATALOG = {
+    # Homeostatic Maintenance
+    1: (
+        ("Maintain baseline environment", "Building"),
+        ("Mild negative ion release", "Room"),
+        ("Preserve natural ventilation paths", "Landscape"),
+        ("Low-intensity landscape lighting", "Landscape"),
+    ),
+    # Ulrich, 1991
+    2: (
+        ("Dynamic sunrise lighting (3000K)", "Room"),
+        ("Background white noise (45 dB)", "Room"),
+        ("Activate shallow water flow", "Landscape"),
+        ("Trigger aromatic plant airflow", "Landscape"),
+    ),
+    # Kaplan, 1995
+    3: (
+        ("Biowall oxygen-boosting mode", "Building"),
+        ("Local temperature gradient (±2°C)", "Building"),
+        ("Directional natural soundscape", "Room"),
+        ("Intermittent fog system", "Landscape"),
+        ("Dynamic tree canopy shading", "Landscape"),
+    ),
+    # Sternberg, 2009
+    4: (
+        ("Full-spectrum light therapy", "Room"),
+        ("Whole-body vibration (40Hz)", "Personal"),
+        ("Emergency mist cooling", "Building"),
+        ("Enhanced waterfall mode", "Landscape"),
+        ("Activate magnetic walking trail", "Landscape"),
+    ),
+    # WHO Guidelines
+    5: (
+        ("Emergency pod activation (isolation + VR natural scene)", "Personal"),
+        ("Temporary hyperbaric oxygen support", "Personal"),
+        ("Open emergency shelter kiosks", "Landscape"),
+        ("Deploy drones with aromatic diffusers", "Landscape"),
+    ),
 }
 
-# integer millisecond sampling ranges that respect the bounds above,
-# keeping Personal strictly inside (0 s, 5 s)
-LATENCY_RANGE_MS = {
+# scale -> integer millisecond [lo, hi] that actuator latencies are drawn
+# from, in command order. The paper's bounds: Personal under 5 s (kept
+# strictly inside (0 s, 5 s)), Room 15-30 s, Building 1-5 min, Landscape
+# 5-15 min.
+LATENCY_MS = {
     "Personal": (1, 4999),
     "Room": (15000, 30000),
     "Building": (60000, 300000),
     "Landscape": (300000, 900000),
 }
 
-# static action -> scale assignment (audited, data-like on purpose)
-ACTION_SCALE = {
-    "Maintain baseline environment": "Building",
-    "Mild negative ion release": "Room",
-    "Dynamic sunrise lighting (3000K)": "Room",
-    "Background white noise (45 dB)": "Room",
-    "Biowall oxygen-boosting mode": "Building",
-    "Local temperature gradient (±2°C)": "Building",
-    "Directional natural soundscape": "Room",
-    "Full-spectrum light therapy": "Room",
-    "Whole-body vibration (40Hz)": "Personal",
-    "Emergency mist cooling": "Building",
-    "Emergency pod activation (isolation + VR natural scene)": "Personal",
-    "Temporary hyperbaric oxygen support": "Personal",
-    "Preserve natural ventilation paths": "Landscape",
-    "Low-intensity landscape lighting": "Landscape",
-    "Activate shallow water flow": "Landscape",
-    "Trigger aromatic plant airflow": "Landscape",
-    "Intermittent fog system": "Landscape",
-    "Dynamic tree canopy shading": "Landscape",
-    "Enhanced waterfall mode": "Landscape",
-    "Activate magnetic walking trail": "Landscape",
-    "Open emergency shelter kiosks": "Landscape",
-    "Deploy drones with aromatic diffusers": "Landscape",
+# level -> ((action, scale, ttl_s), ...) ordered by scale, catalog order kept
+# within a scale; a command lives twice its scale's bound in whole seconds
+_COMMAND_ORDER = {
+    level: tuple(
+        (action, scale, 2.0 * math.ceil(LATENCY_MS[scale][1] / 1000))
+        for action, scale in sorted(actions, key=lambda pair: list(LATENCY_MS).index(pair[1]))
+    )
+    for level, actions in CATALOG.items()
 }
-
-
-@dataclass(frozen=True)
-class InterventionPlan:
-    level: StressLevel
-    indoor_actions: tuple
-    outdoor_actions: tuple
-    basis: str
-
-    @property
-    def actions(self) -> tuple:
-        return self.indoor_actions + self.outdoor_actions
 
 
 @dataclass
@@ -91,25 +88,11 @@ class ControlCommand:
     ttl_s: float = 0.0
 
 
-def _load_catalog() -> dict:
-    text = resources.files("stresstwin").joinpath("data/intervention_catalog.json").read_text()
-    return json.loads(text)
-
-
-_CATALOG = _load_catalog()
-
-
-def plan_for_level(level: int) -> InterventionPlan:
-    """The catalog row for one stress level."""
-    entry = _CATALOG.get(str(level))
-    if entry is None:
+def plan_for_level(level: int) -> tuple:
+    """The catalog row of one stress level: its (action, scale) pairs."""
+    if level not in CATALOG:
         raise InvalidLevel(f"no intervention plan for level {level!r}")
-    return InterventionPlan(
-        level=StressLevel.from_int(level),
-        indoor_actions=tuple(entry["indoor"]),
-        outdoor_actions=tuple(entry["outdoor"]),
-        basis=entry["basis"],
-    )
+    return CATALOG[level]
 
 
 class CommandIdAllocator:
@@ -126,26 +109,18 @@ class CommandIdAllocator:
 
 def commands_for_level(level: int, now_s: float, allocator: CommandIdAllocator) -> list:
     """One command per catalog action, ordered by scale then catalog order."""
-    plan = plan_for_level(level)
-    staged = []
-    for action in plan.actions:
-        scale = ACTION_SCALE[action]
-        staged.append((SCALE_ORDER.index(scale), action, scale))
-    staged.sort(key=lambda t: t[0])  # stable: catalog order preserved within a scale
-    commands = []
-    for _, action, scale in staged:
-        commands.append(
-            ControlCommand(
-                command_id=allocator.take(),
-                issued_at=now_s,
-                stress_level=level,
-                scale=scale,
-                action=action,
-                parameters={},
-                ttl_s=2.0 * SCALES[scale].latency_max_s,
-            )
+    plan_for_level(level)
+    return [
+        ControlCommand(
+            command_id=allocator.take(),
+            issued_at=now_s,
+            stress_level=level,
+            scale=scale,
+            action=action,
+            ttl_s=ttl_s,
         )
-    return commands
+        for action, scale, ttl_s in _COMMAND_ORDER[level]
+    ]
 
 
 def command_to_dict(cmd: ControlCommand) -> dict:

@@ -144,10 +144,9 @@ def label_rows(rows, baseline: BaselineProfile, eps: float) -> list:
     for row in rows:
         row = dict(row)
         if row["valid"]:
-            result = assess(SimpleNamespace(**row), baseline, eps)
-            row["stress_score"] = result.score
-            row["rule_level"] = result.rule_level.level
-            row["score_level"] = result.score_level.level
+            row["stress_score"], row["rule_level"], row["score_level"] = assess(
+                SimpleNamespace(**row), baseline, eps
+            )
         else:
             row["stress_score"] = None
             row["rule_level"] = None

@@ -37,12 +37,7 @@ import numpy as np
 from .config import RunConfig, _is_count, _is_real
 from .errors import ConfigInvalid, InvalidParam, IoError
 from .hrv import window_iter
-from .interventions import (
-    LATENCY_RANGE_MS,
-    CommandIdAllocator,
-    command_to_dict,
-    commands_for_level,
-)
+from .interventions import LATENCY_MS, CommandIdAllocator, command_to_dict, commands_for_level
 
 KIND_SENSOR = "SensorChunk"
 KIND_WINDOW = "WindowReady"
@@ -164,7 +159,6 @@ class _Run:
         self.levels = levels
         if self.scripted is None and levels is None:
             raise ConfigInvalid("window levels are required unless levels are scripted")
-        self.latency_ms = cfg.sim_latency_table or LATENCY_RANGE_MS
         self.rng = np.random.default_rng(cfg.seed)
         self.trace = SimTrace()
         self.heap: list = []
@@ -288,7 +282,7 @@ class _Run:
         commands = commands_for_level(self.committed, at_ms / 1000.0, self.allocator)
         self.actuators.expect_batch(batch_id, len(commands))
         for cmd in commands:
-            lo, hi = self.latency_ms[cmd.scale]
+            lo, hi = LATENCY_MS[cmd.scale]
             latency_ms = int(self.rng.integers(lo, hi + 1))
             issued = dict(command_to_dict(cmd))
             issued["batch"] = batch_id
@@ -320,10 +314,10 @@ class _Run:
 def run_simulation(noisy_records, levels: dict | None, cfg: RunConfig, scripted=None) -> SimTrace:
     """Simulate the closed loop over the given records; see module docstring.
 
-    The window geometry, tick period, dwell, chunk period, duration cap,
-    latency table and seed of ``cfg`` drive the run, and ``cfg`` is
-    validated first. ``levels`` maps the ``window_key`` of each window to
-    its level (None: invalid window). ``scripted``, a list of [time_s, level]
+    The window geometry, tick period, dwell, chunk period, duration cap and
+    seed of ``cfg`` drive the run, and ``cfg`` is validated first.
+    ``levels`` maps the ``window_key`` of each window to its level (None:
+    invalid window). ``scripted``, a list of [time_s, level]
     pairs, replaces the window levels: each window takes the level of the
     latest pair at or before its end; ``levels`` may then be None.
     """

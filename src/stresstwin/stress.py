@@ -1,39 +1,37 @@
 """Stress quantification: relative deviations, composite score, level rules.
 
-Four absolute HRV metrics map to a 1..5 level each through threshold rows;
-the overall rule level is the median of the four, with even splits broken
-toward the SDNN level (the dominant weight in the composite score). Score
-ranges bin separately into the same 1..5 scale for intervention selection.
+Levels are plain ints 1..5. Four absolute HRV metrics map to a level each
+through the rows of ``LEVEL_EDGES``; the overall rule level is the median of
+the four, with even splits broken toward the SDNN level (the dominant weight
+in the composite score). The composite score bins through its own row into
+the same 1..5 scale, reported next to the rule level.
 """
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 
-from .errors import InvalidLevel, InvalidWindow, NonFiniteInput, OutOfRange
-
-LEVEL_LABELS = {1: "Normal", 2: "Mild", 3: "Moderate", 4: "High", 5: "Extreme"}
+from .errors import InvalidWindow, NonFiniteInput, OutOfRange
 
 DEFAULT_EPS = 1e-6
 
+# The level table: per quantity, the four edges between levels 1..5, read with
+# bisect. A value's level is 1 + the number of edges it has passed; bisect_left
+# passes only the edges below the value, so a value at an edge keeps the lower
+# level ((lo, hi] bins), while bisect_right also passes an equal edge ([lo, hi)
+# bins). SDNN falls as stress rises, so its row holds negated edges and reads
+# the negated value: above 50 ms is level 1, 50 ms itself is level 2.
+LEVEL_EDGES = {
+    "ecg_sdnn": (bisect_right, -1, (-50, -40, -30, -20)),  # ms
+    "ecg_bpm": (bisect_left, 1, (80, 90, 100, 110)),  # below the first row is level 1
+    "ecg_qtc": (bisect_left, 1, (420, 440, 460, 480)),  # ms
+    "ecg_lfhf": (bisect_left, 1, (1.5, 2.5, 4, 6)),
+    "score": (bisect_right, 1, (0.2, 0.4, 0.6, 0.8)),  # [0,.2) [.2,.4) [.4,.6) [.6,.8) [.8,1]
+}
 
-@dataclass(frozen=True)
-class StressLevel:
-    level: int
-    label: str
 
-    @classmethod
-    def from_int(cls, level: int) -> "StressLevel":
-        if level not in LEVEL_LABELS:
-            raise InvalidLevel(f"level {level} outside 1..5")
-        return cls(level=level, label=LEVEL_LABELS[level])
-
-
-@dataclass(frozen=True)
-class StressAssessment:
-    score: float
-    rule_level: StressLevel
-    score_level: StressLevel
-    per_feature_levels: dict
+def _level(row: str, value: float) -> int:
+    passed, sign, edges = LEVEL_EDGES[row]
+    return 1 + passed(edges, sign * value)
 
 
 def relative_deviation(x_noisy: float, x_baseline: float, eps: float = DEFAULT_EPS) -> float:
@@ -50,7 +48,7 @@ def composite_score(rel_sdnn: float, rel_bpm: float, rel_qtc: float) -> float:
 
     Magnitudes are used because stress drives SDNN down (negative rel)
     while the weights are positive; clamping keeps the score in the
-    range the intervention bins expect.
+    range the score bins expect.
     """
     for v in (rel_sdnn, rel_bpm, rel_qtc):
         if not math.isfinite(v):
@@ -59,65 +57,15 @@ def composite_score(rel_sdnn: float, rel_bpm: float, rel_qtc: float) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def _sdnn_level(v: float) -> int:
-    # descending column: higher variability is healthier
-    if v > 50:
-        return 1
-    if v > 40:
-        return 2
-    if v > 30:
-        return 3
-    if v > 20:
-        return 4
-    return 5
-
-
-def _bpm_level(v: float) -> int:
-    # below the table's first row counts as level 1 (bradycardia out of scope)
-    if v <= 80:
-        return 1
-    if v <= 90:
-        return 2
-    if v <= 100:
-        return 3
-    if v <= 110:
-        return 4
-    return 5
-
-
-def _qtc_level(v: float) -> int:
-    if v <= 420:
-        return 1
-    if v <= 440:
-        return 2
-    if v <= 460:
-        return 3
-    if v <= 480:
-        return 4
-    return 5
-
-
-def _lfhf_level(v: float) -> int:
-    if v <= 1.5:
-        return 1
-    if v <= 2.5:
-        return 2
-    if v <= 4:
-        return 3
-    if v <= 6:
-        return 4
-    return 5
-
-
 def per_feature_levels(ecg_sdnn: float, ecg_bpm: float, ecg_qtc: float, ecg_lfhf: float) -> dict:
     for v in (ecg_sdnn, ecg_bpm, ecg_qtc, ecg_lfhf):
         if not math.isfinite(v):
             raise NonFiniteInput("per-feature levels need finite metrics")
     return {
-        "ecg_sdnn": _sdnn_level(ecg_sdnn),
-        "ecg_bpm": _bpm_level(ecg_bpm),
-        "ecg_qtc": _qtc_level(ecg_qtc),
-        "ecg_lfhf": _lfhf_level(ecg_lfhf),
+        "ecg_sdnn": _level("ecg_sdnn", ecg_sdnn),
+        "ecg_bpm": _level("ecg_bpm", ecg_bpm),
+        "ecg_qtc": _level("ecg_qtc", ecg_qtc),
+        "ecg_lfhf": _level("ecg_lfhf", ecg_lfhf),
     }
 
 
@@ -132,45 +80,30 @@ def fuse_levels(levels: dict) -> int:
 def rule_label(features) -> tuple:
     """Threshold-table label for a valid feature window.
 
-    Returns (StressLevel, per-feature level map). ``features`` needs the
-    ecg_* attributes plus ``valid``.
+    Returns (level, per-feature level map). ``features`` needs the ecg_*
+    attributes plus ``valid``.
     """
     if not getattr(features, "valid", False):
         raise InvalidWindow("cannot label an invalid window")
     levels = per_feature_levels(
         features.ecg_sdnn, features.ecg_bpm, features.ecg_qtc, features.ecg_lfhf
     )
-    return StressLevel.from_int(fuse_levels(levels)), levels
+    return fuse_levels(levels), levels
 
 
-def score_to_level(score: float) -> StressLevel:
+def score_to_level(score: float) -> int:
     """Bin a [0, 1] score: [0,.2) [.2,.4) [.4,.6) [.6,.8) [.8,1] -> 1..5."""
     if not math.isfinite(score) or score < 0.0 or score > 1.0:
         raise OutOfRange(f"score {score} outside [0, 1]")
-    if score < 0.2:
-        level = 1
-    elif score < 0.4:
-        level = 2
-    elif score < 0.6:
-        level = 3
-    elif score < 0.8:
-        level = 4
-    else:
-        level = 5
-    return StressLevel.from_int(level)
+    return _level("score", score)
 
 
-def assess(features, baseline, eps: float = DEFAULT_EPS) -> StressAssessment:
-    """Full assessment of one valid window against a baseline profile."""
-    rule, per_feature = rule_label(features)
+def assess(features, baseline, eps: float = DEFAULT_EPS) -> tuple:
+    """(score, rule_level, score_level) of one valid window against a baseline profile."""
+    rule, _ = rule_label(features)
     score = composite_score(
         relative_deviation(features.ecg_sdnn, baseline.sdnn, eps),
         relative_deviation(features.ecg_bpm, baseline.bpm, eps),
         relative_deviation(features.ecg_qtc, baseline.qtc, eps),
     )
-    return StressAssessment(
-        score=score,
-        rule_level=rule,
-        score_level=score_to_level(score),
-        per_feature_levels=per_feature,
-    )
+    return score, rule, score_to_level(score)

@@ -29,7 +29,6 @@ from stresstwin.forest import (
 )
 from stresstwin.hrv import FEATURE_COLUMNS, compute_baseline, detect_r_peaks
 from stresstwin.ingest import decode_format212, encode_format212, parse_header
-from stresstwin.interventions import LATENCY_RANGE_MS
 from stresstwin.pipeline import (
     feature_rows,
     label_rows,
@@ -40,6 +39,7 @@ from stresstwin.shapley import brute_force_shap, forest_shap, shap_summary, tree
 from stresstwin.simulator import export_trace, run_simulation
 from stresstwin.stress import composite_score, relative_deviation, rule_label, score_to_level
 from stresstwin.synth import make_synthetic_nst, synth_ecg
+from tests.test_simulator import within_paper_bounds
 from tests.test_stress import make_features
 
 
@@ -98,14 +98,14 @@ def test_criterion_02_table1_labeling():
     }
     for level, vec in canonical.items():
         label, _ = rule_label(make_features(*vec))
-        assert label.level == level, f"vector {vec} -> {label.level}, wanted {level}"
+        assert label == level, f"vector {vec} -> {label}, wanted {level}"
 
 
 @_criterion(3, "score binning maps the eight boundary scores per the range convention")
 def test_criterion_03_table2_binning():
     cases = {0.0: 1, 0.1: 1, 0.2: 2, 0.39: 2, 0.4: 3, 0.79: 4, 0.8: 5, 1.0: 5}
     for score, level in cases.items():
-        got = score_to_level(score).level
+        got = score_to_level(score)
         assert got == level, f"score {score} -> {got}, wanted {level}"
 
 
@@ -224,8 +224,7 @@ def test_criterion_09_simulator(tmp_path):
     assert applied
     for e in applied:
         lat = e.at_ms - e.payload["issued_at_ms"]
-        lo, hi = LATENCY_RANGE_MS[e.payload["scale"]]
-        assert lo <= lat <= hi, f"{e.payload['scale']} latency {lat} ms outside [{lo}, {hi}]"
+        assert within_paper_bounds(e.payload["scale"], lat), f"{e.payload['scale']} latency {lat} ms"
 
     personal = [
         e

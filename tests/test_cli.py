@@ -10,7 +10,6 @@ from stresstwin.cli import EXIT_DATA, EXIT_OK, main
 from stresstwin.forest import load_forest, predict_proba
 from stresstwin.hrv import iter_window_segments
 from stresstwin.ingest import decode_format212, encode_format212, load_record
-from stresstwin.interventions import LATENCY_RANGE_MS
 from stresstwin.synth import synth_ecg, write_wfdb212
 from stresstwin.pipeline import (
     FEATURE_COLUMNS,
@@ -22,12 +21,6 @@ from stresstwin.pipeline import (
 )
 from tests.test_forest import MODEL_FAULTS, _corrupt, predict_proba_reference
 from tests.test_pinned_run import PINNED_SHA256
-
-
-def _latency_config(**scales) -> str:
-    """A config whose sim_latency_table is the default one with ``scales`` replaced (None: dropped)."""
-    table = {**LATENCY_RANGE_MS, **scales}
-    return json.dumps({"sim_latency_table": {k: v for k, v in table.items() if v is not None}})
 
 
 @pytest.fixture(scope="session")
@@ -164,15 +157,9 @@ class TestExitCodes:
             ('{"context_s": 5}', "context_s"),
             ('{"max_depth": -1}', "max_depth"),
             ('{"sim_max_duration_s": -5}', "sim_max_duration_s"),
-            (_latency_config(Room=["a", "b"]), "sim_latency_table"),
-            (_latency_config(Room=5), "sim_latency_table"),
-            (_latency_config(Landscape=None), "sim_latency_table"),
-            (_latency_config(Room=[1.5, 2.5]), "sim_latency_table"),
-            (_latency_config(Room=[True, 2]), "sim_latency_table"),
         ],
         ids=["string_number", "fractional_count", "nan", "context_shorter_than_window",
-             "negative_depth", "negative_duration", "latency_strings", "latency_not_a_pair",
-             "latency_missing_scale", "latency_fractions", "latency_bool"],
+             "negative_depth", "negative_duration"],
     )
     def test_bad_config_is_config_invalid(self, tmp_path, capsys, payload, field):
         config = tmp_path / "config.json"
@@ -184,6 +171,24 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith(f"error: {field} ")
         assert not (out / "synthetic_records").exists()
+
+    def test_latency_table_is_unknown_config_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"sim_latency_table": {"Personal": [60000, 90000]}}')
+        code = main(["run", "--synthetic", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: unknown config key 'sim_latency_table'")
+
+    def test_stride_below_one_sample_is_config_invalid(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"stride_s": 0.001}')
+        code = main(["run", "--synthetic", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: stride_s ")
 
     @pytest.mark.parametrize("value", ["-5", "0", "nan"])
     def test_bad_simulate_duration_is_config_invalid(self, synthetic_run, tmp_path, capsys, value):

@@ -152,7 +152,7 @@ class TestConfig:
             {"max_depth": 0},
             {"max_depth": 2.0},
             {"sim_max_duration_s": float("nan")},
-            {"sim_latency_table": [1, 2]},
+            {"chunk_s": [1, 2]},
             {"data_dir": 5},
         ],
     )

@@ -7,7 +7,7 @@ import pytest
 from stresstwin.errors import ConfigInvalid, InvalidParam, IoError
 from stresstwin.forest import Dataset, ForestParams, train_forest
 from stresstwin.hrv import compute_baseline, window_iter
-from stresstwin.interventions import LATENCY_RANGE_MS, plan_for_level
+from stresstwin.interventions import plan_for_level
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
     feature_rows,
@@ -39,6 +39,23 @@ ALL_KINDS = {
     "ActuatorApplied",
     "Feedback",
 }
+
+
+# The paper's response-time bounds per scale, in ms: Personal under 5 s,
+# Room 15-30 s, Building 1-5 min, Landscape 5-15 min.
+PAPER_LATENCY_MS = {
+    "Personal": (0, 5000),
+    "Room": (15000, 30000),
+    "Building": (60000, 300000),
+    "Landscape": (300000, 900000),
+}
+
+
+def within_paper_bounds(scale: str, latency_ms: int) -> bool:
+    """Personal is open at both ends, every other scale closed."""
+    lo, hi = PAPER_LATENCY_MS[scale]
+    return lo < latency_ms < hi if scale == "Personal" else lo <= latency_ms <= hi
+
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +138,8 @@ class TestScriptedRun:
         assert applied
         for e in applied:
             lat = e.at_ms - e.payload["issued_at_ms"]
-            lo, hi = LATENCY_RANGE_MS[e.payload["scale"]]
-            assert lo <= lat <= hi
+            assert lat == e.payload["latency_ms"]
+            assert within_paper_bounds(e.payload["scale"], lat), (e.payload["scale"], lat)
 
     def test_personal_scale_applies_within_5s(self, scripted_trace):
         personal = [
@@ -156,7 +173,7 @@ class TestScriptedRun:
     def test_actuator_state_purged_after_level_change(self, scripted_trace):
         feedback = scripted_trace.of_kind("Feedback")
         final = feedback[-1].payload["actuators"]
-        level4 = set(plan_for_level(4).actions)
+        level4 = {action for action, _ in plan_for_level(4)}
         active = {a for entry in final.values() for a in entry["actions"]}
         assert active <= level4
         # every scale present in the level-4 plan ends up active

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stresstwin.errors import InvalidLevel, InvalidWindow, NonFiniteInput, OutOfRange
+from stresstwin.errors import InvalidWindow, NonFiniteInput, OutOfRange
 from stresstwin.hrv import WindowFeatures
 from stresstwin.stress import (
     composite_score,
@@ -100,11 +100,11 @@ class TestRuleLabel:
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_canonical_rows(self, level):
         label, _ = rule_label(make_features(*self.CANONICAL[level]))
-        assert label.level == level
+        assert label == level
 
     def test_extreme_rows(self):
-        assert rule_label(make_features(55, 70, 410, 1.0))[0].level == 1
-        assert rule_label(make_features(15, 115, 490, 7.0))[0].level == 5
+        assert rule_label(make_features(55, 70, 410, 1.0))[0] == 1
+        assert rule_label(make_features(15, 115, 490, 7.0))[0] == 5
 
     def test_median_tie_breaks_to_sdnn(self):
         # SDNN=35 (L3), BPM=85 (L2), QTc=430 (L2), LF/HF=3 (L3)
@@ -115,7 +115,7 @@ class TestRuleLabel:
             "ecg_qtc": 2,
             "ecg_lfhf": 3,
         }
-        assert label.level == 3
+        assert label == 3
 
     def test_invalid_window_rejected(self):
         with pytest.raises(InvalidWindow):
@@ -132,7 +132,7 @@ class TestRuleLabel:
             qtc = rng.uniform(440.01, 459.99)
             lfhf = rng.uniform(2.51, 3.99)
             label, _ = rule_label(make_features(sdnn, bpm, qtc, lfhf))
-            assert label.level == 3
+            assert label == 3
 
     def test_fusion_rule_even_split(self):
         assert fuse_levels({"ecg_sdnn": 1, "ecg_bpm": 3, "ecg_qtc": 3, "ecg_lfhf": 1}) == 1
@@ -146,12 +146,12 @@ class TestScoreToLevel:
         [(0.0, 1), (0.1, 1), (0.2, 2), (0.39, 2), (0.4, 3), (0.6, 4), (0.79, 4), (0.8, 5), (1.0, 5)],
     )
     def test_bins(self, score, level):
-        assert score_to_level(score).level == level
+        assert score_to_level(score) == level
 
     def test_monotone(self):
         rng = np.random.default_rng(3)
         scores = np.sort(rng.uniform(0, 1, 300))
-        levels = [score_to_level(float(s)).level for s in scores]
+        levels = [score_to_level(float(s)) for s in scores]
         assert all(a <= b for a, b in zip(levels, levels[1:]))
 
     def test_out_of_range(self):
@@ -160,8 +160,74 @@ class TestScoreToLevel:
         with pytest.raises(OutOfRange):
             score_to_level(-0.01)
 
-    def test_invalid_level_construction(self):
-        from stresstwin.stress import StressLevel
 
-        with pytest.raises(InvalidLevel):
-            StressLevel.from_int(0)
+# Reference level rules written as plain if-chains, one per row of the table,
+# to check the bisect-read table against value by value at each edge.
+def _ref_sdnn(v):
+    if v > 50:
+        return 1
+    if v > 40:
+        return 2
+    if v > 30:
+        return 3
+    if v > 20:
+        return 4
+    return 5
+
+
+def _ref_ascending(edges):
+    def level(v):
+        for lvl, edge in enumerate(edges, start=1):
+            if v <= edge:
+                return lvl
+        return 5
+
+    return level
+
+
+def _ref_score(v):
+    if v < 0.2:
+        return 1
+    if v < 0.4:
+        return 2
+    if v < 0.6:
+        return 3
+    if v < 0.8:
+        return 4
+    return 5
+
+
+FEATURE_EDGES = {
+    "ecg_sdnn": (_ref_sdnn, (20, 30, 40, 50)),
+    "ecg_bpm": (_ref_ascending((80, 90, 100, 110)), (80, 90, 100, 110)),
+    "ecg_qtc": (_ref_ascending((420, 440, 460, 480)), (420, 440, 460, 480)),
+    "ecg_lfhf": (_ref_ascending((1.5, 2.5, 4, 6)), (1.5, 2.5, 4, 6)),
+}
+MID_METRICS = {"ecg_sdnn": 35.0, "ecg_bpm": 95.0, "ecg_qtc": 450.0, "ecg_lfhf": 3.0}
+
+
+def _around(edge):
+    """The edge and its float neighbours below and above."""
+    edge = float(edge)
+    return float(np.nextafter(edge, -np.inf)), edge, float(np.nextafter(edge, np.inf))
+
+
+class TestLevelEdges:
+    @pytest.mark.parametrize("feature", sorted(FEATURE_EDGES))
+    def test_feature_edges(self, feature):
+        reference, edges = FEATURE_EDGES[feature]
+        for edge in edges:
+            below, at, above = _around(edge)
+            assert reference(below) != reference(above), (feature, edge)
+            for v in (below, at, above):
+                metrics = dict(MID_METRICS, **{feature: v})
+                assert per_feature_levels(**metrics)[feature] == reference(v), (feature, v)
+
+    def test_score_edges(self):
+        for edge in (0.2, 0.4, 0.6, 0.8):
+            below, at, above = _around(edge)
+            assert _ref_score(below) != _ref_score(above), edge
+            for v in (below, at, above):
+                assert score_to_level(v) == _ref_score(v), v
+        for v in (0.0, float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0)), 1.0):
+            assert score_to_level(v) == _ref_score(v), v
