@@ -2,17 +2,25 @@
 
 ``bandpass_filter`` runs scipy's second-order-section cascade forward and
 backward over a Butterworth design of order ``BUTTER_ORDER``, on the input
-reflect-padded by slicing. It calls the compiled kernel that
-``scipy.signal.sosfilt`` ends in, ``scipy.signal._sosfilt._sosfilt``, on a
-1 x n buffer that it filters in place, with a zeroed state per pass. The
-public wrapper's argument handling (array-API dispatch, axis moves, a state
-and a copy of the input per call) took about a fifth of each call on a 60 s
-context at 360 Hz, and every argument here already has the shape and type the
-kernel needs; the samples it filters are the wrapper's, so are the bits. The
-kernel is private to scipy: the package is tested against scipy 1.17. The
-filter designs each (band, fs) once per process and reuses the cached
-sections; ``design_bandpass_sos`` itself returns a fresh array on every
-call, so no caller can write into the cached one. ``zscore``
+reflect-padded by slicing. ``design_bandpass_sos`` is scipy 1.17's
+``butter(BUTTER_ORDER, band, "bandpass", fs=fs, output="sos")`` written out
+for this one case (``buttap``, ``lp2bp_zpk``, ``bilinear_zpk``, then
+``zpk2sos`` with "nearest" pairing, every pole complex and every zero at +1
+or -1), operation for operation, so its coefficients are scipy's bits. The
+filter calls the compiled kernel that ``scipy.signal.sosfilt`` ends in,
+``scipy.signal._sosfilt._sosfilt``, on a 1 x n buffer that it filters in
+place, with a zeroed state per pass; the public wrapper's argument handling
+took about a fifth of each call on a 60 s context at 360 Hz, and the samples
+it filters are the wrapper's, so are the bits. The kernel's extension module
+is loaded from its file (``_load_sosfilt``): importing it through
+``scipy.signal`` would run that package's init, which imports
+``scipy.stats``, ``scipy.linalg`` and more and took most of the package's
+import time and resident memory. The module is registered under its own
+name, so a later ``import scipy.signal`` uses the same kernel. The kernel is
+private to scipy: the package is tested against scipy 1.17. The filter
+designs each (band, fs) once per process and reuses the cached sections;
+``design_bandpass_sos`` itself returns a fresh array on every call, so no
+caller can write into the cached one. ``zscore``
 takes the mean and the sample standard deviation as ``np.mean`` and
 ``np.std`` do, operation for operation, from one centred copy. ``welch_psd``
 cuts half-overlapping segments and linearly detrends, Hann-windows and
@@ -25,13 +33,16 @@ result is bit for bit that of the plain numpy calls named in each function.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy loads it on first use; here, once, before any worker forks
 from numpy.lib.stride_tricks import as_strided
-from scipy import signal as _scipy_signal
-from scipy.signal._sosfilt import _sosfilt
 
 from .errors import EmptyBand, InvalidBand, SegmentTooLong, SignalTooShort, ZeroVariance
 
@@ -46,11 +57,70 @@ class PsdEstimate:
     df: float
 
 
+def _load_sosfilt():
+    """``scipy.signal._sosfilt._sosfilt``, loaded without running ``scipy.signal``'s init."""
+    name = "scipy.signal._sosfilt"
+    module = sys.modules.get(name)
+    if module is None:
+        signal_dir = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "signal")
+        spec = importlib.machinery.PathFinder.find_spec(name, [signal_dir])
+        if spec is None:
+            raise ImportError(f"no {name} extension module in {signal_dir}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # a later import of scipy.signal reuses it
+        spec.loader.exec_module(module)
+    return module._sosfilt
+
+
+_sosfilt = _load_sosfilt()
+
+
 def design_bandpass_sos(low_hz: float, high_hz: float, fs: float):
-    """Butterworth bandpass coefficients as second-order sections."""
-    if low_hz >= high_hz or high_hz >= fs / 2 or low_hz < 0:
+    """Butterworth bandpass coefficients as second-order sections.
+
+    The bits of ``scipy.signal.butter(BUTTER_ORDER, [low_hz, high_hz],
+    "bandpass", fs=fs, output="sos")``: each step below is the scipy 1.17
+    function it names, operation for operation, for an even order and a band
+    strictly inside (0, fs / 2).
+    """
+    if not 0 < low_hz < high_hz < fs / 2:
         raise InvalidBand(f"band [{low_hz}, {high_hz}] invalid for fs={fs}")
-    return _scipy_signal.butter(BUTTER_ORDER, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
+    # iirfilter: pre-warp the band edges for the bilinear transform at fs = 2
+    wn = np.array([low_hz, high_hz], dtype=np.float64) / (float(fs) / 2)
+    warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # buttap: analog lowpass prototype, no zeros, unit gain
+    m = np.arange(-BUTTER_ORDER + 1, BUTTER_ORDER, 2, dtype=np.float64)
+    p = -np.exp(1j * np.pi * m / (2 * BUTTER_ORDER))
+    # lp2bp_zpk: each pole splits in two; BUTTER_ORDER zeros land at s = 0
+    p_lp = p * bw / 2
+    p_bp = np.concatenate((p_lp + np.sqrt(p_lp**2 - wo**2), p_lp - np.sqrt(p_lp**2 - wo**2)))
+    # bilinear_zpk at fs = 2: zeros at s = 0 map to z = +1, those at infinity to z = -1
+    fs2 = 4.0
+    p_z = (fs2 + p_bp) / (fs2 - p_bp)
+    # the gain: prod(fs2 - z) over the zeros at s = 0 is fs2**BUTTER_ORDER exactly
+    k = bw**BUTTER_ORDER * np.real(complex(fs2**BUTTER_ORDER) / np.prod(fs2 - p_bp))
+    # zpk2sos, "nearest": the poles come in exact conjugate pairs, so _cplxreal
+    # keeps the upper half, ordered by real part, then imaginary part
+    poles = p_z[p_z.imag > 0]
+    poles = poles[np.lexsort((poles.imag, poles.real))]
+    zeros_left = {1.0: BUTTER_ORDER, -1.0: BUTTER_ORDER}
+    sos = np.zeros((BUTTER_ORDER, 6))
+    for si in range(BUTTER_ORDER - 1, -1, -1):
+        # the pole nearest the unit circle goes last, with its conjugate and
+        # the two zeros nearest it among those left
+        i = np.argmin(np.abs(1 - np.abs(poles)))
+        p1 = poles[i]
+        poles = np.delete(poles, i)
+        zero = 1.0 if np.abs(1.0 - p1) < np.abs(-1.0 - p1) else -1.0
+        if not zeros_left[zero]:
+            zero = -zero
+        zeros_left[zero] -= 2
+        a = np.convolve(np.array([1, -p1]), np.array([1, -p1.conjugate()])).real
+        sos[si] = (1.0, -2.0 * zero, 1.0, *a)
+    sos[0, :3] *= k
+    return sos
 
 
 # Shared by every bandpass_filter call with the same arguments. Not marked

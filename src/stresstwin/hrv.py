@@ -12,7 +12,10 @@ only at the local maxima. The detector's settings are the module constants
 rate-corrected with Bazett's formula.
 
 The moving integration is a running sum (``_moving_mean``), as Pan and
-Tompkins define it, in O(n) where a convolution costs O(n * window). It
+Tompkins define it, in O(n) where a convolution costs O(n * window): numpy's
+sequential ``np.cumsum`` over the window's first sum and the sample that
+enters less the one that leaves, each sum divided by the window, which is
+``scipy.ndimage.uniform_filter1d(v, win, mode="constant")`` bit for bit. It
 rounds differently from the convolution, by about 1e-11 relative, but its
 bits reach no output: the integrated signal is only compared (against the
 thresholds it sets, with its neighbours for local maxima, and between
@@ -46,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
+import numpy.ma  # np.unique loads it on first use; here, once, before any worker forks
 
 from .dsp import band_power, bandpass_filter, strided_rows, welch_psd, zscore
 from .errors import (
@@ -215,9 +218,25 @@ def _moving_mean(v, win: int) -> np.ndarray:
     """Mean of ``v[i - win // 2 .. i + (win - 1) // 2]`` at each i, zero-padded, as a running sum.
 
     The window of ``np.convolve(v, np.ones(win) / win, "same")`` when
-    ``v.size >= win``, to rounding; O(n) whatever ``win`` is.
+    ``v.size >= win``, to rounding; O(n) whatever ``win`` is. The bits of
+    ``scipy.ndimage.uniform_filter1d(v, win, mode="constant")``: the zero-padded
+    first window summed in order from 0.0, then each step's entering sample
+    less its leaving one, accumulated in order, and each sum divided by ``win``.
+    The steps are built in the output, without a padded copy of ``v``.
     """
-    return uniform_filter1d(v, win, mode="constant")
+    n = v.size
+    left = win // 2  # samples before i in its window; win - 1 - left after it
+    out = np.empty(n)
+    # np.add.accumulate sums in order; adding it to 0.0 gives the sum from 0.0
+    out[0] = 0.0 + np.add.accumulate(v[: win - left])[-1]
+    steps = out[1:]  # steps[j]: v[j + win - left] enters, v[j - left] leaves
+    entering = max(0, n - win + left)
+    steps[:entering] = v[win - left :]
+    steps[entering:] = 0.0
+    steps[left:] -= v[: max(0, n - 1 - left)]
+    np.cumsum(out, out=out)
+    out /= win
+    return out
 
 
 def _median(v) -> float:
@@ -591,18 +610,26 @@ def _lf_hf_ratio(psd) -> float:
 # --- windowing and feature assembly -----------------------------------------
 
 
-def window_iter(record, window_s: float = 10.0, stride_s: float = 5.0):
-    """(start_time_s, sample slice) for each full window; partial tail dropped.
+def window_samples(record, window_s: float, stride_s: float) -> tuple[int, int]:
+    """Samples per window and per stride at the record's rate.
 
-    ConfigInvalid when the window or the stride rounds to no sample at the
-    record's rate.
+    ConfigInvalid when the window or the stride rounds to no sample.
     """
-    n = record.n_samples
     win_n = int(round(window_s * record.fs))
     stride_n = int(round(stride_s * record.fs))
     for name, value, n_samples in (("window_s", window_s, win_n), ("stride_s", stride_s, stride_n)):
         if n_samples < 1:
             raise ConfigInvalid(f"{name} {value} holds no sample of {record.record_name} at {record.fs} Hz")
+    return win_n, stride_n
+
+
+def window_iter(record, window_s: float = 10.0, stride_s: float = 5.0):
+    """(start_time_s, sample slice) for each full window; partial tail dropped.
+
+    ConfigInvalid as ``window_samples`` raises it.
+    """
+    n = record.n_samples
+    win_n, stride_n = window_samples(record, window_s, stride_s)
     if win_n > n:
         raise RecordTooShort(f"record holds {n} samples, window needs {win_n}")
     out = []

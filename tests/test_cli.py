@@ -189,6 +189,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: stride_s ")
+        assert not (tmp_path / "out" / "ingest_summary.json").exists()
 
     @pytest.mark.parametrize("value", ["-5", "0", "nan"])
     def test_bad_simulate_duration_is_config_invalid(self, synthetic_run, tmp_path, capsys, value):

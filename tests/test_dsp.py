@@ -4,6 +4,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as scipy_signal
 
 from stresstwin.dsp import (
+    BUTTER_ORDER,
     PsdEstimate,
     band_power,
     bandpass_filter,
@@ -71,6 +72,33 @@ class TestBandpass:
         assert sos is not design_bandpass_sos(5.0, 15.0, FS)
         sos[:] = 0.0  # a caller writing into its copy leaves the filter intact
         assert np.array_equal(bandpass_filter(x, FS, 5.0, 15.0), before)
+
+
+class TestDesignMatchesScipy:
+    """The ported design gives ``scipy.signal.butter``'s coefficients bit for bit."""
+
+    @pytest.mark.parametrize(
+        "fs, band",
+        [
+            (fs, band)
+            for fs in (128.0, 200.0, 250.0, 256.0, 360.0, 500.0, 1000.0, 1024.0)
+            for band in ((0.5, 45.0), (5.0, 15.0), (1.0, 100.0), (0.05, 40.0), (0.67, 35.0), (10.0, 60.0))
+            if band[1] < fs / 2
+        ],
+    )
+    def test_bitwise(self, fs, band):
+        ref = scipy_signal.butter(BUTTER_ORDER, list(band), btype="bandpass", fs=fs, output="sos")
+        got = design_bandpass_sos(*band, fs)
+        assert got.shape == ref.shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "band",
+        [(45.0, 0.5), (5.0, 5.0), (0.5, 180.0), (0.5, 200.0), (0.0, 45.0), (-1.0, 45.0), (float("nan"), 45.0)],
+    )
+    def test_invalid_band(self, band):
+        with pytest.raises(InvalidBand):
+            design_bandpass_sos(*band, FS)
 
 
 def _bandpass_reference(x, fs, low_hz=0.5, high_hz=45.0):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import uniform_filter1d
 
 from stresstwin.dsp import band_power, bandpass_filter, welch_psd, zscore
 from stresstwin.errors import (
@@ -632,6 +633,17 @@ class TestMovingMean:
         got = _moving_mean(v, win)
         assert got.shape == v.shape
         np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-14 * ref.max())
+
+    @pytest.mark.parametrize("win", [3, 4, 54, 55])
+    @pytest.mark.parametrize("n", [1, 2, 5, 53, 54, 55, 21600])
+    def test_bitwise_matches_uniform_filter1d(self, n, win):
+        rng = np.random.default_rng(n * 1000 + win)
+        magnitude = 10.0 ** rng.uniform(-8.0, 3.0, n)  # 1e-8 to 1e3 in one signal
+        for v in (magnitude, magnitude * rng.choice([-1.0, 1.0], n), rng.normal(0.0, 1.0, n) ** 2):
+            got = _moving_mean(v, win)
+            ref = uniform_filter1d(v, win, mode="constant")
+            assert got.shape == v.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("win", [3, 4, 54, 55])
     @pytest.mark.parametrize("n", [5, 60, 200])
