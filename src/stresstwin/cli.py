@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="append stress scores and levels to features")
     _add_common(p)
     p.add_argument("--features", help="features CSV path")
-    p.add_argument("--baseline", help="baseline JSON path")
     p.add_argument("--out", help="labeled CSV path")
 
     p = sub.add_parser("train", help="train the forest on labeled windows")
@@ -245,8 +244,7 @@ def _cmd_features(args, cfg: RunConfig, out: Path) -> None:
 
 def _cmd_label(args, cfg: RunConfig, out: Path) -> None:
     rows = read_rows_csv(_artifact(args.features, out, "features.csv"))
-    baseline = baseline_from_json(_artifact(args.baseline, out, "baseline.json"))
-    _save_labeled(label_rows(rows, baseline, cfg.eps), _output(args.out, out, "labeled.csv"))
+    _save_labeled(label_rows(rows), _output(args.out, out, "labeled.csv"))
 
 
 def _cmd_train(args, cfg: RunConfig, out: Path) -> None:
@@ -309,7 +307,7 @@ def _cmd_run(args, cfg: RunConfig, out: Path) -> None:
     _save_baseline(baseline, out / "baseline.json")
     rows = feature_rows(noisy, clean, baseline, cfg)
     _save_features(rows, out / "features.csv")
-    labeled = label_rows(rows, baseline, cfg.eps)
+    labeled = label_rows(rows)
     _save_labeled(labeled, out / "labeled.csv")
     dataset = rows_to_dataset(labeled)
     forest, train_ds, test_ds = train(dataset, cfg)

@@ -15,8 +15,9 @@ it filters are the wrapper's, so are the bits. The kernel's extension module
 is loaded from its file (``_load_sosfilt``): importing it through
 ``scipy.signal`` would run that package's init, which imports
 ``scipy.stats``, ``scipy.linalg`` and more and took most of the package's
-import time and resident memory. The module is registered under its own
-name, so a later ``import scipy.signal`` uses the same kernel. The kernel is
+import time and resident memory. The module is left out of ``sys.modules``,
+so a later ``import scipy.signal`` imports it as its submodule and gets the
+same module, so the same kernel, from the extension. The kernel is
 private to scipy: the package is tested against scipy 1.17. The filter
 designs each (band, fs) once per process and reuses the cached sections;
 ``design_bandpass_sos`` itself returns a fresh array on every call, so no
@@ -67,8 +68,9 @@ def _load_sosfilt():
         if spec is None:
             raise ImportError(f"no {name} extension module in {signal_dir}")
         module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module  # a later import of scipy.signal reuses it
         spec.loader.exec_module(module)
+        # it registers itself; unregistered, a later import binds it to scipy.signal
+        sys.modules.pop(name, None)
     return module._sosfilt
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -127,10 +128,10 @@ class RandomForest:
 
 @dataclass(frozen=True)
 class ForestParams:
-    n_trees: int = 100
-    mtry: int = 3
-    min_samples_leaf: int = 2
-    max_depth: int | None = None
+    n_trees: int = RunConfig.n_trees
+    mtry: int = RunConfig.mtry
+    min_samples_leaf: int = RunConfig.min_samples_leaf
+    max_depth: int | None = RunConfig.max_depth
 
     def as_dict(self) -> dict:
         return {
@@ -144,7 +145,7 @@ class ForestParams:
 # --- stratified split --------------------------------------------------------
 
 
-def stratified_split(dataset: Dataset, train_fraction: float = 0.7, seed: int = 0):
+def stratified_split(dataset: Dataset, train_fraction: float, seed: int):
     """Per-class split preserving proportions; the remainder goes to train."""
     if len(dataset) == 0:
         raise EmptyDataset("cannot split an empty dataset")
@@ -162,7 +163,7 @@ def stratified_split(dataset: Dataset, train_fraction: float = 0.7, seed: int = 
     return dataset.subset(sorted(train_idx)), dataset.subset(sorted(test_idx))
 
 
-def record_level_split(dataset: Dataset, train_fraction: float = 0.7, seed: int = 0):
+def record_level_split(dataset: Dataset, train_fraction: float, seed: int):
     """Leakage-safe variant: whole records land on one side of the split."""
     if dataset.keys is None:
         raise InvalidParam("record-level split needs dataset keys")

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.ma  # np.unique loads it on first use; here, once, before any worker forks
 
+from .config import RunConfig
 from .dsp import band_power, bandpass_filter, strided_rows, welch_psd, zscore
 from .errors import (
     ConfigInvalid,
@@ -90,9 +91,8 @@ TACHOGRAM_HZ = 4.0
 TACHOGRAM_SEGMENT = 256  # Welch segment (samples) of the tachogram's LF/HF ratio
 RR_ABS_BOUNDS_MS = (300.0, 2000.0)
 RR_RELATIVE_TOL = 0.20
-MIN_WINDOW_RR = 5
+MIN_WINDOW_RR = 5  # at least the 2 intervals that sdnn needs
 LFHF_MIN_SPAN_S = 30.0
-CONTEXT_S = 60.0  # trailing buffer feeding the LF/HF estimates
 NOISE_SEGMENT = 8192  # Welch segment (samples) of the noise LF/HF ratio
 
 # R-peak detector
@@ -140,6 +140,10 @@ class WindowFeatures:
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, c) for c in FEATURE_COLUMNS], dtype=np.float64)
 
+    def as_row(self) -> dict:
+        """The window's feature row: every field by name, in a new dict (no deep copy)."""
+        return dict(vars(self))
+
 
 @dataclass(frozen=True)
 class BaselineProfile:
@@ -148,20 +152,6 @@ class BaselineProfile:
     qtc: float
     lfhf: float
     source_record: str
-
-
-def _invalid_features(window_start: float, noise_moments=None) -> WindowFeatures:
-    nm = noise_moments or (math.nan, math.nan, math.nan, math.nan, math.nan)
-    return WindowFeatures(
-        *(math.nan,) * 8,
-        noise_mean=nm[0],
-        noise_std=nm[1],
-        noise_skew=nm[2],
-        noise_kurt=nm[3],
-        noise_lfhf=nm[4],
-        window_start=window_start,
-        valid=False,
-    )
 
 
 # --- R-peak detection --------------------------------------------------------
@@ -623,7 +613,7 @@ def window_samples(record, window_s: float, stride_s: float) -> tuple[int, int]:
     return win_n, stride_n
 
 
-def window_iter(record, window_s: float = 10.0, stride_s: float = 5.0):
+def window_iter(record, window_s: float = RunConfig.window_s, stride_s: float = RunConfig.stride_s):
     """(start_time_s, sample slice) for each full window; partial tail dropped.
 
     ConfigInvalid as ``window_samples`` raises it.
@@ -663,11 +653,8 @@ def _segment_absolute_features(segment, fs: float, window_s: float):
     rr_win = RrSeries(rr_all.intervals_ms[in_window], rr_all.onsets_s[in_window])
     if len(rr_win) < MIN_WINDOW_RR:
         return None
-    try:
-        v_sdnn = sdnn(rr_win)
-        v_bpm = bpm(rr_win)
-    except TooFewIntervals:
-        return None
+    v_sdnn = sdnn(rr_win)
+    v_bpm = bpm(rr_win)
 
     w_start_idx = max(0, int(round(w_start * fs)))
     win_peaks = peaks[peaks >= w_start_idx]
@@ -694,20 +681,21 @@ def extract_window_features(
     clean_segment,
     baseline: BaselineProfile,
     fs: float,
-    window_s: float = 10.0,
+    window_s: float = RunConfig.window_s,
     window_start: float = 0.0,
-    eps: float = 1e-6,
+    eps: float = RunConfig.eps,
 ) -> WindowFeatures:
     """Feature vector for one window.
 
-    The segments may carry up to ``CONTEXT_S`` of leading context; the
+    The segments may carry up to ``context_s`` of leading context; the
     analysis window is their trailing ``window_s`` seconds. Absolute HRV
     comes from the noisy window, relative deviations compare against the
     clean-baseline profile, and the noise descriptors come from the
     noisy-minus-clean residual: its mean, standard deviation, skewness and
     kurtosis over the analysis window, its LF/HF ratio over the whole
     segment (window plus context). A window whose noisy or clean segment
-    holds an invalid (NaN) sample is invalid, with every column NaN.
+    holds an invalid (NaN) sample is invalid, with every column NaN; one
+    whose HRV cannot be measured is invalid, with NaN ecg_* and rel_* columns.
     """
     noisy_segment = np.asarray(noisy_segment, dtype=np.float64)
     clean_segment = np.asarray(clean_segment, dtype=np.float64)
@@ -716,38 +704,27 @@ def extract_window_features(
 
     win_n = int(round(window_s * fs))
     noise_full = noisy_segment - clean_segment
+    columns = dict.fromkeys(FEATURE_COLUMNS, math.nan)  # filled by name as each is measured
     if np.isnan(noise_full).any():
-        return _invalid_features(window_start)
-    noise_win = noise_full[-win_n:]
-    n_mean, n_std, n_skew, n_kurt = _noise_moments(noise_win)
-    n_lfhf = _noise_lfhf(noise_full, fs, NOISE_SEGMENT)
-    moments = (n_mean, n_std, n_skew, n_kurt, n_lfhf)
+        return WindowFeatures(**columns, window_start=window_start, valid=False)
+    moments = _noise_moments(noise_full[-win_n:])
+    columns.update(zip(("noise_mean", "noise_std", "noise_skew", "noise_kurt"), moments))
+    columns["noise_lfhf"] = _noise_lfhf(noise_full, fs, NOISE_SEGMENT)
 
     absolute = _segment_absolute_features(noisy_segment, fs, window_s)
-    if absolute is None:
-        return _invalid_features(window_start, moments)
-    v_sdnn, v_bpm, v_qtc, v_lfhf = absolute
-
-    return WindowFeatures(
-        ecg_sdnn=v_sdnn,
-        ecg_bpm=v_bpm,
-        ecg_qtc=v_qtc,
-        ecg_lfhf=v_lfhf,
-        rel_sdnn=relative_deviation(v_sdnn, baseline.sdnn, eps),
-        rel_bpm=relative_deviation(v_bpm, baseline.bpm, eps),
-        rel_qtc=relative_deviation(v_qtc, baseline.qtc, eps),
-        rel_lfhf=relative_deviation(v_lfhf, baseline.lfhf, eps),
-        noise_mean=n_mean,
-        noise_std=n_std,
-        noise_skew=n_skew,
-        noise_kurt=n_kurt,
-        noise_lfhf=n_lfhf,
-        window_start=window_start,
-        valid=True,
-    )
+    if absolute is not None:
+        for name, value in zip(("sdnn", "bpm", "qtc", "lfhf"), absolute):
+            columns[f"ecg_{name}"] = value
+            columns[f"rel_{name}"] = relative_deviation(value, getattr(baseline, name), eps)
+    return WindowFeatures(**columns, window_start=window_start, valid=absolute is not None)
 
 
-def iter_window_segments(record, window_s: float = 10.0, stride_s: float = 5.0, context_s: float = CONTEXT_S):
+def iter_window_segments(
+    record,
+    window_s: float = RunConfig.window_s,
+    stride_s: float = RunConfig.stride_s,
+    context_s: float = RunConfig.context_s,
+):
     """(window_start_s, segment slice) where each segment ends with its window.
 
     The segment includes up to ``context_s`` of trailing history, which is
@@ -764,9 +741,9 @@ def iter_window_segments(record, window_s: float = 10.0, stride_s: float = 5.0, 
 
 def compute_baseline(
     clean_record,
-    window_s: float = 10.0,
-    stride_s: float = 5.0,
-    context_s: float = CONTEXT_S,
+    window_s: float = RunConfig.window_s,
+    stride_s: float = RunConfig.stride_s,
+    context_s: float = RunConfig.context_s,
 ) -> BaselineProfile:
     """Median absolute features over all valid windows of the clean record.
 

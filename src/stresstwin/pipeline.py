@@ -3,12 +3,16 @@
 Stage order: ``load_series``, ``baseline_from_clean``, ``feature_rows``,
 ``label_rows``, ``train``, ``forest.evaluate``, ``explain``,
 ``build_report_rows``, ``simulate``.
+
+A window's feature row is made once, in ``hrv``, its deviations from the
+baseline in its ``rel_*`` columns; ``feature_rows`` adds the record name.
+Later stages read the row as it stands: ``label_rows`` needs nothing else,
+and ``feature_matrix`` makes the forest's input from rows.
 """
 
 import csv
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +39,8 @@ from .simulator import run_simulation, window_key
 from .stress import assess
 
 FEATURE_CSV_COLUMNS = FEATURE_COLUMNS + ("window_start", "record_name", "valid")
-LABELED_CSV_COLUMNS = FEATURE_CSV_COLUMNS + ("stress_score", "rule_level", "score_level")
+LABEL_COLUMNS = ("stress_score", "rule_level", "score_level")
+LABELED_CSV_COLUMNS = FEATURE_CSV_COLUMNS + LABEL_COLUMNS
 REPORT_CSV_COLUMNS = (
     "record_name",
     "window_start",
@@ -107,7 +112,7 @@ def _record_windows(noisy, clean, cfg) -> list:
 def _window_row(window, baseline: BaselineProfile, cfg) -> dict:
     """One feature row (a dict keyed by FEATURE_CSV_COLUMNS)."""
     noisy, clean, start_s, seg = window
-    feats = extract_window_features(
+    row = extract_window_features(
         noisy.channel(0)[seg],
         clean.channel(0)[seg],
         baseline,
@@ -115,11 +120,8 @@ def _window_row(window, baseline: BaselineProfile, cfg) -> dict:
         window_s=cfg.window_s,
         window_start=start_s,
         eps=cfg.eps,
-    )
-    row = {col: getattr(feats, col) for col in FEATURE_COLUMNS}
-    row["window_start"] = start_s
+    ).as_row()
     row["record_name"] = noisy.record_name
-    row["valid"] = feats.valid
     return row
 
 
@@ -138,20 +140,12 @@ def feature_rows(noisy_records, clean, baseline: BaselineProfile, cfg) -> list:
     return fork_map(lambda window: _window_row(window, baseline, cfg), windows)
 
 
-def label_rows(rows, baseline: BaselineProfile, eps: float) -> list:
-    """Append stress_score / rule_level / score_level to valid feature rows."""
+def label_rows(rows) -> list:
+    """Each feature row, copied, with its ``LABEL_COLUMNS``: ``assess``'s values, None when invalid."""
     out = []
     for row in rows:
-        row = dict(row)
-        if row["valid"]:
-            row["stress_score"], row["rule_level"], row["score_level"] = assess(
-                SimpleNamespace(**row), baseline, eps
-            )
-        else:
-            row["stress_score"] = None
-            row["rule_level"] = None
-            row["score_level"] = None
-        out.append(row)
+        labels = assess(row) if row["valid"] else (None, None, None)
+        out.append({**row, **dict(zip(LABEL_COLUMNS, labels))})
     return out
 
 
@@ -187,7 +181,7 @@ def predicted_levels(rows, forest) -> list:
     levels = [None] * len(rows)
     valid = [i for i, row in enumerate(rows) if row["valid"]]
     if valid:
-        X = np.asarray([[rows[i][c] for c in FEATURE_COLUMNS] for i in valid])
+        X = feature_matrix([rows[i] for i in valid])
         for i, level in zip(valid, predict_levels(forest, X)):
             levels[i] = int(level)
     return levels
@@ -211,18 +205,18 @@ def simulate(noisy_records, rows, forest, cfg, scripted=None):
     return run_simulation(noisy_records, levels, cfg, scripted)
 
 
+def feature_matrix(rows) -> np.ndarray:
+    """The ``FEATURE_COLUMNS`` of each row, as one float64 row of a matrix per row."""
+    X = np.array([[row[c] for c in FEATURE_COLUMNS] for row in rows], dtype=np.float64)
+    return X.reshape(len(rows), len(FEATURE_COLUMNS))
+
+
 def rows_to_dataset(rows) -> Dataset:
     """Valid labeled rows as a training dataset keyed by (record, window start)."""
-    X, y, keys = [], [], []
-    for row in rows:
-        if not row["valid"] or row.get("rule_level") is None:
-            continue
-        X.append([row[c] for c in FEATURE_COLUMNS])
-        y.append(int(row["rule_level"]))
-        keys.append((row["record_name"], float(row["window_start"])))
-    if not X:
-        return Dataset(np.empty((0, len(FEATURE_COLUMNS))), np.empty(0, dtype=np.int64), [])
-    return Dataset(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64), keys)
+    rows = [row for row in rows if row["valid"] and row.get("rule_level") is not None]
+    y = [int(row["rule_level"]) for row in rows]
+    keys = [(row["record_name"], float(row["window_start"])) for row in rows]
+    return Dataset(feature_matrix(rows), y, keys)
 
 
 # --- CSV I/O ------------------------------------------------------------------

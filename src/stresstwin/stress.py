@@ -1,18 +1,20 @@
 """Stress quantification: relative deviations, composite score, level rules.
 
-Levels are plain ints 1..5. Four absolute HRV metrics map to a level each
-through the rows of ``LEVEL_EDGES``; the overall rule level is the median of
-the four, with even splits broken toward the SDNN level (the dominant weight
-in the composite score). The composite score bins through its own row into
-the same 1..5 scale, reported next to the rule level.
+``hrv`` puts a window's relative deviations in the ``rel_*`` columns of its
+feature row; ``assess`` scores the row from those and labels it from its
+``ecg_*`` columns. Levels are plain ints 1..5. Four absolute HRV metrics map
+to a level each through the rows of ``LEVEL_EDGES``; the overall rule level
+is the median of the four, with even splits broken toward the SDNN level
+(the dominant weight in the composite score). The composite score bins
+through its own row into the same 1..5 scale, reported next to the rule
+level.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 
+from .config import RunConfig
 from .errors import InvalidWindow, NonFiniteInput, OutOfRange
-
-DEFAULT_EPS = 1e-6
 
 # The level table: per quantity, the four edges between levels 1..5, read with
 # bisect. A value's level is 1 + the number of edges it has passed; bisect_left
@@ -34,7 +36,7 @@ def _level(row: str, value: float) -> int:
     return 1 + passed(edges, sign * value)
 
 
-def relative_deviation(x_noisy: float, x_baseline: float, eps: float = DEFAULT_EPS) -> float:
+def relative_deviation(x_noisy: float, x_baseline: float, eps: float = RunConfig.eps) -> float:
     """(x_noisy - x_baseline) / (x_baseline + eps)."""
     if not (math.isfinite(x_noisy) and math.isfinite(x_baseline)):
         raise NonFiniteInput("relative deviation needs finite inputs")
@@ -77,17 +79,15 @@ def fuse_levels(levels: dict) -> int:
     return levels["ecg_sdnn"]
 
 
-def rule_label(features) -> tuple:
-    """Threshold-table label for a valid feature window.
+def rule_label(row) -> tuple:
+    """Threshold-table label for a valid feature row.
 
-    Returns (level, per-feature level map). ``features`` needs the ecg_*
-    attributes plus ``valid``.
+    Returns (level, per-feature level map). ``row`` maps the ecg_* columns
+    and ``valid`` to their values.
     """
-    if not getattr(features, "valid", False):
+    if not row["valid"]:
         raise InvalidWindow("cannot label an invalid window")
-    levels = per_feature_levels(
-        features.ecg_sdnn, features.ecg_bpm, features.ecg_qtc, features.ecg_lfhf
-    )
+    levels = per_feature_levels(row["ecg_sdnn"], row["ecg_bpm"], row["ecg_qtc"], row["ecg_lfhf"])
     return fuse_levels(levels), levels
 
 
@@ -98,12 +98,12 @@ def score_to_level(score: float) -> int:
     return _level("score", score)
 
 
-def assess(features, baseline, eps: float = DEFAULT_EPS) -> tuple:
-    """(score, rule_level, score_level) of one valid window against a baseline profile."""
-    rule, _ = rule_label(features)
-    score = composite_score(
-        relative_deviation(features.ecg_sdnn, baseline.sdnn, eps),
-        relative_deviation(features.ecg_bpm, baseline.bpm, eps),
-        relative_deviation(features.ecg_qtc, baseline.qtc, eps),
-    )
+def assess(row) -> tuple:
+    """(score, rule_level, score_level) of one valid feature row.
+
+    The score weighs the row's own ``rel_sdnn``, ``rel_bpm`` and ``rel_qtc``;
+    the rule level reads its ``ecg_*`` columns.
+    """
+    rule, _ = rule_label(row)
+    score = composite_score(row["rel_sdnn"], row["rel_bpm"], row["rel_qtc"])
     return score, rule, score_to_level(score)

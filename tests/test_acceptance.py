@@ -68,7 +68,7 @@ def synthetic_dataset(tmp_path_factory):
     clean, noisy = load_series(d, "S00")
     baseline = compute_baseline(clean, cfg.window_s, cfg.stride_s, cfg.context_s)
     rows = feature_rows(noisy, clean, baseline, cfg)
-    labeled = label_rows(rows, baseline, cfg.eps)
+    labeled = label_rows(rows)
     return rows_to_dataset(labeled)
 
 
@@ -258,7 +258,7 @@ def test_criterion_10_real_series_properties(tmp_path):
     baseline = compute_baseline(clean, cfg.window_s, cfg.stride_s, cfg.context_s)
     assert min(baseline.sdnn, baseline.bpm, baseline.qtc, baseline.lfhf) > 0
     rows = feature_rows(noisy, clean, baseline, cfg)
-    labeled = label_rows(rows, baseline, cfg.eps)
+    labeled = label_rows(rows)
     dataset = rows_to_dataset(labeled)
     train_ds, test_ds = stratified_split(dataset, 0.7, seed=cfg.seed)
     forest = train_forest(train_ds, ForestParams(), seed=cfg.seed)

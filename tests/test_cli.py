@@ -124,6 +124,12 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_label_takes_no_baseline_option(self, tmp_path, capsys):
+        # the rel_* columns of features.csv already hold the deviations from the baseline
+        with pytest.raises(SystemExit) as exc:
+            main(["label", "--baseline", "x", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_missing_data_dir_is_data_error(self, tmp_path):
         code = main(["baseline", "--data-dir", str(tmp_path), "--out-dir", str(tmp_path)])
         assert code == EXIT_DATA
@@ -324,6 +330,13 @@ class TestSubcommandChain:
             assert main(argv) == EXIT_OK, step
         got = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in PINNED_SHA256}
         assert sorted(n for n in PINNED_SHA256 if got[n] != PINNED_SHA256[n]) == []
+
+    def test_label_reads_only_features_csv(self, synthetic_run, tmp_path):
+        shutil.copy(synthetic_run / "features.csv", tmp_path / "features.csv")
+        assert main(["label", "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "labeled.csv"]
+        got = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in ("features.csv", "labeled.csv")}
+        assert got == {n: PINNED_SHA256[n] for n in got}
 
 
 class TestInvalidSamples:

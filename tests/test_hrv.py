@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter1d
 
+from stresstwin.config import RunConfig
 from stresstwin.dsp import band_power, bandpass_filter, welch_psd, zscore
 from stresstwin.errors import (
     EmptyBand,
@@ -20,7 +21,6 @@ from stresstwin.errors import (
     TooFewIntervals,
 )
 from stresstwin.hrv import (
-    CONTEXT_S,
     NOISE_SEGMENT,
     _fill_gaps,
     _local_maxima,
@@ -172,7 +172,7 @@ class TestRollingBlockStats:
             (9, 4),  # under 5 blocks: every span is truncated
             (20, 4),  # exactly 5 blocks: one whole span
             (47, 4),  # not a multiple of the block
-            (int(CONTEXT_S * FS), int(FS)),  # a 60 s context at 360 Hz
+            (int(RunConfig.context_s * FS), int(FS)),  # a 60 s context at 360 Hz
         ],
     )
     def test_matches_per_block_loop(self, n, block_n):
@@ -1072,7 +1072,7 @@ class TestWindowIter:
         rec = self._record(120)
         for start_s, seg in iter_window_segments(rec):
             assert seg.stop == int(round((start_s + 10.0) * FS))
-            assert seg.stop - seg.start <= int(CONTEXT_S * FS)
+            assert seg.stop - seg.start <= int(RunConfig.context_s * FS)
 
 
 class TestExtractWindowFeatures:

@@ -10,10 +10,10 @@ import sys
 import stresstwin, stresstwin.cli
 heavy = [m for m in ("scipy.signal", "scipy.ndimage", "scipy.stats") if m in sys.modules]
 assert not heavy, heavy
-kernel = sys.modules["scipy.signal._sosfilt"]._sosfilt  # registered under its own name
-assert kernel is stresstwin.dsp._sosfilt
+kernel = stresstwin.dsp._sosfilt
 import scipy.signal
 from scipy.signal._sosfilt import _sosfilt
+assert scipy.signal._sosfilt._sosfilt is kernel
 assert sys.modules["scipy.signal._sosfilt"]._sosfilt is kernel
 assert _sosfilt is kernel
 assert scipy.signal._signaltools._sosfilt is kernel  # what scipy.signal.sosfilt calls

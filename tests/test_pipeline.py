@@ -1,8 +1,12 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stresstwin
 from stresstwin.config import ENV_DATA_DIR, RunConfig, load_config
 from stresstwin.errors import ConfigInvalid, InvalidParam
 from stresstwin.forest import Dataset
@@ -20,25 +24,25 @@ from stresstwin.pipeline import (
     split_to_json,
     write_rows_csv,
 )
+from stresstwin.stress import relative_deviation
+
+
+BASELINE = BaselineProfile(sdnn=50.0, bpm=70.0, qtc=400.0, lfhf=1.0, source_record="t")
 
 
 def make_row(record, start, valid=True, sdnn=55.0, bpm=70.0, qtc=410.0, lfhf=1.0):
+    """A feature row whose rel_* columns are its ecg_* metrics' deviations from BASELINE."""
     row = {c: 0.0 for c in FEATURE_COLUMNS}
-    row.update(
-        ecg_sdnn=sdnn if valid else float("nan"),
-        ecg_bpm=bpm if valid else float("nan"),
-        ecg_qtc=qtc if valid else float("nan"),
-        ecg_lfhf=lfhf if valid else float("nan"),
-        window_start=start,
-        record_name=record,
-        valid=valid,
-    )
+    for name, value in (("sdnn", sdnn), ("bpm", bpm), ("qtc", qtc), ("lfhf", lfhf)):
+        row[f"ecg_{name}"] = value if valid else float("nan")
+        row[f"rel_{name}"] = relative_deviation(value, getattr(BASELINE, name)) if valid else float("nan")
+    row.update(window_start=start, record_name=record, valid=valid)
     return row
 
 
 @pytest.fixture
 def baseline():
-    return BaselineProfile(sdnn=50.0, bpm=70.0, qtc=400.0, lfhf=1.0, source_record="t")
+    return BASELINE
 
 
 class TestExtractRecordRows:
@@ -51,29 +55,27 @@ class TestExtractRecordRows:
 
 
 class TestLabeling:
-    def test_invalid_rows_excluded_from_dataset(self, baseline):
+    def test_invalid_rows_excluded_from_dataset(self):
         rows = [
             make_row("a", 0.0),
             make_row("a", 5.0, valid=False),
             make_row("a", 10.0, sdnn=15.0, bpm=115.0, qtc=490.0, lfhf=7.0),
         ]
-        labeled = label_rows(rows, baseline, 1e-6)
+        labeled = label_rows(rows)
         ds = rows_to_dataset(labeled)
         assert len(ds) == 2
         assert labeled[1]["rule_level"] is None
         assert ds.y.tolist() == [1, 5]
 
-    def test_score_in_unit_range(self, baseline):
+    def test_score_in_unit_range(self):
         rows = [make_row("a", 0.0, sdnn=5.0, bpm=140.0, qtc=500.0, lfhf=9.0)]
-        labeled = label_rows(rows, baseline, 1e-6)
+        labeled = label_rows(rows)
         assert 0.0 <= labeled[0]["stress_score"] <= 1.0
 
 
 class TestCsvRoundtrip:
-    def test_feature_rows_roundtrip(self, tmp_path, baseline):
-        rows = label_rows(
-            [make_row("a", 0.0), make_row("a", 5.0, valid=False)], baseline, 1e-6
-        )
+    def test_feature_rows_roundtrip(self, tmp_path):
+        rows = label_rows([make_row("a", 0.0), make_row("a", 5.0, valid=False)])
         path = tmp_path / "rows.csv"
         from stresstwin.pipeline import LABELED_CSV_COLUMNS
 
@@ -119,6 +121,12 @@ class TestSplitJson:
 class TestConfig:
     def test_defaults_valid(self):
         RunConfig().validate()
+
+    def test_every_field_is_read(self):
+        # no config knob that nothing reads: each field is read as cfg.<field> outside config.py
+        package = Path(stresstwin.__file__).parent
+        text = "\n".join(p.read_text() for p in sorted(package.glob("*.py")) if p.name != "config.py")
+        assert [f.name for f in fields(RunConfig) if not re.search(rf"\bcfg\.{f.name}\b", text)] == []
 
     def test_json_file_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -286,7 +286,7 @@ def steady_model():
     cfg = RunConfig()
     rows = feature_rows([clean], clean, baseline, cfg)
     # force a second class so training is non-degenerate
-    ds = rows_to_dataset(label_rows(rows, baseline, cfg.eps))
+    ds = rows_to_dataset(label_rows(rows))
     y = ds.y.copy()
     y[-1] = 2
     forest = train_forest(Dataset(ds.X, y, ds.keys), ForestParams(n_trees=10, mtry=3), seed=0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from stresstwin.errors import InvalidWindow, NonFiniteInput, OutOfRange
-from stresstwin.hrv import WindowFeatures
+from stresstwin.hrv import FEATURE_COLUMNS
 from stresstwin.stress import (
+    assess,
     composite_score,
     fuse_levels,
     per_feature_levels,
@@ -16,23 +17,10 @@ from stresstwin.stress import (
 
 
 def make_features(sdnn, bpm, qtc, lfhf, valid=True):
-    return WindowFeatures(
-        ecg_sdnn=sdnn,
-        ecg_bpm=bpm,
-        ecg_qtc=qtc,
-        ecg_lfhf=lfhf,
-        rel_sdnn=0.0,
-        rel_bpm=0.0,
-        rel_qtc=0.0,
-        rel_lfhf=0.0,
-        noise_mean=0.0,
-        noise_std=0.0,
-        noise_skew=0.0,
-        noise_kurt=0.0,
-        noise_lfhf=0.0,
-        window_start=0.0,
-        valid=valid,
-    )
+    """A feature row with the given ecg_* metrics and every other feature column 0."""
+    row = dict.fromkeys(FEATURE_COLUMNS, 0.0)
+    row.update(ecg_sdnn=sdnn, ecg_bpm=bpm, ecg_qtc=qtc, ecg_lfhf=lfhf, window_start=0.0, valid=valid)
+    return row
 
 
 class TestRelativeDeviation:
@@ -138,6 +126,24 @@ class TestRuleLabel:
         assert fuse_levels({"ecg_sdnn": 1, "ecg_bpm": 3, "ecg_qtc": 3, "ecg_lfhf": 1}) == 1
         assert fuse_levels({"ecg_sdnn": 3, "ecg_bpm": 2, "ecg_qtc": 2, "ecg_lfhf": 3}) == 3
         assert fuse_levels({"ecg_sdnn": 2, "ecg_bpm": 2, "ecg_qtc": 5, "ecg_lfhf": 4}) == 2
+
+
+class TestAssess:
+    def test_score_follows_the_rel_columns(self):
+        row = make_features(55.0, 70.0, 410.0, 1.0)
+        row.update(rel_sdnn=-0.1, rel_bpm=0.05, rel_qtc=0.02, rel_lfhf=3.0)
+        assert assess(row) == (composite_score(-0.1, 0.05, 0.02), 1, 1)
+        row["rel_sdnn"] = -0.9
+        assert assess(row) == (composite_score(-0.9, 0.05, 0.02), 1, 3)
+
+    def test_ecg_columns_move_only_the_rule_level(self):
+        # SDNN=35 (L3), BPM=85 (L2), QTc=430 (L2), LF/HF=3 (L3): the tie takes SDNN's level
+        row = make_features(35.0, 85.0, 430.0, 3.0)
+        row.update(rel_sdnn=-0.5, rel_bpm=0.2, rel_qtc=0.1)
+        score, rule, score_level = assess(row)
+        assert (rule, score_level) == (3, 2)
+        row["ecg_sdnn"] = 15.0
+        assert assess(row) == (score, 5, score_level)
 
 
 class TestScoreToLevel:
