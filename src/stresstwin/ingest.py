@@ -199,12 +199,18 @@ def _parse_signal_line(line: str) -> SignalSpec:
 
 
 def _decode212(raw, n_pairs):
-    frames = raw[: 3 * n_pairs].reshape(n_pairs, 3).astype(np.int32)
-    s0 = ((frames[:, 1] & 0x0F) << 8) | frames[:, 0]
-    s1 = ((frames[:, 1] & 0xF0) << 4) | frames[:, 2]
-    s0 = np.where(s0 >= 2048, s0 - 4096, s0)
-    s1 = np.where(s1 >= 2048, s1 - 4096, s1)
-    return s0, s1
+    frames = raw[: 3 * n_pairs].reshape(n_pairs, 3)
+    return _sample12(frames[:, 1] & 0x0F, frames[:, 0]), _sample12(frames[:, 1] >> 4, frames[:, 2])
+
+
+def _sample12(high_nibble, low_byte):
+    """int32 samples of 12-bit two's complement from their high nibble and low byte."""
+    sample = high_nibble.astype(np.int32)
+    sample ^= 8  # sign-extend the nibble: 8..15 -> -8..-1
+    sample -= 8
+    sample *= 256
+    sample += low_byte
+    return sample
 
 
 def decode_format212(raw, n_samples_per_channel: int):
@@ -234,12 +240,19 @@ def encode_format212(ch0, ch1) -> bytes:
     for ch in (ch0, ch1):
         if ch.size and (ch.min() < -2048 or ch.max() > 2047):
             raise InvalidParam("sample outside the 12-bit range [-2048, 2047]")
-    u0 = np.where(ch0 < 0, ch0 + 4096, ch0).astype(np.uint16)
-    u1 = np.where(ch1 < 0, ch1 + 4096, ch1).astype(np.uint16)
+    # a 12-bit two's-complement sample is the low 12 bits of its uint16 wrap
+    u0 = ch0.astype(np.uint16)
+    u0 &= 0x0FFF
+    u1 = ch1.astype(np.uint16)
+    u1 &= 0x0FFF
     frames = np.empty((ch0.size, 3), dtype=np.uint8)
     frames[:, 0] = u0 & 0xFF
-    frames[:, 1] = ((u0 >> 8) & 0x0F) | (((u1 >> 8) & 0x0F) << 4)
     frames[:, 2] = u1 & 0xFF
+    u0 >>= 8
+    u1 >>= 8
+    u1 <<= 4
+    u1 |= u0
+    frames[:, 1] = u1
     return frames.tobytes()
 
 

@@ -12,6 +12,7 @@ and ``feature_matrix`` makes the forest's input from rows.
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -241,14 +242,23 @@ def write_rows_csv(rows, columns, path) -> None:
 
 
 def read_rows_csv(path) -> list:
-    """Read a feature/labeled CSV back into typed row dicts."""
+    """Read a feature/labeled CSV back into typed row dicts.
+
+    InvalidParam when a valid row's feature cell is not a finite number.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        features = [c for c in FEATURE_COLUMNS if c in (reader.fieldnames or ())]
         rows = []
-        for raw in reader:
-            row = {}
-            for key, value in raw.items():
-                row[key] = _parse_cell(key, value)
+        for number, raw in enumerate(reader, start=1):
+            row = {key: _parse_cell(key, value) for key, value in raw.items()}
+            if row.get("valid"):
+                for column in features:
+                    value = row[column]
+                    if not (isinstance(value, float) and math.isfinite(value)):
+                        raise InvalidParam(
+                            f"{path}: row {number} is valid but its {column} is {raw[column]!r}, not a finite number"
+                        )
             rows.append(row)
     return rows
 

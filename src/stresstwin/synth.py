@@ -7,9 +7,11 @@ T wave of width sigma centered at c has its tangent-method endpoint at
 exactly c + 2*sigma, which is how ``qt_ms`` is honoured.
 """
 
+import math
+
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import InvalidParam, LengthMismatch
 from .ingest import INVALID_ADU, EcgRecord, encode_format212, snr_from_name
 
 # beat geometry relative to the beat onset (seconds)
@@ -22,26 +24,49 @@ R_OFFSET_S = _R_CENTER  # R peak sits this far after the beat onset
 _START_OFFSET_S = 0.2   # first beat onset, keeps the first QRS off the edge
 
 
-def _add_gauss(out, t, center, sigma, amp):
-    lo = np.searchsorted(t, center - 5 * sigma)
-    hi = np.searchsorted(t, center + 5 * sigma)
-    seg = t[lo:hi]
-    out[lo:hi] += amp * np.exp(-0.5 * ((seg - center) / sigma) ** 2)
+# the waves of a beat in the order they are added: Q, R, S, T
+_WAVE_SIGMA = np.array([_Q_SIGMA, _R_SIGMA, _S_SIGMA, _T_SIGMA])
+_WAVE_AMP = np.array([_Q_AMP, _R_AMP, _S_AMP, _T_AMP])
+_RENDER_BLOCK = 256  # beats per array pass; bounds the (beat, sample) scratch arrays
 
 
 def render_beats(onsets_s, qt_s, duration_s: float, fs: float) -> np.ndarray:
-    """Render template beats at the given onsets; qt_s is scalar or per beat."""
+    """Render template beats at the given onsets; qt_s is scalar or per beat.
+
+    Each wave is a Gaussian over the samples within 5 sigma of its center.
+    A sample's terms are summed in (beat, wave) order, as adding the beats
+    one after another would, so where a T wave reaches into the next beat's
+    QRS at a high rate the sum has the same bits.
+    """
     n = int(round(duration_s * fs))
     t = np.arange(n) / fs
     out = np.zeros(n)
-    qt = np.broadcast_to(np.asarray(qt_s, dtype=float), (len(onsets_s),))
-    for onset, beat_qt in zip(onsets_s, qt):
-        _add_gauss(out, t, onset + _Q_CENTER, _Q_SIGMA, _Q_AMP)
-        _add_gauss(out, t, onset + _R_CENTER, _R_SIGMA, _R_AMP)
-        _add_gauss(out, t, onset + _S_CENTER, _S_SIGMA, _S_AMP)
-        # tangent endpoint of a Gaussian is center + 2*sigma
-        t_center = onset + beat_qt - 2 * _T_SIGMA
-        _add_gauss(out, t, t_center, _T_SIGMA, _T_AMP)
+    onsets = np.asarray(onsets_s, dtype=float)
+    qt = np.broadcast_to(np.asarray(qt_s, dtype=float), onsets.shape)
+    if n == 0 or onsets.size == 0:
+        return out
+    # tangent endpoint of a Gaussian is center + 2*sigma
+    t_centers = onsets + qt - 2 * _T_SIGMA
+    centers = np.stack([onsets + _Q_CENTER, onsets + _R_CENTER, onsets + _S_CENTER, t_centers], axis=1)
+    lo = np.searchsorted(t, centers - 5 * _WAVE_SIGMA)
+    hi = np.searchsorted(t, centers + 5 * _WAVE_SIGMA)
+    # one column per sample of each wave's widest span, wave after wave
+    widths = (hi - lo).max(axis=0)
+    wave = np.repeat(np.arange(4), widths)
+    offset = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
+    for b in range(0, onsets.size, _RENDER_BLOCK):
+        block = slice(b, b + _RENDER_BLOCK)
+        idx = lo[block][:, wave] + offset
+        keep = idx < hi[block][:, wave]
+        x = t[np.minimum(idx, n - 1)]
+        x -= centers[block][:, wave]
+        x /= _WAVE_SIGMA[wave]
+        np.square(x, out=x)
+        x *= -0.5
+        np.exp(x, out=x)
+        x *= _WAVE_AMP[wave]
+        # unbuffered and in index order: (beat, wave, sample)
+        np.add.at(out, idx[keep], x[keep])
     return out
 
 
@@ -89,38 +114,75 @@ def synth_ecg_profile(
     The jitter is white Gaussian on the beat-to-beat interval, which sets
     the SDNN of the resulting RR series to about rr_jitter_ms.
     """
-    rng = np.random.default_rng(seed)
+    segments = list(segments)
+    n_draws = 0
+    for duration_s, bpm, jitter_ms, _ in segments:
+        if not 30.0 <= bpm <= 220.0:
+            raise InvalidParam(f"bpm {bpm} outside [30, 220]")
+        if not jitter_ms >= 0:
+            raise InvalidParam(f"rr jitter {jitter_ms} ms is not a non-negative number")
+        # at most one beat per shortest interval, plus the one that may start it
+        n_draws += max(0, int(duration_s / (0.62 * 60.0 / bpm))) + 2
+    # rng.normal(0, s) is 0 + s * standard_normal(): one block of draws is
+    # the same stream as one draw per beat, and the unused tail is never seen
+    jitter = iter(np.random.default_rng(seed).standard_normal(n_draws).tolist())
     onsets, qts = [], []
     t = _START_OFFSET_S
     total = 0.0
     for duration_s, bpm, jitter_ms, qt_ms in segments:
-        if not 30.0 <= bpm <= 220.0:
-            raise InvalidParam(f"bpm {bpm} outside [30, 220]")
         base_rr = 60.0 / bpm
+        scale = jitter_ms / 1000.0
+        shortest, longest = 0.62 * base_rr, 1.55 * base_rr
         seg_end = total + duration_s
         while t < seg_end - R_OFFSET_S - 0.02:
             onsets.append(t)
             qts.append(qt_ms / 1000.0)
-            rr = base_rr + rng.normal(0.0, jitter_ms / 1000.0)
-            rr = float(np.clip(rr, 0.62 * base_rr, 1.55 * base_rr))
-            t += rr
+            t += min(max(base_rr + scale * next(jitter), shortest), longest)
         total = seg_end
     ch0 = render_beats(np.asarray(onsets), np.asarray(qts), total, fs)
     ch1 = 0.5 * ch0
     return EcgRecord(channels=[ch0, ch1], fs=fs, record_name=record_name, snr_db=None)
 
 
+def _std(x, scratch) -> float:
+    """``np.std(x)`` bit for bit, its squared deviations written to ``scratch``."""
+    np.subtract(x, x.sum() / x.size, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    return math.sqrt(scratch.sum() / x.size)
+
+
 def _colored_noise(n: int, fs: float, rng) -> np.ndarray:
     """Ambulatory-style noise: broadband muscle artifact plus baseline wander."""
-    white = rng.normal(0.0, 1.0, n)
+    return _shape_noise(rng.normal(0.0, 1.0, n), np.arange(n) / fs, fs, rng)
+
+
+def _shape_noise(white, t, fs: float, rng) -> np.ndarray:
+    """``_colored_noise`` from its white draws at sample times ``t``; overwrites ``white``."""
     # crude 1-40 Hz shaping by differencing a smoothed walk; cheap and seeded
     kernel = np.hanning(max(3, int(fs / 40)))
     kernel /= kernel.sum()
-    emg = np.convolve(white, kernel, mode="same")
-    t = np.arange(n) / fs
-    wander = 0.8 * np.sin(2 * np.pi * 0.33 * t + rng.uniform(0, 2 * np.pi))
-    noise = emg / max(np.std(emg), 1e-12) + wander
-    return noise / max(np.std(noise), 1e-12)
+    noise = np.convolve(white, kernel, mode="same")
+    noise /= max(_std(noise, white), 1e-12)
+    wander = np.multiply(t, 2 * np.pi * 0.33, out=white)  # the white draws are spent
+    wander += rng.uniform(0, 2 * np.pi)
+    np.sin(wander, out=wander)
+    wander *= 0.8
+    noise += wander
+    noise /= max(_std(noise, wander), 1e-12)
+    return noise
+
+
+_WRITE_BLOCK = 1 << 15  # samples per ADU and format-212 pass
+
+
+def _to_adu(ch_mv, gain: float, baseline_adu: int) -> np.ndarray:
+    """Round mV samples to 12-bit ADU in one float buffer."""
+    adu = np.multiply(ch_mv, gain)
+    adu += baseline_adu
+    np.rint(adu, out=adu)
+    # the lowest 12-bit value is format 212's invalid-sample code, never written
+    np.clip(adu, INVALID_ADU + 1, 2047, out=adu)
+    return adu.astype(np.int64)
 
 
 def write_wfdb212(
@@ -137,9 +199,13 @@ def write_wfdb212(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ch0, ch1 = channels_mv
-    # the lowest 12-bit value is format 212's invalid-sample code, never written
-    adu = [np.clip(np.round(ch * gain + baseline_adu), INVALID_ADU + 1, 2047).astype(np.int64) for ch in (ch0, ch1)]
-    data = encode_format212(adu[0], adu[1])
+    if len(ch0) != len(ch1):
+        raise LengthMismatch("channels differ in length")
+    # a block at a time, so the temporaries stay cache-sized and reuse their pages
+    data = b"".join(
+        encode_format212(*(_to_adu(ch[i : i + _WRITE_BLOCK], gain, baseline_adu) for ch in (ch0, ch1)))
+        for i in range(0, len(ch0), _WRITE_BLOCK)
+    )
     (out_dir / f"{record_name}.dat").write_bytes(data)
     n = len(ch0)
     lines = [f"{record_name} 2 {fs:g} {n}"]
@@ -173,17 +239,25 @@ def make_synthetic_nst(out_dir, seed: int = 2025, segment_s: float = 48.0, fs: f
     segments = [(segment_s, bpm, jit, qt) for bpm, jit, qt in _REGIMES]
     clean = synth_ecg_profile(segments, fs=fs, seed=seed, record_name=SYNTHETIC_CLEAN_RECORD)
     write_wfdb212(out_dir, SYNTHETIC_CLEAN_RECORD, clean.channels, fs)
+    ch0 = clean.channel(0)
+    del clean
 
     names = [SYNTHETIC_CLEAN_RECORD]
-    sig_power = float(np.mean(clean.channel(0) ** 2))
+    # full-length buffers shared by the noisy records
+    white, half, t = np.empty(ch0.size), np.empty(ch0.size), np.arange(ch0.size) / fs
+    sig_power = float(np.mean(np.square(ch0, out=white)))
     for k, suffix in enumerate(SYNTHETIC_SNR_SUFFIXES):
         name = SYNTHETIC_CLEAN_RECORD + suffix
         snr_db = snr_from_name(name)
         rng = np.random.default_rng(seed * 1000 + 100 + k)
-        shaped = _colored_noise(clean.channel(0).size, fs, rng)
+        # rng.normal(0.0, 1.0, n) draws the same values, 0.0 + 1.0 * z, but for
+        # the sign of a zero, which the smoothing sum drops
+        rng.standard_normal(out=white)
+        noisy = _shape_noise(white, t, fs, rng)
         noise_power = sig_power / (10.0 ** (snr_db / 10.0))
-        noise = shaped * np.sqrt(noise_power)
-        noisy = [clean.channel(0) + noise, clean.channel(1) + 0.5 * noise]
-        write_wfdb212(out_dir, name, noisy, fs)
+        noisy *= np.sqrt(noise_power)
+        noisy += ch0
+        # channel 1 is half of channel 0, noise included: halving is exact
+        write_wfdb212(out_dir, name, (noisy, np.multiply(noisy, 0.5, out=half)), fs)
         names.append(name)
     return names

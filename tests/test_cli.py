@@ -417,6 +417,14 @@ class TestLoadErrors:
         argv = ["eval", *_synthetic_args(synthetic_run, tmp_path)]
         self._fails(argv, capsys, "names window ('S00e24'")
 
+    def test_label_with_blank_feature_cell(self, synthetic_run, tmp_path, capsys):
+        rows = read_rows_csv(synthetic_run / "features.csv")
+        first_valid = next(i for i, row in enumerate(rows) if row["valid"])
+        rows[first_valid]["ecg_sdnn"] = None  # written as an empty cell
+        write_rows_csv(rows, FEATURE_CSV_COLUMNS, tmp_path / "features.csv")
+        self._fails(["label", "--out-dir", str(tmp_path)], capsys, f"row {first_valid + 1} is valid but its ecg_sdnn is ''")
+        assert not (tmp_path / "labeled.csv").exists()
+
     def test_features_with_baseline_of_another_record(self, synthetic_run, tmp_path, capsys):
         payload = json.loads((synthetic_run / "baseline.json").read_text())
         payload["source_record"] = "S00e24"

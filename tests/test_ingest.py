@@ -130,6 +130,27 @@ class TestFormat212:
         with pytest.raises(InvalidParam):
             encode_format212([4096], [0])
 
+    def test_every_12_bit_value_matches_reference(self):
+        # the formulas of the int32-frame codec, which both sides must match
+        a = np.arange(-2048, 2048)
+        b = a[::-1].copy()
+        u0, u1 = np.where(a < 0, a + 4096, a), np.where(b < 0, b + 4096, b)
+        frames = np.stack([u0 & 0xFF, ((u0 >> 8) & 0x0F) | (((u1 >> 8) & 0x0F) << 4), u1 & 0xFF], axis=1)
+        data = encode_format212(a, b)
+        assert data == frames.astype(np.uint8).tobytes()
+        c0, c1 = decode_format212(data, a.size)
+        assert c0.dtype == c1.dtype == np.int32
+        assert np.array_equal(c0, a) and np.array_equal(c1, b)
+
+    def test_decode_random_bytes_matches_reference(self):
+        raw = np.random.default_rng(5).integers(0, 256, 3 * 5000, dtype=np.uint8)
+        frames = raw.reshape(-1, 3).astype(np.int32)
+        s0 = ((frames[:, 1] & 0x0F) << 8) | frames[:, 0]
+        s1 = ((frames[:, 1] & 0xF0) << 4) | frames[:, 2]
+        c0, c1 = decode_format212(raw.tobytes(), 5000)
+        assert np.array_equal(c0, np.where(s0 >= 2048, s0 - 4096, s0))
+        assert np.array_equal(c1, np.where(s1 >= 2048, s1 - 4096, s1))
+
 
 class TestLoadRecord:
     def test_roundtrip_via_files(self, tmp_path):

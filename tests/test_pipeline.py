@@ -94,6 +94,26 @@ class TestCsvRoundtrip:
         write_rows_csv([row], FEATURE_CSV_COLUMNS, path)
         assert read_rows_csv(path)[0]["ecg_sdnn"] == 1.0 / 3.0
 
+    @pytest.mark.parametrize("cell", ["", "abc", "nan", "inf"])
+    def test_valid_row_needs_finite_features(self, tmp_path, cell):
+        rows = [make_row("a", 0.0), make_row("a", 5.0)]
+        path = tmp_path / "features.csv"
+        write_rows_csv(rows, FEATURE_CSV_COLUMNS, path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        fields = lines[2].split(",")
+        fields[header.index("rel_qtc")] = cell
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParam, match=f"features.csv: row 2 is valid but its rel_qtc is '{cell}'"):
+            read_rows_csv(path)
+
+    def test_invalid_row_keeps_blank_features(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_rows_csv([make_row("a", 0.0, valid=False)], FEATURE_CSV_COLUMNS, path)
+        row = read_rows_csv(path)[0]
+        assert row["valid"] is False and np.isnan(row["ecg_sdnn"])
+
 
 class TestBaselineJson:
     def test_roundtrip(self, tmp_path, baseline):
