@@ -24,7 +24,7 @@ from .hrv import (
     extract_window_features,
 )
 from .ingest import EcgRecord, RecordHeader, decode_format212, load_record, parse_header
-from .interventions import ControlCommand, commands_for_level, plan_for_level
+from .interventions import commands_for_level
 from .shapley import ShapExplanation, brute_force_shap, forest_shap, tree_shap
 from .simulator import SimTrace, export_trace, run_simulation
 from .stress import composite_score, relative_deviation, rule_label, score_to_level
@@ -52,9 +52,7 @@ __all__ = [
     "decode_format212",
     "load_record",
     "parse_header",
-    "ControlCommand",
     "commands_for_level",
-    "plan_for_level",
     "ShapExplanation",
     "brute_force_shap",
     "forest_shap",

@@ -3,7 +3,8 @@
 Subcommands mirror the stages of ``pipeline``: ingest, baseline, features,
 label, train, eval, explain, report, simulate. Each loads its inputs (the
 records, and the artifacts that earlier steps wrote to the output
-directory), runs one stage and saves what it produced. ``run`` loads the
+directory), runs one stage and saves what it produced. Every artifact has
+one fixed name under the output directory. ``run`` loads the
 records once and runs every stage in memory, saving each stage's artifacts
 as soon as it ends (optionally over a generated synthetic dataset, so
 nothing depends on having the real recordings on disk).
@@ -57,100 +58,49 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data-dir", help=f"record directory (or ${ENV_DATA_DIR})")
-    parser.add_argument("--out-dir", help=f"artifact directory (or ${ENV_OUT_DIR})")
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument("--clean-record", help="name of the clean reference record")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: argparse would otherwise read a prefix such as --out as --out-dir
     parser = argparse.ArgumentParser(
         prog="stresstwin",
         description="ECG stress scoring and environmental intervention simulation",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate records and write a summary")
-    _add_common(p)
-
-    p = sub.add_parser("baseline", help="compute the clean-record baseline profile")
-    _add_common(p)
-    p.add_argument("--out", help="baseline JSON path")
-
-    p = sub.add_parser("features", help="extract windowed features to CSV")
-    _add_common(p)
-    p.add_argument("--baseline", help="baseline JSON path")
-    p.add_argument("--out", help="features CSV path")
-
-    p = sub.add_parser("label", help="append stress scores and levels to features")
-    _add_common(p)
-    p.add_argument("--features", help="features CSV path")
-    p.add_argument("--out", help="labeled CSV path")
-
-    p = sub.add_parser("train", help="train the forest on labeled windows")
-    _add_common(p)
-    p.add_argument("--labeled", help="labeled CSV path")
-    p.add_argument("--model", help="model JSON output path")
-    p.add_argument("--split", help="split JSON output path")
-
-    p = sub.add_parser("eval", help="confusion matrix and metrics on the test split")
-    _add_common(p)
-    p.add_argument("--labeled", help="labeled CSV path")
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--split", help="split JSON path")
-
-    p = sub.add_parser("explain", help="per-feature attribution summary and beeswarm CSV")
-    _add_common(p)
-    p.add_argument("--labeled", help="labeled CSV path")
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--split", help="split JSON path")
-    p.add_argument("--svg", action="store_true", help="also emit an SVG bar chart")
-
-    p = sub.add_parser("simulate", help="run the closed-loop simulator")
-    _add_common(p)
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--out", help="trace JSONL path")
+    subs = {}
+    for name, (_, help_text) in _COMMANDS.items():
+        p = subs[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--data-dir", help=f"record directory (or ${ENV_DATA_DIR})")
+        p.add_argument("--out-dir", help=f"artifact directory (or ${ENV_OUT_DIR})")
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--seed", type=int, help="run seed")
+        p.add_argument("--clean-record", help="name of the clean reference record")
+    subs["explain"].add_argument("--svg", action="store_true", help="also emit an SVG bar chart")
+    p = subs["simulate"]
     p.add_argument("--records", nargs="*", help="noisy record names (default: all)")
     p.add_argument("--max-duration-s", type=float, help="cap per-record simulated time")
     p.add_argument(
         "--scripted",
         help='scripted levels as JSON, e.g. "[[0,1],[100,4]]" (bypasses features and model)',
     )
-
-    p = sub.add_parser("report", help="per-record time series of levels and errors")
-    _add_common(p)
-    p.add_argument("--labeled", help="labeled CSV path")
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--out", help="report CSV path")
-
-    p = sub.add_parser("run", help="full pipeline: ingest through simulate")
-    _add_common(p)
-    p.add_argument("--synthetic", action="store_true", help="generate and use synthetic records")
-    p.add_argument("--svg", action="store_true", help="emit the SVG chart too")
-
+    subs["run"].add_argument("--synthetic", action="store_true", help="generate and use synthetic records")
+    subs["run"].add_argument("--svg", action="store_true", help="emit the SVG chart too")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
     overrides = {
-        "data_dir": getattr(args, "data_dir", None),
-        "output_dir": getattr(args, "out_dir", None),
-        "seed": getattr(args, "seed", None),
-        "baseline_record": getattr(args, "clean_record", None),
-        "sim_max_duration_s": getattr(args, "max_duration_s", None),
+        "data_dir": args.data_dir,
+        "output_dir": args.out_dir,
+        "seed": args.seed,
+        "baseline_record": args.clean_record,
+        "sim_max_duration_s": args.max_duration_s if args.command == "simulate" else None,
     }
-    return load_config(getattr(args, "config", None), overrides)
+    return load_config(args.config, overrides)
 
 
-def _output(given, out: Path, name: str) -> Path:
-    return Path(given) if given else out / name
-
-
-def _artifact(given, out: Path, name: str) -> Path:
+def _artifact(out: Path, name: str) -> Path:
     """Path of an artifact that an earlier step wrote; IoError when it is missing."""
-    path = _output(given, out, name)
+    path = out / name
     if not path.is_file():
         raise IoError(f"{path} not found: run the step that writes {name} first")
     return path
@@ -165,7 +115,8 @@ def _save_ingest(summary, out: Path) -> None:
     print(f"ingest: {len(summary)} records ok -> {target}")
 
 
-def _save_baseline(baseline, target: Path) -> None:
+def _save_baseline(baseline, out: Path) -> None:
+    target = out / "baseline.json"
     baseline_to_json(baseline, target)
     print(
         f"baseline[{baseline.source_record}]: sdnn={baseline.sdnn:.1f} bpm={baseline.bpm:.1f} "
@@ -173,20 +124,23 @@ def _save_baseline(baseline, target: Path) -> None:
     )
 
 
-def _save_features(rows, target: Path) -> None:
+def _save_features(rows, out: Path) -> None:
+    target = out / "features.csv"
     write_rows_csv(rows, FEATURE_CSV_COLUMNS, target)
     n_valid = sum(1 for r in rows if r["valid"])
     print(f"features: {len(rows)} windows ({n_valid} valid) -> {target}")
 
 
-def _save_labeled(labeled, target: Path) -> None:
+def _save_labeled(labeled, out: Path) -> None:
+    target = out / "labeled.csv"
     write_rows_csv(labeled, LABELED_CSV_COLUMNS, target)
     print(f"label: {len(labeled)} rows -> {target}")
 
 
-def _save_model(forest, train_ds, test_ds, model_path: Path, split_path: Path) -> None:
+def _save_model(forest, train_ds, test_ds, out: Path) -> None:
+    model_path = out / "model.json"
     save_forest(forest, model_path)
-    split_to_json(train_ds, test_ds, split_path)
+    split_to_json(train_ds, test_ds, out / "split.json")
     print(
         f"train: {len(train_ds)} train / {len(test_ds)} test windows, "
         f"{len(forest.trees)} trees -> {model_path}"
@@ -210,13 +164,15 @@ def _save_explain(explained, summary, beeswarm, out: Path, svg: bool) -> None:
     print(f"explain: {len(explained)} samples, top features: {top}")
 
 
-def _save_report(report_rows, target: Path) -> None:
+def _save_report(report_rows, out: Path) -> None:
+    target = out / "report.csv"
     write_rows_csv(report_rows, REPORT_CSV_COLUMNS, target)
     n_err = sum(1 for r in report_rows if r["error"])
     print(f"report: {len(report_rows)} windows, {n_err} mismatches -> {target}")
 
 
-def _save_trace(trace, target: Path) -> None:
+def _save_trace(trace, out: Path) -> None:
+    target = out / "trace.jsonl"
     export_trace(trace, target)
     n_cmds = len(trace.of_kind("CommandIssued"))
     print(f"simulate: {len(trace)} events, {n_cmds} commands -> {target}")
@@ -232,47 +188,47 @@ def _cmd_ingest(args, cfg: RunConfig, out: Path) -> None:
 
 def _cmd_baseline(args, cfg: RunConfig, out: Path) -> None:
     clean = load_record(discover_records(cfg.data_dir, cfg.baseline_record)[0])
-    _save_baseline(baseline_from_clean(clean, cfg), _output(args.out, out, "baseline.json"))
+    _save_baseline(baseline_from_clean(clean, cfg), out)
 
 
 def _cmd_features(args, cfg: RunConfig, out: Path) -> None:
-    baseline = baseline_from_json(_artifact(args.baseline, out, "baseline.json"))
+    baseline = baseline_from_json(_artifact(out, "baseline.json"))
     clean, noisy = load_series(cfg.data_dir, cfg.baseline_record)
-    rows = feature_rows(noisy, clean, baseline, cfg)
-    _save_features(rows, _output(args.out, out, "features.csv"))
+    _save_features(feature_rows(noisy, clean, baseline, cfg), out)
 
 
 def _cmd_label(args, cfg: RunConfig, out: Path) -> None:
-    rows = read_rows_csv(_artifact(args.features, out, "features.csv"))
-    _save_labeled(label_rows(rows), _output(args.out, out, "labeled.csv"))
+    rows = read_rows_csv(_artifact(out, "features.csv"), FEATURE_CSV_COLUMNS)
+    _save_labeled(label_rows(rows), out)
+
+
+def _labeled_dataset(out: Path):
+    return rows_to_dataset(read_rows_csv(_artifact(out, "labeled.csv"), LABELED_CSV_COLUMNS))
 
 
 def _cmd_train(args, cfg: RunConfig, out: Path) -> None:
-    dataset = rows_to_dataset(read_rows_csv(_artifact(args.labeled, out, "labeled.csv")))
-    forest, train_ds, test_ds = train(dataset, cfg)
-    model_path = _output(args.model, out, "model.json")
-    _save_model(forest, train_ds, test_ds, model_path, _output(args.split, out, "split.json"))
+    _save_model(*train(_labeled_dataset(out), cfg), out)
 
 
 def _cmd_eval(args, cfg: RunConfig, out: Path) -> None:
-    dataset = rows_to_dataset(read_rows_csv(_artifact(args.labeled, out, "labeled.csv")))
-    forest = load_forest(_artifact(args.model, out, "model.json"))
-    _, test_ds = split_from_json(dataset, _artifact(args.split, out, "split.json"))
+    dataset = _labeled_dataset(out)
+    forest = load_forest(_artifact(out, "model.json"))
+    _, test_ds = split_from_json(dataset, _artifact(out, "split.json"))
     _save_eval(evaluate(forest, test_ds), out)
 
 
 def _cmd_explain(args, cfg: RunConfig, out: Path) -> None:
-    dataset = rows_to_dataset(read_rows_csv(_artifact(args.labeled, out, "labeled.csv")))
-    forest = load_forest(_artifact(args.model, out, "model.json"))
-    split_path = _output(args.split, out, "split.json")
+    dataset = _labeled_dataset(out)
+    forest = load_forest(_artifact(out, "model.json"))
+    split_path = out / "split.json"
     split = split_from_json(dataset, split_path) if split_path.exists() else None
     _save_explain(*explain(forest, dataset, split, cfg.shap_on), out, args.svg)
 
 
 def _cmd_report(args, cfg: RunConfig, out: Path) -> None:
-    labeled = read_rows_csv(_artifact(args.labeled, out, "labeled.csv"))
-    forest = load_forest(_artifact(args.model, out, "model.json"))
-    _save_report(build_report_rows(labeled, forest), _output(args.out, out, "report.csv"))
+    labeled = read_rows_csv(_artifact(out, "labeled.csv"), LABELED_CSV_COLUMNS)
+    forest = load_forest(_artifact(out, "model.json"))
+    _save_report(build_report_rows(labeled, forest), out)
 
 
 def _cmd_simulate(args, cfg: RunConfig, out: Path) -> None:
@@ -285,10 +241,10 @@ def _cmd_simulate(args, cfg: RunConfig, out: Path) -> None:
     if args.scripted:
         trace = simulate(noisy, None, None, cfg, json.loads(args.scripted))
     else:
-        rows = read_rows_csv(_artifact(None, out, "features.csv"))
-        forest = load_forest(_artifact(args.model, out, "model.json"))
+        rows = read_rows_csv(_artifact(out, "features.csv"), FEATURE_CSV_COLUMNS)
+        forest = load_forest(_artifact(out, "model.json"))
         trace = simulate(noisy, rows, forest, cfg)
-    _save_trace(trace, _output(args.out, out, "trace.jsonl"))
+    _save_trace(trace, out)
 
 
 def _cmd_run(args, cfg: RunConfig, out: Path) -> None:
@@ -304,31 +260,32 @@ def _cmd_run(args, cfg: RunConfig, out: Path) -> None:
         window_samples(record, cfg.window_s, cfg.stride_s)
     _save_ingest(ingest_summary([clean] + noisy), out)
     baseline = baseline_from_clean(clean, cfg)
-    _save_baseline(baseline, out / "baseline.json")
+    _save_baseline(baseline, out)
     rows = feature_rows(noisy, clean, baseline, cfg)
-    _save_features(rows, out / "features.csv")
+    _save_features(rows, out)
     labeled = label_rows(rows)
-    _save_labeled(labeled, out / "labeled.csv")
+    _save_labeled(labeled, out)
     dataset = rows_to_dataset(labeled)
     forest, train_ds, test_ds = train(dataset, cfg)
-    _save_model(forest, train_ds, test_ds, out / "model.json", out / "split.json")
+    _save_model(forest, train_ds, test_ds, out)
     _save_eval(evaluate(forest, test_ds), out)
     _save_explain(*explain(forest, dataset, (train_ds, test_ds), cfg.shap_on), out, args.svg)
-    _save_report(build_report_rows(labeled, forest), out / "report.csv")
-    _save_trace(simulate(noisy, rows, forest, cfg), out / "trace.jsonl")
+    _save_report(build_report_rows(labeled, forest), out)
+    _save_trace(simulate(noisy, rows, forest, cfg), out)
 
 
+# name -> (handler, help); the parser's subcommands, in this order
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "baseline": _cmd_baseline,
-    "features": _cmd_features,
-    "label": _cmd_label,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "explain": _cmd_explain,
-    "simulate": _cmd_simulate,
-    "report": _cmd_report,
-    "run": _cmd_run,
+    "ingest": (_cmd_ingest, "validate records and write a summary"),
+    "baseline": (_cmd_baseline, "compute the clean-record baseline profile"),
+    "features": (_cmd_features, "extract windowed features to CSV"),
+    "label": (_cmd_label, "append stress scores and levels to features"),
+    "train": (_cmd_train, "train the forest on labeled windows"),
+    "eval": (_cmd_eval, "confusion matrix and metrics on the test split"),
+    "explain": (_cmd_explain, "per-feature attribution summary and beeswarm CSV"),
+    "simulate": (_cmd_simulate, "run the closed-loop simulator"),
+    "report": (_cmd_report, "per-record time series of levels and errors"),
+    "run": (_cmd_run, "full pipeline: ingest through simulate"),
 }
 
 
@@ -338,7 +295,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](args, cfg, out)
+        _COMMANDS[args.command][0](args, cfg, out)
         return EXIT_OK
     except StressTwinError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -117,7 +117,6 @@ class RandomForest:
 
     trees: list
     n_features: int
-    classes: tuple = CLASSES
     seed: int = 0
     params: dict = field(default_factory=dict)
     _table: _NodeTable = field(init=False, repr=False, compare=False)
@@ -404,7 +403,6 @@ def train_forest(dataset: Dataset, params: ForestParams | None = None, seed: int
     return RandomForest(
         trees=fork_map(grow, range(params.n_trees)),
         n_features=ds.X.shape[1],
-        classes=CLASSES,
         seed=seed,
         params=params.as_dict(),
     )
@@ -483,7 +481,7 @@ def forest_to_dict(forest: RandomForest) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "n_features": forest.n_features,
-        "classes": list(forest.classes),
+        "classes": list(CLASSES),
         "seed": forest.seed,
         "params": forest.params,
         "trees": [
@@ -519,13 +517,15 @@ def forest_from_dict(payload: dict) -> RandomForest:
             for t in payload["trees"]
         ]
         n_features = int(payload["n_features"])
-        classes = tuple(payload["classes"])
+        classes = payload["classes"]
         seed = int(payload["seed"])
         params = dict(payload["params"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParam(f"malformed model: {type(exc).__name__}: {exc}") from exc
+    if not (classes == list(CLASSES) and all(type(c) is int for c in classes)):
+        raise InvalidParam(f"model classes {classes!r} are not the levels {list(CLASSES)}")
     # the forest packs its trees, checking that each one's arrays form a tree
-    return RandomForest(trees, n_features, classes, seed, params)
+    return RandomForest(trees, n_features, seed, params)
 
 
 def save_forest(forest: RandomForest, path) -> None:

@@ -8,11 +8,9 @@ systems at the Building scale, and every outdoor action at the Landscape
 scale. ``LATENCY_MS`` holds each scale's response-time bounds.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
 
-from .errors import InvalidLevel, InvalidParam
+from .errors import InvalidLevel
 
 # level -> ((action, scale), ...)
 CATALOG = {
@@ -77,80 +75,8 @@ _COMMAND_ORDER = {
 }
 
 
-@dataclass
-class ControlCommand:
-    command_id: int
-    issued_at: float  # virtual-time seconds
-    stress_level: int
-    scale: str
-    action: str
-    parameters: dict = field(default_factory=dict)
-    ttl_s: float = 0.0
-
-
-def plan_for_level(level: int) -> tuple:
-    """The catalog row of one stress level: its (action, scale) pairs."""
-    if level not in CATALOG:
+def commands_for_level(level: int) -> tuple:
+    """The level's commands as (action, scale, ttl_s) rows, by scale then catalog order."""
+    if level not in _COMMAND_ORDER:
         raise InvalidLevel(f"no intervention plan for level {level!r}")
-    return CATALOG[level]
-
-
-class CommandIdAllocator:
-    """Strictly increasing command ids, owned by one simulation run."""
-
-    def __init__(self, start: int = 1):
-        self._next = start
-
-    def take(self) -> int:
-        value = self._next
-        self._next += 1
-        return value
-
-
-def commands_for_level(level: int, now_s: float, allocator: CommandIdAllocator) -> list:
-    """One command per catalog action, ordered by scale then catalog order."""
-    plan_for_level(level)
-    return [
-        ControlCommand(
-            command_id=allocator.take(),
-            issued_at=now_s,
-            stress_level=level,
-            scale=scale,
-            action=action,
-            ttl_s=ttl_s,
-        )
-        for action, scale, ttl_s in _COMMAND_ORDER[level]
-    ]
-
-
-def command_to_dict(cmd: ControlCommand) -> dict:
-    return {
-        "command_id": cmd.command_id,
-        "issued_at": cmd.issued_at,
-        "stress_level": cmd.stress_level,
-        "scale": cmd.scale,
-        "action": cmd.action,
-        "parameters": dict(sorted(cmd.parameters.items())),
-        "ttl_s": cmd.ttl_s,
-    }
-
-
-def serialize_command(cmd: ControlCommand) -> str:
-    """Canonical JSON wire form; equal commands serialize byte-identically."""
-    return json.dumps(command_to_dict(cmd), ensure_ascii=True, separators=(",", ":"))
-
-
-def parse_command(text: str) -> ControlCommand:
-    payload = json.loads(text)
-    try:
-        return ControlCommand(
-            command_id=int(payload["command_id"]),
-            issued_at=float(payload["issued_at"]),
-            stress_level=int(payload["stress_level"]),
-            scale=str(payload["scale"]),
-            action=str(payload["action"]),
-            parameters=dict(payload["parameters"]),
-            ttl_s=float(payload["ttl_s"]),
-        )
-    except KeyError as exc:
-        raise InvalidParam(f"command JSON missing field {exc}") from exc
+    return _COMMAND_ORDER[level]

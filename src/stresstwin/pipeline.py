@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _is_real
 from .errors import InvalidParam
 from .fanout import fork_map
 from .forest import (
@@ -36,7 +37,7 @@ from .hrv import (
 )
 from .ingest import load_record, snr_from_name
 from .shapley import shap_summary
-from .simulator import run_simulation, window_key
+from .simulator import run_simulation
 from .stress import assess
 
 FEATURE_CSV_COLUMNS = FEATURE_COLUMNS + ("window_start", "record_name", "valid")
@@ -189,10 +190,10 @@ def predicted_levels(rows, forest) -> list:
 
 
 def window_levels(rows, forest, records) -> dict:
-    """``window_key`` -> predicted level (None: invalid) for the rows of ``records``."""
-    by_name = {rec.record_name: rec for rec in records}
-    rows = [r for r in rows if r["record_name"] in by_name]
-    keys = [window_key(by_name[r["record_name"]], r["window_start"]) for r in rows]
+    """(record name, window start) -> predicted level (None: invalid) for the rows of ``records``."""
+    names = {rec.record_name for rec in records}
+    rows = [r for r in rows if r["record_name"] in names]
+    keys = [(r["record_name"], r["window_start"]) for r in rows]
     return dict(zip(keys, predicted_levels(rows, forest)))
 
 
@@ -241,16 +242,27 @@ def write_rows_csv(rows, columns, path) -> None:
             writer.writerow([_format_cell(row.get(col)) for col in columns])
 
 
-def read_rows_csv(path) -> list:
+def read_rows_csv(path, columns) -> list:
     """Read a feature/labeled CSV back into typed row dicts.
 
-    InvalidParam when a valid row's feature cell is not a finite number.
+    InvalidParam when the header lacks one of ``columns``, when a row's cell
+    count differs from the header's, or when a valid row's feature cell is
+    not a finite number.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        features = [c for c in FEATURE_COLUMNS if c in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for column in columns:
+            if column not in header:
+                raise InvalidParam(f"{path}: the header has no {column} column")
+        features = [c for c in FEATURE_COLUMNS if c in header]
         rows = []
-        for number, raw in enumerate(reader, start=1):
+        for number, cells in enumerate(reader, start=1):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise InvalidParam(f"{path}: row {number} has {len(cells)} cells, the header {len(header)}")
+            raw = dict(zip(header, cells))
             row = {key: _parse_cell(key, value) for key, value in raw.items()}
             if row.get("valid"):
                 for column in features:
@@ -293,13 +305,21 @@ def baseline_to_json(baseline: BaselineProfile, path) -> None:
 
 
 def baseline_from_json(path) -> BaselineProfile:
+    """InvalidParam unless the four values are positive finite numbers and source_record a string."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise InvalidParam(f"{path} holds no JSON object")
+    for key in ("sdnn", "bpm", "qtc", "lfhf"):
+        if not (_is_real(payload.get(key)) and payload[key] > 0):
+            raise InvalidParam(f"{path}: {key} is {payload.get(key)!r}, not a positive finite number")
+    if not isinstance(payload.get("source_record"), str):
+        raise InvalidParam(f"{path}: source_record is {payload.get('source_record')!r}, not a string")
     return BaselineProfile(
         sdnn=float(payload["sdnn"]),
         bpm=float(payload["bpm"]),
         qtc=float(payload["qtc"]),
         lfhf=float(payload["lfhf"]),
-        source_record=str(payload["source_record"]),
+        source_record=payload["source_record"],
     )
 
 
@@ -312,14 +332,24 @@ def split_to_json(train: Dataset, test: Dataset, path) -> None:
 
 
 def split_from_json(dataset: Dataset, path):
+    """(train, test) subsets of ``dataset`` named by a split.json; InvalidParam when malformed."""
     payload = json.loads(Path(path).read_text())
     index = {key: i for i, key in enumerate(dataset.keys)}
-    try:
-        train_idx = [index[(k[0], float(k[1]))] for k in payload["train_keys"]]
-        test_idx = [index[(k[0], float(k[1]))] for k in payload["test_keys"]]
-    except KeyError as exc:
-        raise InvalidParam(f"{path} names window {exc.args[0]} that no labeled row holds") from exc
-    return dataset.subset(train_idx), dataset.subset(test_idx)
+    parts = []
+    for part in ("train_keys", "test_keys"):
+        keys = payload.get(part) if isinstance(payload, dict) else None
+        if not isinstance(keys, list):
+            raise InvalidParam(f"{path}: {part} is {keys!r}, not a list of [record, window start] keys")
+        indices = []
+        for key in keys:
+            if not (isinstance(key, list) and len(key) == 2 and isinstance(key[0], str) and _is_real(key[1])):
+                raise InvalidParam(f"{path}: {part} holds {key!r}, not a [record, window start] key")
+            key = (key[0], float(key[1]))
+            if key not in index:
+                raise InvalidParam(f"{path} names window {key} that no labeled row holds")
+            indices.append(index[key])
+        parts.append(dataset.subset(indices))
+    return tuple(parts)
 
 
 def write_confusion_csv(confusion, path) -> None:

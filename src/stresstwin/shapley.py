@@ -43,15 +43,10 @@ class ShapExplanation:
 
     phi: np.ndarray
     phi0: np.ndarray
-    classes: tuple = CLASSES
 
     def for_class(self, level: int):
-        i = self.classes.index(level)
+        i = CLASSES.index(level)
         return self.phi[:, i], float(self.phi0[i])
-
-    @property
-    def per_class(self) -> dict:
-        return {c: self.for_class(c) for c in self.classes}
 
 
 # --- batched path evaluation ----------------------------------------------------

@@ -7,8 +7,8 @@ actuator latencies. Real time never enters; repeated runs produce
 byte-identical traces.
 Records play back sequentially on one timeline with windowing state reset at
 record boundaries. Windows follow ``hrv.window_iter``'s sample grid, as the
-features stage does, and each window's level is looked up in a map that the
-caller builds from the feature rows.
+features stage does, and each window's level is looked up by (record name,
+window start) in a map that the caller builds from the feature rows.
 
 Sequence numbers are taken in order of scheduling: first the sensor chunks
 and windows of every record, then one contiguous block for the strategy
@@ -37,7 +37,7 @@ import numpy as np
 from .config import RunConfig, _is_count, _is_real
 from .errors import ConfigInvalid, InvalidParam, IoError
 from .hrv import window_iter
-from .interventions import LATENCY_MS, CommandIdAllocator, command_to_dict, commands_for_level
+from .interventions import LATENCY_MS, commands_for_level
 
 KIND_SENSOR = "SensorChunk"
 KIND_WINDOW = "WindowReady"
@@ -85,11 +85,6 @@ def _checked_schedule(scripted) -> tuple:
         if not _is_count(level) or level not in (1, 2, 3, 4, 5):
             raise ConfigInvalid(f"scripted level {level!r} is not an integer from 1 to 5")
     return tuple(sorted((float(t_s), level) for t_s, level in scripted))
-
-
-def window_key(record, start_s: float) -> tuple:
-    """Key of a window in the levels map: (record name, window start sample)."""
-    return record.record_name, int(round(start_s * record.fs))
 
 
 def commit_level(committed: int, levels, dwell_windows: int) -> int:
@@ -166,7 +161,7 @@ class _Run:
         self.committed = INITIAL_LEVEL
         self.window_levels: list = []
         self.last_commanded = None
-        self.allocator = CommandIdAllocator()
+        self.next_command_id = 1  # strictly increasing over the run
         self.actuators = _Actuators()
         self.batch_counter = 0
 
@@ -257,11 +252,11 @@ class _Run:
             end_local_s = payload["window_end_local_s"]
             global_t_s = (payload["record_offset_ms"] + end_local_s * 1000.0) / 1000.0
             return self._scripted_level(global_t_s)
-        key = window_key(self.records[payload["record_index"]], payload["window_start_s"])
+        key = (payload["record"], payload["window_start_s"])
         if key not in self.levels:
             raise InvalidParam(
-                f"no feature row for record {key[0]} window at {payload['window_start_s']} s "
-                f"(sample {key[1]}): the features were built for other records or windows"
+                f"no feature row for record {key[0]} window at {key[1]} s: "
+                "the features were built for other records or windows"
             )
         return self.levels[key]
 
@@ -279,28 +274,42 @@ class _Run:
     def _issue_batch(self, at_ms: int) -> None:
         self.batch_counter += 1
         batch_id = self.batch_counter
-        commands = commands_for_level(self.committed, at_ms / 1000.0, self.allocator)
+        level = self.committed
+        commands = commands_for_level(level)
         self.actuators.expect_batch(batch_id, len(commands))
-        for cmd in commands:
-            lo, hi = LATENCY_MS[cmd.scale]
+        for action, scale, ttl_s in commands:
+            command_id = self.next_command_id
+            self.next_command_id += 1
+            lo, hi = LATENCY_MS[scale]
             latency_ms = int(self.rng.integers(lo, hi + 1))
-            issued = dict(command_to_dict(cmd))
-            issued["batch"] = batch_id
-            self.schedule(at_ms, KIND_ISSUED, issued)
+            self.schedule(
+                at_ms,
+                KIND_ISSUED,
+                {
+                    "command_id": command_id,
+                    "issued_at": at_ms / 1000.0,
+                    "stress_level": level,
+                    "scale": scale,
+                    "action": action,
+                    "parameters": {},
+                    "ttl_s": ttl_s,
+                    "batch": batch_id,
+                },
+            )
             self.schedule(
                 at_ms + latency_ms,
                 KIND_APPLIED,
                 {
-                    "command_id": cmd.command_id,
-                    "action": cmd.action,
-                    "scale": cmd.scale,
-                    "stress_level": cmd.stress_level,
+                    "command_id": command_id,
+                    "action": action,
+                    "scale": scale,
+                    "stress_level": level,
                     "issued_at_ms": at_ms,
                     "latency_ms": latency_ms,
                     "batch": batch_id,
                 },
             )
-        self.last_commanded = self.committed
+        self.last_commanded = level
 
     def _on_applied(self, at_ms: int, payload: dict) -> None:
         applied = self.actuators.apply(
@@ -316,8 +325,9 @@ def run_simulation(noisy_records, levels: dict | None, cfg: RunConfig, scripted=
 
     The window geometry, tick period, dwell, chunk period, duration cap and
     seed of ``cfg`` drive the run, and ``cfg`` is validated first.
-    ``levels`` maps the ``window_key`` of each window to its level (None:
-    invalid window). ``scripted``, a list of [time_s, level]
+    ``levels`` maps each window's ``(record_name, window_start)``, the start
+    in seconds as ``hrv.window_iter`` gives it, to its level (None: invalid
+    window). ``scripted``, a list of [time_s, level]
     pairs, replaces the window levels: each window takes the level of the
     latest pair at or before its end; ``levels`` may then be None.
     """

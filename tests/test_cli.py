@@ -1,11 +1,15 @@
+import argparse
 import csv
 import hashlib
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stresstwin import cli
 from stresstwin.cli import EXIT_DATA, EXIT_OK, main
 from stresstwin.forest import load_forest, predict_proba
 from stresstwin.hrv import iter_window_segments
@@ -68,7 +72,7 @@ class TestRunArtifacts:
         assert header == list(REPORT_CSV_COLUMNS)
 
     def test_labeled_rows_are_typed(self, synthetic_run):
-        rows = read_rows_csv(synthetic_run / "labeled.csv")
+        rows = read_rows_csv(synthetic_run / "labeled.csv", LABELED_CSV_COLUMNS)
         valid = [r for r in rows if r["valid"]]
         assert valid
         for row in valid[:20]:
@@ -76,7 +80,7 @@ class TestRunArtifacts:
             assert 0.0 <= row["stress_score"] <= 1.0
 
     def test_invalid_rows_have_blank_labels(self, synthetic_run):
-        rows = read_rows_csv(synthetic_run / "labeled.csv")
+        rows = read_rows_csv(synthetic_run / "labeled.csv", LABELED_CSV_COLUMNS)
         invalid = [r for r in rows if not r["valid"]]
         assert invalid, "synthetic set should include warm-up invalid windows"
         assert all(r["rule_level"] is None for r in invalid)
@@ -89,7 +93,7 @@ class TestRunArtifacts:
 
     def test_pinned_model_predicts_as_per_tree_walk(self, synthetic_run):
         forest = load_forest(synthetic_run / "model.json")
-        rows = [r for r in read_rows_csv(synthetic_run / "features.csv") if r["valid"]]
+        rows = [r for r in read_rows_csv(synthetic_run / "features.csv", FEATURE_CSV_COLUMNS) if r["valid"]]
         X = np.asarray([[r[c] for c in FEATURE_COLUMNS] for r in rows])
         assert np.array_equal(predict_proba(forest, X), predict_proba_reference(forest, X))
 
@@ -234,13 +238,36 @@ class TestExitCodes:
         # at 360 Hz a chunk must hold round(chunk_s * 360) >= 1 samples
         config = tmp_path / "config.json"
         config.write_text(f'{{"chunk_s": {chunk_s}}}')
-        out = tmp_path / "scripted_trace.jsonl"
-        extra = ("--config", str(config), "--records", "S00e24", "--scripted", "[[0,1],[60,3]]", "--out", str(out))
-        argv = ["simulate", *_synthetic_args(synthetic_run, tmp_path, *extra)]
+        out = tmp_path / "out"
+        extra = ("--config", str(config), "--records", "S00e24", "--scripted", "[[0,1],[60,3]]")
+        argv = ["simulate", *_synthetic_args(synthetic_run, out, *extra)]
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.startswith("error: chunk_s ")
-        assert not out.exists()
+        assert not (out / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "--out", "x"], ["train", "--model", "x"]], ids=["simulate_out", "train_model"]
+    )
+    def test_artifact_path_options_are_usage_errors(self, tmp_path, capsys, argv):
+        # every artifact has one fixed name under --out-dir, and no option is abbreviated
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_option_is_read(self):
+        # no option that nothing reads: each subcommand option is read as args.<dest> in cli.py
+        text = Path(cli.__file__).read_text()
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {
+            action.dest
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert sorted(d for d in dests if not re.search(rf"\bargs\.{d}\b", text)) == []
 
     def test_individual_steps_rerun_on_existing_artifacts(self, synthetic_run):
         data_dir = synthetic_run / "synthetic_records"
@@ -258,6 +285,7 @@ class TestExitCodes:
         assert code == EXIT_OK
 
     def test_retraining_reproduces_model_bytes(self, synthetic_run, tmp_path):
+        shutil.copy(synthetic_run / "labeled.csv", tmp_path / "labeled.csv")
         data_dir = synthetic_run / "synthetic_records"
         code = main(
             [
@@ -265,22 +293,17 @@ class TestExitCodes:
                 "--data-dir",
                 str(data_dir),
                 "--out-dir",
-                str(synthetic_run),
+                str(tmp_path),
                 "--clean-record",
                 "S00",
-                "--model",
-                str(tmp_path / "model2.json"),
-                "--split",
-                str(tmp_path / "split2.json"),
             ]
         )
         assert code == EXIT_OK
-        assert (tmp_path / "model2.json").read_bytes() == (synthetic_run / "model.json").read_bytes()
-        assert (tmp_path / "split2.json").read_bytes() == (synthetic_run / "split.json").read_bytes()
+        assert (tmp_path / "model.json").read_bytes() == (synthetic_run / "model.json").read_bytes()
+        assert (tmp_path / "split.json").read_bytes() == (synthetic_run / "split.json").read_bytes()
 
     def test_scripted_simulate_without_model(self, synthetic_run, tmp_path):
         data_dir = synthetic_run / "synthetic_records"
-        out = tmp_path / "scripted_trace.jsonl"
         code = main(
             [
                 "simulate",
@@ -294,12 +317,10 @@ class TestExitCodes:
                 "S00e24",
                 "--scripted",
                 "[[0,1],[60,3]]",
-                "--out",
-                str(out),
             ]
         )
         assert code == EXIT_OK
-        assert out.exists()
+        assert (tmp_path / "trace.jsonl").exists()
 
     def test_simulate_decodes_no_sample(self, synthetic_run, tmp_path, monkeypatch):
         # the simulator reads each record's name, rate and length from its header
@@ -367,7 +388,7 @@ class TestInvalidSamples:
         assert hit
 
         def rows_and_lines(path):
-            rows = read_rows_csv(path)
+            rows = read_rows_csv(path, FEATURE_CSV_COLUMNS)
             lines = path.read_text().splitlines()[1:]
             return [(r, line) for r, line in zip(rows, lines) if r["record_name"] in ("S00e06", "S00e24")]
 
@@ -391,7 +412,7 @@ class TestLoadErrors:
         assert fragment in err
 
     def test_simulate_without_feature_row(self, synthetic_run, tmp_path, capsys):
-        rows = read_rows_csv(synthetic_run / "features.csv")
+        rows = read_rows_csv(synthetic_run / "features.csv", FEATURE_CSV_COLUMNS)
         other = [r for r in rows if r["record_name"] == "S00e24"]
         write_rows_csv(other, FEATURE_CSV_COLUMNS, tmp_path / "features.csv")
         shutil.copy(synthetic_run / "model.json", tmp_path / "model.json")
@@ -409,7 +430,7 @@ class TestLoadErrors:
         assert not (tmp_path / "trace.jsonl").exists()
 
     def test_split_window_without_labeled_row(self, synthetic_run, tmp_path, capsys):
-        rows = read_rows_csv(synthetic_run / "labeled.csv")
+        rows = read_rows_csv(synthetic_run / "labeled.csv", LABELED_CSV_COLUMNS)
         kept = [r for r in rows if r["record_name"] != "S00e24"]
         write_rows_csv(kept, LABELED_CSV_COLUMNS, tmp_path / "labeled.csv")
         for name in ("model.json", "split.json"):
@@ -418,7 +439,7 @@ class TestLoadErrors:
         self._fails(argv, capsys, "names window ('S00e24'")
 
     def test_label_with_blank_feature_cell(self, synthetic_run, tmp_path, capsys):
-        rows = read_rows_csv(synthetic_run / "features.csv")
+        rows = read_rows_csv(synthetic_run / "features.csv", FEATURE_CSV_COLUMNS)
         first_valid = next(i for i, row in enumerate(rows) if row["valid"])
         rows[first_valid]["ecg_sdnn"] = None  # written as an empty cell
         write_rows_csv(rows, FEATURE_CSV_COLUMNS, tmp_path / "features.csv")
@@ -451,3 +472,53 @@ class TestLoadErrors:
         self._fails(argv, capsys, "tree 3: ")
         assert not (tmp_path / "eval_report.json").exists()
 
+
+    def test_model_with_other_classes(self, synthetic_run, tmp_path, capsys):
+        payload = json.loads((synthetic_run / "model.json").read_text())
+        payload["classes"] = [5, 4, 3, 2, 1]
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        for name in ("labeled.csv", "split.json"):
+            shutil.copy(synthetic_run / name, tmp_path / name)
+        argv = ["eval", *_synthetic_args(synthetic_run, tmp_path)]
+        self._fails(argv, capsys, "model classes [5, 4, 3, 2, 1] are not the levels [1, 2, 3, 4, 5]")
+        assert not (tmp_path / "eval_report.json").exists()
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda payload: payload.pop("qtc"), "qtc is None, not a positive finite number"),
+            (lambda payload: payload.update(sdnn=-5), "sdnn is -5, not a positive finite number"),
+        ],
+        ids=["missing_qtc", "negative_sdnn"],
+    )
+    def test_malformed_baseline(self, synthetic_run, tmp_path, capsys, edit, message):
+        payload = json.loads((synthetic_run / "baseline.json").read_text())
+        edit(payload)
+        (tmp_path / "baseline.json").write_text(json.dumps(payload))
+        argv = ["features", *_synthetic_args(synthetic_run, tmp_path)]
+        self._fails(argv, capsys, f"baseline.json: {message}")
+        assert not (tmp_path / "features.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda payload: payload["test_keys"].insert(0, [["x"], 1.0]), "test_keys holds [['x'], 1.0], not a"),
+            (lambda payload: payload.update(test_keys=None), "test_keys is None, not a list"),
+        ],
+        ids=["key_not_a_pair", "null_test_keys"],
+    )
+    def test_malformed_split(self, synthetic_run, tmp_path, capsys, edit, message):
+        payload = json.loads((synthetic_run / "split.json").read_text())
+        edit(payload)
+        (tmp_path / "split.json").write_text(json.dumps(payload))
+        for name in ("labeled.csv", "model.json"):
+            shutil.copy(synthetic_run / name, tmp_path / name)
+        argv = ["eval", *_synthetic_args(synthetic_run, tmp_path)]
+        self._fails(argv, capsys, f"split.json: {message}")
+        assert not (tmp_path / "eval_report.json").exists()
+
+    def test_features_csv_without_a_header_column(self, synthetic_run, tmp_path, capsys):
+        text = (synthetic_run / "features.csv").read_text()
+        (tmp_path / "features.csv").write_text(text.replace("rel_qtc,", "", 1))
+        self._fails(["label", "--out-dir", str(tmp_path)], capsys, "features.csv: the header has no rel_qtc column")
+        assert not (tmp_path / "labeled.csv").exists()

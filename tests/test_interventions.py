@@ -1,40 +1,56 @@
 import json
+from collections import defaultdict
 
 import pytest
 
+from stresstwin.config import RunConfig
 from stresstwin.errors import InvalidLevel
-from stresstwin.interventions import (
-    LATENCY_MS,
-    CommandIdAllocator,
-    commands_for_level,
-    parse_command,
-    plan_for_level,
-    serialize_command,
-)
+from stresstwin.interventions import CATALOG, LATENCY_MS, commands_for_level
+from stresstwin.simulator import export_trace, run_simulation
+from stresstwin.synth import synth_ecg
 from tests.test_simulator import within_paper_bounds
 
-ALL_CATALOG_ACTIONS = {action for level in range(1, 6) for action, _ in plan_for_level(level)}
+ALL_CATALOG_ACTIONS = {action for level in range(1, 6) for action, _ in CATALOG[level]}
 SCALE_ORDER = ("Personal", "Room", "Building", "Landscape")
 
 
 def actions(level):
-    return tuple(action for action, _ in plan_for_level(level))
+    return tuple(action for action, _ in CATALOG[level])
 
 
 def outdoor_actions(level):
-    return tuple(action for action, scale in plan_for_level(level) if scale == "Landscape")
+    return tuple(action for action, scale in CATALOG[level] if scale == "Landscape")
 
 
 def scale_of(action):
-    return next(scale for level in range(1, 6) for a, scale in plan_for_level(level) if a == action)
+    return next(scale for level in range(1, 6) for a, scale in CATALOG[level] if a == action)
+
+
+@pytest.fixture(scope="module")
+def issued_lines(tmp_path_factory):
+    """The CommandIssued lines of a scripted trace whose committed level goes 1, 3, 1, 3."""
+    rec = synth_ecg(70, 150.0, seed=5)
+    trace = run_simulation([rec], None, RunConfig(seed=9), ((0.0, 3), (40.0, 1), (80.0, 3)))
+    path = tmp_path_factory.mktemp("commands") / "trace.jsonl"
+    export_trace(trace, path)
+    return [line for line in path.read_text().splitlines() if '"kind":"CommandIssued"' in line]
+
+
+def batches(lines) -> list:
+    """The CommandIssued payloads of each batch, in issue order."""
+    by_batch = defaultdict(list)
+    for line in lines:
+        payload = json.loads(line)["payload"]
+        by_batch[payload["batch"]].append(payload)
+    return [by_batch[b] for b in sorted(by_batch)]
 
 
 class TestPlan:
     def test_level1_maintains_baseline(self):
-        assert ("Maintain baseline environment", "Building") in plan_for_level(1)
+        assert ("Maintain baseline environment", "Building") in CATALOG[1]
 
     def test_level3_indoor_catalog(self):
-        assert plan_for_level(3) == (
+        assert CATALOG[3] == (
             ("Biowall oxygen-boosting mode", "Building"),
             ("Local temperature gradient (±2°C)", "Building"),
             ("Directional natural soundscape", "Room"),
@@ -48,7 +64,7 @@ class TestPlan:
     def test_invalid_levels(self):
         for bad in (0, 6, -1):
             with pytest.raises(InvalidLevel):
-                plan_for_level(bad)
+                commands_for_level(bad)
 
     def test_all_levels_non_empty(self):
         for level in range(1, 6):
@@ -86,79 +102,72 @@ class TestScaleAssignment:
 class TestCommands:
     def test_one_command_per_action(self):
         for level in range(1, 6):
-            cmds = commands_for_level(level, 0.0, CommandIdAllocator())
+            cmds = commands_for_level(level)
             assert len(cmds) == len(actions(level))
-            assert {(c.action, c.scale) for c in cmds} == set(plan_for_level(level))
+            assert {(action, scale) for action, scale, _ in cmds} == set(CATALOG[level])
 
     def test_actions_verbatim_from_catalog(self):
         for level in range(1, 6):
-            for cmd in commands_for_level(level, 1.0, CommandIdAllocator()):
-                assert cmd.action in ALL_CATALOG_ACTIONS
+            for action, _, _ in commands_for_level(level):
+                assert action in ALL_CATALOG_ACTIONS
 
     def test_scale_then_catalog_order(self):
-        cmds = commands_for_level(4, 0.0, CommandIdAllocator())
-        ranks = [SCALE_ORDER.index(c.scale) for c in cmds]
+        cmds = commands_for_level(4)
+        ranks = [SCALE_ORDER.index(scale) for _, scale, _ in cmds]
         assert ranks == sorted(ranks)
-        room = [c.action for c in cmds if c.scale == "Room"]
+        room = [action for action, scale, _ in cmds if scale == "Room"]
         assert room == ["Full-spectrum light therapy"]
 
-    def test_ids_strictly_increasing_across_batches(self):
-        alloc = CommandIdAllocator()
-        ids = [c.command_id for c in commands_for_level(2, 0.0, alloc)]
-        ids += [c.command_id for c in commands_for_level(5, 1.0, alloc)]
-        assert ids == sorted(ids)
-        assert len(set(ids)) == len(ids)
+    def test_ids_strictly_increasing_across_batches(self, issued_lines):
+        ids = [json.loads(line)["payload"]["command_id"] for line in issued_lines]
+        assert len(batches(issued_lines)) == 4
+        assert ids == list(range(1, len(ids) + 1))
 
     def test_ttl_exceeds_scale_latency(self):
         ttl_s = {"Personal": 10.0, "Room": 60.0, "Building": 600.0, "Landscape": 1800.0}
         for level in range(1, 6):
-            for cmd in commands_for_level(level, 0.0, CommandIdAllocator()):
-                assert cmd.ttl_s == ttl_s[cmd.scale]
-                assert cmd.ttl_s * 1000 > LATENCY_MS[cmd.scale][1]
+            for _, scale, ttl in commands_for_level(level):
+                assert ttl == ttl_s[scale]
+                assert ttl * 1000 > LATENCY_MS[scale][1]
 
-    def test_deterministic_except_ids(self):
-        a = commands_for_level(3, 2.0, CommandIdAllocator())
-        b = commands_for_level(3, 2.0, CommandIdAllocator(start=100))
-        assert [(c.action, c.scale) for c in a] == [(c.action, c.scale) for c in b]
+    def test_deterministic_except_ids(self, issued_lines):
+        # both level-3 batches issue the same commands under new ids
+        first, second = (b for b in batches(issued_lines) if b[0]["stress_level"] == 3)
+        def commands(batch):
+            return [(p["stress_level"], p["scale"], p["action"], p["parameters"], p["ttl_s"]) for p in batch]
+
+        assert commands(first) == commands(second)
+        assert {p["command_id"] for p in first}.isdisjoint(p["command_id"] for p in second)
 
     def test_command_count_grows_through_level4(self):
         # the level-5 catalog row holds four actions, one fewer than level 4
-        counts = [len(commands_for_level(lv, 0.0, CommandIdAllocator())) for lv in range(1, 6)]
+        counts = [len(commands_for_level(lv)) for lv in range(1, 6)]
         assert counts[:4] == sorted(counts[:4])
         assert counts == [4, 4, 5, 5, 4]
 
 
 class TestWireFormat:
-    def test_roundtrip(self):
-        for level in range(1, 6):
-            for cmd in commands_for_level(level, 7.4, CommandIdAllocator()):
-                assert parse_command(serialize_command(cmd)) == cmd
+    """A command's wire form is its CommandIssued line in the trace."""
 
-    def test_parameters_always_present(self):
-        cmd = commands_for_level(1, 0.0, CommandIdAllocator())[0]
-        assert '"parameters":{}' in serialize_command(cmd)
+    def test_parameters_always_present(self, issued_lines):
+        assert issued_lines and all('"parameters":{}' in line for line in issued_lines)
 
-    def test_canonical_field_order(self):
-        cmd = commands_for_level(2, 0.0, CommandIdAllocator())[0]
-        keys = list(json.loads(serialize_command(cmd)).keys())
+    def test_canonical_field_order(self, issued_lines):
+        # json.loads keeps the keys in the order the line writes them
+        keys = list(json.loads(issued_lines[0])["payload"])
         assert keys == [
+            "action",
+            "batch",
             "command_id",
             "issued_at",
-            "stress_level",
-            "scale",
-            "action",
             "parameters",
+            "scale",
+            "stress_level",
             "ttl_s",
         ]
 
-    def test_equal_commands_byte_identical(self):
-        a = commands_for_level(3, 1.5, CommandIdAllocator())[0]
-        b = commands_for_level(3, 1.5, CommandIdAllocator())[0]
-        assert serialize_command(a) == serialize_command(b)
-
-    def test_ascii_safe_wire_form(self):
-        cmds = commands_for_level(3, 0.0, CommandIdAllocator())
-        gradient = next(c for c in cmds if "temperature gradient" in c.action)
-        wire = serialize_command(gradient)
-        assert wire == wire.encode("ascii", "strict").decode("ascii")
-        assert parse_command(wire).action == gradient.action
+    def test_ascii_safe_wire_form(self, issued_lines):
+        gradient = next(line for line in issued_lines if "temperature gradient" in line)
+        assert gradient == gradient.encode("ascii", "strict").decode("ascii")
+        assert "\\u00b1" in gradient
+        assert json.loads(gradient)["payload"]["action"] == "Local temperature gradient (±2°C)"

@@ -80,7 +80,7 @@ class TestCsvRoundtrip:
         from stresstwin.pipeline import LABELED_CSV_COLUMNS
 
         write_rows_csv(rows, LABELED_CSV_COLUMNS, path)
-        back = read_rows_csv(path)
+        back = read_rows_csv(path, LABELED_CSV_COLUMNS)
         assert back[0]["valid"] is True
         assert back[1]["valid"] is False
         assert back[0]["rule_level"] == rows[0]["rule_level"]
@@ -92,7 +92,7 @@ class TestCsvRoundtrip:
         row["ecg_sdnn"] = 1.0 / 3.0
         path = tmp_path / "x.csv"
         write_rows_csv([row], FEATURE_CSV_COLUMNS, path)
-        assert read_rows_csv(path)[0]["ecg_sdnn"] == 1.0 / 3.0
+        assert read_rows_csv(path, FEATURE_CSV_COLUMNS)[0]["ecg_sdnn"] == 1.0 / 3.0
 
     @pytest.mark.parametrize("cell", ["", "abc", "nan", "inf"])
     def test_valid_row_needs_finite_features(self, tmp_path, cell):
@@ -106,12 +106,21 @@ class TestCsvRoundtrip:
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidParam, match=f"features.csv: row 2 is valid but its rel_qtc is '{cell}'"):
-            read_rows_csv(path)
+            read_rows_csv(path, FEATURE_CSV_COLUMNS)
+
+    def test_row_with_extra_cell(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_rows_csv([make_row("a", 0.0), make_row("a", 5.0)], FEATURE_CSV_COLUMNS, path)
+        lines = path.read_text().splitlines()
+        lines[2] += ",1.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParam, match="features.csv: row 2 has 17 cells, the header 16"):
+            read_rows_csv(path, FEATURE_CSV_COLUMNS)
 
     def test_invalid_row_keeps_blank_features(self, tmp_path):
         path = tmp_path / "features.csv"
         write_rows_csv([make_row("a", 0.0, valid=False)], FEATURE_CSV_COLUMNS, path)
-        row = read_rows_csv(path)[0]
+        row = read_rows_csv(path, FEATURE_CSV_COLUMNS)[0]
         assert row["valid"] is False and np.isnan(row["ecg_sdnn"])
 
 

@@ -7,7 +7,7 @@ import pytest
 from stresstwin.errors import ConfigInvalid, InvalidParam, IoError
 from stresstwin.forest import Dataset, ForestParams, train_forest
 from stresstwin.hrv import compute_baseline, window_iter
-from stresstwin.interventions import plan_for_level
+from stresstwin.interventions import CATALOG
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
     feature_rows,
@@ -23,7 +23,6 @@ from stresstwin.simulator import (
     commit_level,
     export_trace,
     run_simulation,
-    window_key,
 )
 from stresstwin.synth import synth_ecg, synth_ecg_profile
 
@@ -72,7 +71,7 @@ def levels_trace():
     rec.record_name = 'S"é\\'
     cycle = (None, 2, 2, None, 4, 4, 4, 1, 1, 5, 5, 3, 3)
     levels = {
-        window_key(rec, start_s): cycle[i % len(cycle)]
+        (rec.record_name, start_s): cycle[i % len(cycle)]
         for i, (start_s, _) in enumerate(window_iter(rec, 10.0, 5.0))
     }
     return run_simulation([rec], levels, RunConfig(chunk_s=1.1, seed=4))
@@ -173,7 +172,7 @@ class TestScriptedRun:
     def test_actuator_state_purged_after_level_change(self, scripted_trace):
         feedback = scripted_trace.of_kind("Feedback")
         final = feedback[-1].payload["actuators"]
-        level4 = {action for action, _ in plan_for_level(4)}
+        level4 = {action for action, _ in CATALOG[4]}
         active = {a for entry in final.values() for a in entry["actions"]}
         assert active <= level4
         # every scale present in the level-4 plan ends up active
@@ -316,7 +315,7 @@ class TestModelDrivenRun:
         cfg = RunConfig(stride_s=5.001)
         path = tmp_path / "features.csv"
         write_rows_csv(feature_rows([clean], clean, baseline, cfg), FEATURE_CSV_COLUMNS, path)
-        rows = read_rows_csv(path)
+        rows = read_rows_csv(path, FEATURE_CSV_COLUMNS)
         trace = simulate([clean], rows, forest, cfg)
         simulated = {
             (e.payload["record"], e.payload["window_start_s"]): e.payload["valid"]
@@ -329,6 +328,6 @@ class TestModelDrivenRun:
     def test_window_without_feature_row_is_named(self, steady_model):
         clean, _, rows, forest = steady_model
         levels = window_levels(rows, forest, [clean])
-        del levels[("C0", 9000)]
+        del levels[("C0", 25.0)]
         with pytest.raises(InvalidParam, match=r"record C0 window at 25\.0 s"):
             run_simulation([clean], levels, RunConfig(seed=3))
