@@ -4,11 +4,20 @@ Trees store per-node sample covers and class histograms because the
 explanation pass weights conditional expectations by them. Training is a
 pure function of (data, params, seed): bootstrap and feature draws use one
 Generator per tree seeded ``seed + tree_index``, and the dataset is
-canonically sorted by key before any index is drawn. The split scan scores
-every candidate threshold of a node at once, in numpy. The trees grow on
+canonically sorted by key before any index is drawn. The trees grow on
 forked workers (``fanout.fork_map``), one per usable core; since each reads
 only the dataset and its own Generator, the forest is still a pure function
 of the seed, whichever worker grows which tree.
+
+A tree sorts each column of its bootstrap rows once, stably, as SLIQ does
+(Mehta, Agrawal and Rissanen, EDBT 1996). A node reads its members in each
+candidate feature's presorted order through one membership mask, scores
+every cut of every candidate in one Gini computation, and takes the first
+smallest score in candidate order; its children's class histograms are
+the winning cut's cumulative counts. The bootstrap indices are sorted, so
+ties keep the order a per-node stable sort would give them, and every
+count is an exact integer: the trees are bitwise those of sorting each
+node's samples per candidate and scanning one feature at a time.
 
 Prediction steps one packed node table for the whole forest: every tree's
 nodes concatenated with offsets, each leaf a self-loop (threshold ``+inf``,
@@ -38,6 +47,7 @@ from .fanout import fork_map
 
 CLASSES = (1, 2, 3, 4, 5)
 N_CLASSES = len(CLASSES)
+_CLASS_CODES = np.arange(N_CLASSES)[:, None]
 MODEL_FORMAT_VERSION = 1
 
 
@@ -200,24 +210,28 @@ def _split_threshold(lo, hi):
     return mid if mid < hi else lo
 
 
-def _best_split(xs, ys, n_classes, min_leaf):
-    n = xs.shape[0]
-    if n < 2:
-        return np.inf, 0.0, False
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), ys] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    left = cum[:-1]
-    right = cum[-1] - left
-    nl = np.arange(1, n, dtype=np.float64)
+def _gini_cuts(xs, ys, min_leaf):
+    """Weighted Gini impurity of every cut of every row, and the rows' cumulative class counts.
+
+    ``xs`` (rows, n) holds each row's values in ascending order and ``ys``
+    their class codes in the same order. Cut ``i`` sends a row's first
+    ``i + 1`` samples left; its score, in ``g`` (rows, n - 1), is +inf where
+    ``xs[i] == xs[i + 1]`` or a side would hold fewer than ``min_leaf``
+    samples. ``cum[r, c, i]`` counts class ``c`` among row ``r``'s first
+    ``i + 1`` samples. The counts and their squares are exact integers, so a
+    score's bits do not depend on the rows stacked with it.
+    """
+    n = xs.shape[1]
+    cum = np.cumsum(ys[:, None, :] == _CLASS_CODES, axis=2, dtype=np.float64)
+    left = cum[:, :, :-1]
+    right = cum[:, :, -1:] - left
+    nl = np.arange(1.0, n)
     nr = n - nl
-    valid = (xs[1:] != xs[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
-    if not np.any(valid):
-        return np.inf, 0.0, False
-    g = (nl - (left**2).sum(axis=1) / nl + nr - (right**2).sum(axis=1) / nr) / n
-    g = np.where(valid, g, np.inf)
-    i = int(np.argmin(g))
-    return float(g[i]), float(_split_threshold(xs[i], xs[i + 1])), True
+    g = (nl - (left * left).sum(axis=1) / nl + nr - (right * right).sum(axis=1) / nr) / n
+    g[:, : max(min_leaf - 1, 0)] = np.inf
+    g[:, max(n - min_leaf, 0) :] = np.inf
+    g[xs[:, 1:] == xs[:, :-1]] = np.inf
+    return g, cum
 
 
 # --- packed node table ---------------------------------------------------------
@@ -297,9 +311,19 @@ def _pack(trees, n_features: int) -> _NodeTable:
 
 
 class _TreeBuilder:
-    def __init__(self, X, y_codes, rng, params: ForestParams):
-        self.X = X
-        self.y = y_codes
+    """Grows one tree on the bootstrap rows ``X[boot]``, ``boot`` sorted ascending.
+
+    Each feature's column is sorted once, stably, so ties keep the rows'
+    bootstrap order; a node reads its members' values in that order through
+    a membership mask instead of sorting them again.
+    """
+
+    def __init__(self, X, y_codes, boot, rng, params: ForestParams):
+        self.X = X[boot]
+        self.y = y_codes[boot]
+        self.order = np.argsort(self.X, axis=0, kind="stable").T  # (features, rows)
+        self.sorted_x = np.take_along_axis(self.X.T, self.order, axis=1)
+        self.sorted_y = self.y[self.order]
         self.rng = rng
         self.params = params
         self.feature: list = []
@@ -310,8 +334,9 @@ class _TreeBuilder:
         self.hist: list = []
         self.max_depth = 0
 
-    def build(self, indices) -> DecisionTree:
-        self._grow(indices, 0)
+    def build(self) -> DecisionTree:
+        root_hist = np.bincount(self.y, minlength=N_CLASSES).astype(float)
+        self._grow(np.arange(self.y.size), root_hist, 0)
         return DecisionTree(
             feature=np.asarray(self.feature, dtype=np.int32),
             threshold=np.asarray(self.threshold, dtype=np.float64),
@@ -322,48 +347,42 @@ class _TreeBuilder:
             max_depth=self.max_depth,
         )
 
-    def _new_node(self, indices) -> int:
+    def _grow(self, members, hist, depth: int) -> int:
+        """Grow the subtree of ``members`` (ascending bootstrap positions) in depth-first pre-order."""
         node = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.cover.append(float(indices.size))
-        self.hist.append(np.bincount(self.y[indices], minlength=N_CLASSES).astype(float))
-        return node
-
-    def _grow(self, indices, depth: int) -> int:
-        node = self._new_node(indices)
+        self.cover.append(float(members.size))
+        self.hist.append(hist)
         self.max_depth = max(self.max_depth, depth)
         p = self.params
-        hist = self.hist[node]
         pure = np.count_nonzero(hist) <= 1
         depth_capped = p.max_depth is not None and depth >= p.max_depth
-        if pure or depth_capped or indices.size < 2 * p.min_samples_leaf:
+        if pure or depth_capped or members.size < 2 * p.min_samples_leaf:
             return node
 
         n_features = self.X.shape[1]
         mtry = min(p.mtry, n_features)
-        candidates = np.sort(self.rng.choice(n_features, size=mtry, replace=False))
-        best = (np.inf, 0.0, -1)
-        for f in candidates:
-            xs = self.X[indices, f]
-            order = np.argsort(xs, kind="mergesort")
-            g, thr, found = _best_split(
-                np.ascontiguousarray(xs[order]),
-                np.ascontiguousarray(self.y[indices][order]),
-                N_CLASSES,
-                p.min_samples_leaf,
-            )
-            if found and g < best[0]:
-                best = (g, thr, int(f))
-        if best[2] < 0:
+        candidates = self.rng.choice(n_features, size=mtry, replace=False)
+        candidates.sort()
+        inside = np.zeros(self.y.size, dtype=bool)
+        inside[members] = True
+        keep = inside[self.order[candidates]]
+        m = members.size
+        xs = self.sorted_x[candidates][keep].reshape(mtry, m)
+        g, cum = _gini_cuts(xs, self.sorted_y[candidates][keep].reshape(mtry, m), p.min_samples_leaf)
+        # the first candidate with the smallest score, and its first cut
+        row, cut = divmod(int(np.argmin(g)), m - 1)
+        if g[row, cut] == np.inf:
             return node
 
-        _, thr, f = best
-        mask = self.X[indices, f] <= thr
-        left_node = self._grow(indices[mask], depth + 1)
-        right_node = self._grow(indices[~mask], depth + 1)
+        f = int(candidates[row])
+        thr = float(_split_threshold(xs[row, cut], xs[row, cut + 1]))
+        go_left = self.X[members, f] <= thr
+        left_node = self._grow(members[go_left], cum[row, :, cut].copy(), depth + 1)
+        right_node = self._grow(members[~go_left], cum[row, :, -1] - cum[row, :, cut], depth + 1)
         self.feature[node] = f
         self.threshold[node] = thr
         self.left[node] = left_node
@@ -397,8 +416,8 @@ def train_forest(dataset: Dataset, params: ForestParams | None = None, seed: int
 
     def grow(t):
         rng = np.random.default_rng(seed + t)
-        boot = rng.integers(0, n, size=n)
-        return _TreeBuilder(ds.X, y_codes, rng, params).build(np.sort(boot))
+        boot = np.sort(rng.integers(0, n, size=n))
+        return _TreeBuilder(ds.X, y_codes, boot, rng, params).build()
 
     return RandomForest(
         trees=fork_map(grow, range(params.n_trees)),

@@ -21,6 +21,7 @@ from .config import _is_real
 from .errors import InvalidParam
 from .fanout import fork_map
 from .forest import (
+    CLASSES,
     Dataset,
     ForestParams,
     predict_levels,
@@ -246,8 +247,10 @@ def read_rows_csv(path, columns) -> list:
     """Read a feature/labeled CSV back into typed row dicts.
 
     InvalidParam when the header lacks one of ``columns``, when a row's cell
-    count differs from the header's, or when a valid row's feature cell is
-    not a finite number.
+    count differs from the header's, when a row's ``window_start`` or a
+    valid row's feature cell is not a finite number, or when a level cell
+    is not one of the literals ``1`` to ``5`` the writer produces (empty
+    only in an invalid row).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -256,6 +259,7 @@ def read_rows_csv(path, columns) -> list:
             if column not in header:
                 raise InvalidParam(f"{path}: the header has no {column} column")
         features = [c for c in FEATURE_COLUMNS if c in header]
+        levels = [c for c in _LEVEL_COLUMNS if c in header]
         rows = []
         for number, cells in enumerate(reader, start=1):
             if not cells:
@@ -271,8 +275,22 @@ def read_rows_csv(path, columns) -> list:
                         raise InvalidParam(
                             f"{path}: row {number} is valid but its {column} is {raw[column]!r}, not a finite number"
                         )
+            start = row.get("window_start", 0.0)
+            if not (isinstance(start, float) and math.isfinite(start)):
+                raise InvalidParam(f"{path}: row {number}'s window_start is {raw['window_start']!r}, not a finite number")
+            for column in levels:
+                if row[column] is None and (raw[column] or row.get("valid")):
+                    raise InvalidParam(
+                        f"{path}: row {number}'s {column} is {raw[column]!r}, not a level 1 to 5"
+                        " (empty only in an invalid row)"
+                    )
             rows.append(row)
     return rows
+
+
+# the level cells the writer produces; any other cell parses to None
+_LEVEL_COLUMNS = ("rule_level", "score_level")
+_LEVEL_CELLS = {str(level): level for level in CLASSES}
 
 
 def _parse_cell(key, value):
@@ -282,8 +300,8 @@ def _parse_cell(key, value):
         return value.lower() == "true"
     if key == "record_name":
         return value
-    if key in ("rule_level", "score_level", "true_level", "predicted_level", "error"):
-        return int(float(value))
+    if key in _LEVEL_COLUMNS:
+        return _LEVEL_CELLS.get(value)
     try:
         return float(value)
     except ValueError:
@@ -332,9 +350,15 @@ def split_to_json(train: Dataset, test: Dataset, path) -> None:
 
 
 def split_from_json(dataset: Dataset, path):
-    """(train, test) subsets of ``dataset`` named by a split.json; InvalidParam when malformed."""
+    """(train, test) subsets of ``dataset`` named by a split.json.
+
+    InvalidParam when it is malformed, names a window no labeled row holds,
+    or names a window twice, within one part or in both: a test window that
+    is also a train window would score the model on its own training data.
+    """
     payload = json.loads(Path(path).read_text())
     index = {key: i for i, key in enumerate(dataset.keys)}
+    seen = {}
     parts = []
     for part in ("train_keys", "test_keys"):
         keys = payload.get(part) if isinstance(payload, dict) else None
@@ -347,6 +371,10 @@ def split_from_json(dataset: Dataset, path):
             key = (key[0], float(key[1]))
             if key not in index:
                 raise InvalidParam(f"{path} names window {key} that no labeled row holds")
+            if key in seen:
+                where = f"twice in {part}" if seen[key] == part else f"in both {seen[key]} and {part}"
+                raise InvalidParam(f"{path} names window {key} {where}")
+            seen[key] = part
             indices.append(index[key])
         parts.append(dataset.subset(indices))
     return tuple(parts)

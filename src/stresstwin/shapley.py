@@ -12,9 +12,16 @@ path's permutation weights from these fractions, starting from the dummy
 root element's ``[1]``; the UNWOUND sum of each element, times
 ``one - zero`` and the leaf value, is that feature's share of the leaf.
 
-Paths of equal length are evaluated together as numpy arrays over
-(samples, paths, elements), a chunk of samples at a time, so a whole forest
-is explained over a whole dataset without a Python loop per sample or tree.
+Paths of equal length are evaluated together as numpy arrays, so a whole
+forest is explained over a whole dataset without a Python loop per sample or
+tree. A path's weights depend only on the path and on which of its elements
+a sample satisfies, its pattern of one fractions: within a group, each
+(sample, path) pair's pattern is written as bits, and EXTEND and UNWOUND run
+once per distinct (path, pattern) pair (on the seed-2025 synthetic test set,
+about one pair in six). The samples then gather their weights, a chunk at a
+time, for the scatter onto features and the product with the leaf values.
+Every step is elementwise or per chunk, so the attributions are bitwise
+those of evaluating every pair.
 
 ``brute_force_shap`` is the independent oracle: it scores every feature
 subset by cover-weighted descent and applies the classic weighted-subset sum.
@@ -32,8 +39,9 @@ from .forest import CLASSES, N_CLASSES, RandomForest, _pack, predict_proba
 
 MAX_BRUTE_FORCE_FEATURES = 15
 
-# Samples evaluated together; keeps each (samples, paths, elements) array of
-# a path group within a few hundred kB for forests of about a hundred trees.
+# Samples scattered and multiplied together; keeps each (samples, paths,
+# features) array of a path group within a few hundred kB for forests of
+# about a hundred trees.
 SAMPLE_CHUNK = 16
 
 
@@ -107,52 +115,98 @@ def _path_groups(table) -> list:
     return groups
 
 
-def _group_phi(group: _PathGroup, X: np.ndarray, n_features: int) -> np.ndarray:
-    """Attributions (samples, n_features, n_classes) of one path group."""
-    n_samples = X.shape[0]
-    n_paths, u = group.feature.shape
-    xf = X[:, group.feature]
-    one = ((xf > group.lo) & (xf <= group.hi)).astype(np.float64)
-    zero = group.zero
+def _path_weights(one: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """Each element's UNWOUND sum times ``one - zero``: its weight in its path's leaf value.
 
+    ``one`` and ``zero`` are (pairs, elements) arrays of one and zero
+    fractions, one row per (sample, path) pair; every operation is
+    elementwise along the rows, so a row's weights do not depend on the rows
+    evaluated with it.
+    """
+    n_pairs, u = one.shape
     # EXTEND: pw[k] after adding element e is
     # zero_e * pw[k] * (e - k) / (e + 1) + one_e * pw[k - 1] * k / (e + 1)
-    pw = np.zeros((n_samples, n_paths, u + 1))
-    pw[:, :, 0] = 1.0
+    pw = np.zeros((n_pairs, u + 1))
+    pw[:, 0] = 1.0
     for e in range(1, u + 1):
         k = np.arange(e + 1)
-        old = pw[:, :, : e + 1]
+        old = pw[:, : e + 1]
         new = zero[:, e - 1 : e] * old * (e - k) / (e + 1.0)
-        new[:, :, 1:] += one[:, :, e - 1 : e] * old[:, :, :-1] * k[1:] / (e + 1.0)
-        pw[:, :, : e + 1] = new
+        new[:, 1:] += one[:, e - 1 : e] * old[:, :-1] * k[1:] / (e + 1.0)
+        pw[:, : e + 1] = new
 
     # UNWOUND sum of every element at once; one fractions are 0 or 1, so the
     # one_f != 0 branch divides by 1 and the other branch needs no next_one.
-    next_one = np.broadcast_to(pw[:, :, u : u + 1], one.shape)
+    next_one = np.broadcast_to(pw[:, u : u + 1], one.shape)
     total_one = np.zeros_like(one)
     total_zero = np.zeros_like(one)
     for k in range(u - 1, -1, -1):
-        pk = pw[:, :, k : k + 1]
+        pk = pw[:, k : k + 1]
         tmp = next_one * (u + 1.0) / (k + 1.0)
         total_one += tmp
         next_one = pk - tmp * zero * (u - k) / (u + 1.0)
         total_zero += (pk / zero) / ((u - k) / (u + 1.0))
-    w = np.where(one != 0.0, total_one, total_zero) * (one - zero)
+    return np.where(one != 0.0, total_one, total_zero) * (one - zero)
+
+
+def _distinct_pairs(inside: np.ndarray):
+    """(first, code) over the (sample, path) pairs of ``inside`` (samples, paths, elements).
+
+    Pairs on the same path whose samples satisfy the same elements share one
+    code: ``code`` (samples, paths) gives each pair's code and
+    ``first[code]`` one pair of that code, as a flat pair index. The bit
+    patterns are folded in words narrow enough that a code shifted by a word
+    stays within int64, so any path length works.
+    """
+    n_samples, n_paths, u = inside.shape
+    flat = inside.reshape(-1, u)
+    code = np.tile(np.arange(n_paths, dtype=np.int64), n_samples)
+    width = 62 - flat.shape[0].bit_length()
+    for start in range(0, u, width):
+        bits = flat[:, start : start + width]
+        word = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+        distinct, code = np.unique((code << bits.shape[1]) | word, return_inverse=True)
+    first = np.empty(distinct.size, dtype=np.int64)
+    first[code] = np.arange(code.size)
+    return first, code.reshape(n_samples, n_paths)
+
+
+def _group_phi(group: _PathGroup, X: np.ndarray, n_features: int) -> np.ndarray:
+    """Attributions (samples, n_features, n_classes) of one path group.
+
+    The weights are computed once per distinct (path, pattern) pair; the
+    arrays that grow with the paths times the features stay per chunk.
+    """
+    n_samples = X.shape[0]
+    n_paths, u = group.feature.shape
+    inside = np.empty((n_samples, n_paths, u), dtype=bool)
+    for start in range(0, n_samples, SAMPLE_CHUNK):
+        xf = X[start : start + SAMPLE_CHUNK, group.feature]
+        inside[start : start + SAMPLE_CHUNK] = (xf > group.lo) & (xf <= group.hi)
+    first, code = _distinct_pairs(inside)
+    one = inside.reshape(-1, u)[first].astype(np.float64)
+    weights = _path_weights(one, group.zero[first % n_paths])
 
     # merged features are unique within a path, so a plain scatter suffices
-    per_path = np.zeros((n_samples, n_paths, n_features))
-    per_path[:, np.arange(n_paths)[:, None], group.feature] = w
-    return np.matmul(per_path.transpose(0, 2, 1), group.value)
+    phi = np.empty((n_samples, n_features, N_CLASSES))
+    paths = np.arange(n_paths)[:, None]
+    for start in range(0, n_samples, SAMPLE_CHUNK):
+        w = weights[code[start : start + SAMPLE_CHUNK]]
+        per_path = np.zeros((w.shape[0], n_paths, n_features))
+        per_path[:, paths, group.feature] = w
+        phi[start : start + SAMPLE_CHUNK] = np.matmul(per_path.transpose(0, 2, 1), group.value)
+    return phi
 
 
 def _mean_tree_phi(table, X: np.ndarray, n_features: int) -> np.ndarray:
-    """Mean over a packed table's trees of the attributions, shape (samples, n_features, n_classes)."""
-    groups = _path_groups(table)
+    """Mean over a packed table's trees of the attributions, shape (samples, n_features, n_classes).
+
+    The groups are added in the same order for every sample, whatever the
+    number of samples.
+    """
     phi = np.zeros((X.shape[0], n_features, N_CLASSES))
-    for start in range(0, X.shape[0], SAMPLE_CHUNK):
-        chunk = X[start : start + SAMPLE_CHUNK]
-        for group in groups:
-            phi[start : start + SAMPLE_CHUNK] += _group_phi(group, chunk, n_features)
+    for group in _path_groups(table):
+        phi += _group_phi(group, X, n_features)
     return phi
 
 

@@ -438,6 +438,46 @@ class TestLoadErrors:
         argv = ["eval", *_synthetic_args(synthetic_run, tmp_path)]
         self._fails(argv, capsys, "names window ('S00e24'")
 
+    def test_eval_on_training_windows_rejected(self, synthetic_run, tmp_path, capsys):
+        # the train keys appended to the test keys would score the model on its own training windows
+        split = json.loads((synthetic_run / "split.json").read_text())
+        split["test_keys"] += split["train_keys"]
+        (tmp_path / "split.json").write_text(json.dumps(split))
+        for name in ("labeled.csv", "model.json"):
+            shutil.copy(synthetic_run / name, tmp_path / name)
+        first = tuple(split["train_keys"][0])
+        self._fails(["eval", "--out-dir", str(tmp_path)], capsys, f"names window {first} in both train_keys and test_keys")
+        assert not (tmp_path / "eval_report.json").exists()
+
+    def test_eval_on_a_window_twice_rejected(self, synthetic_run, tmp_path, capsys):
+        split = json.loads((synthetic_run / "split.json").read_text())
+        split["test_keys"].append(split["test_keys"][0])
+        (tmp_path / "split.json").write_text(json.dumps(split))
+        for name in ("labeled.csv", "model.json"):
+            shutil.copy(synthetic_run / name, tmp_path / name)
+        self._fails(["eval", "--out-dir", str(tmp_path)], capsys, "twice in test_keys")
+
+    @pytest.mark.parametrize(
+        ("column", "cell"),
+        [
+            ("rule_level", "2.5"),
+            ("rule_level", "abc"),
+            ("rule_level", "nan"),
+            ("rule_level", "inf"),
+            ("window_start", ""),
+        ],
+    )
+    def test_train_on_a_bad_labeled_cell(self, synthetic_run, tmp_path, capsys, column, cell):
+        lines = (synthetic_run / "labeled.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        number = next(i for i, line in enumerate(lines[1:], start=1) if line.split(",")[header.index("valid")] == "true")
+        fields = lines[number].split(",")
+        fields[header.index(column)] = cell
+        lines[number] = ",".join(fields)
+        (tmp_path / "labeled.csv").write_text("\n".join(lines) + "\n")
+        self._fails(["train", "--out-dir", str(tmp_path)], capsys, f"row {number}'s {column} is '{cell}'")
+        assert not (tmp_path / "model.json").exists()
+
     def test_label_with_blank_feature_cell(self, synthetic_run, tmp_path, capsys):
         rows = read_rows_csv(synthetic_run / "features.csv", FEATURE_CSV_COLUMNS)
         first_valid = next(i for i, row in enumerate(rows) if row["valid"])

@@ -14,7 +14,8 @@ from stresstwin.forest import (
     DecisionTree,
     ForestParams,
     RandomForest,
-    _best_split,
+    _canonical_order,
+    _gini_cuts,
     _split_threshold,
     evaluate,
     forest_from_dict,
@@ -35,7 +36,7 @@ SMALL = ForestParams(n_trees=20, mtry=2, min_samples_leaf=2)
 
 
 def best_split_reference(xs, ys, n_classes, min_leaf):
-    """Split scan as a plain loop over cut positions: the oracle for _best_split."""
+    """Split scan as a plain loop over cut positions: the oracle for one row of _gini_cuts."""
     n = xs.shape[0]
     left = np.zeros(n_classes)
     right = np.zeros(n_classes)
@@ -57,22 +58,149 @@ def best_split_reference(xs, ys, n_classes, min_leaf):
     return best_g, best_thr, found
 
 
+def best_cut(g, xs, row):
+    """(g, threshold, found) of one row of a _gini_cuts scan, as best_split_reference reports it."""
+    if g.shape[1] == 0 or g[row].min() == np.inf:
+        return np.inf, 0.0, False
+    i = int(np.argmin(g[row]))
+    return g[row, i], _split_threshold(xs[row, i], xs[row, i + 1]), True
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 40])
 @pytest.mark.parametrize("seed", range(5))
 def test_best_split_matches_reference_loop(n, seed):
     rng = np.random.default_rng(seed)
-    # few distinct values, so runs of ties straddle the candidate cuts
-    xs = np.sort(rng.integers(0, max(2, n // 2), n).astype(np.float64) * 0.1)
-    ys = rng.integers(0, 5, n)
-    for min_leaf in sorted({1, max(1, n // 2), (n + 1) // 2, n}):
-        g, thr, found = _best_split(xs, ys, 5, min_leaf)
-        ref_g, ref_thr, ref_found = best_split_reference(xs, ys, 5, min_leaf)
-        assert found == ref_found
-        assert thr == ref_thr
-        if found:
-            assert abs(g - ref_g) < 1e-12
-        else:
-            assert g == ref_g == np.inf
+    # few distinct values, so runs of ties straddle the candidate cuts; three
+    # rows scanned together, as a node scans its candidate features
+    xs = np.sort(rng.integers(0, max(2, n // 2), (3, n)).astype(np.float64) * 0.1, axis=1)
+    ys = rng.integers(0, 5, (3, n))
+    for min_leaf in sorted({0, 1, max(1, n // 2), (n + 1) // 2, n}):
+        g, cum = _gini_cuts(xs, ys, min_leaf)
+        assert g.shape == (3, n - 1)
+        for row in range(3):
+            assert best_cut(g, xs, row) == best_split_reference(xs[row], ys[row], 5, min_leaf)
+            alone, _ = _gini_cuts(xs[row : row + 1], ys[row : row + 1], min_leaf)
+            assert alone.tobytes() == g[row : row + 1].tobytes()
+            for i in range(n):
+                assert cum[row, :, i].tolist() == np.bincount(ys[row, : i + 1], minlength=5).tolist()
+
+
+# --- presorted builder against the per-node sort ---------------------------------
+
+
+class ReferenceTreeBuilder:
+    """Recursive builder that sorts each node's samples per candidate feature,
+    as the trainer did before it presorted: the oracle for the presorted one."""
+
+    def __init__(self, X, y_codes, rng, params):
+        self.X, self.y, self.rng, self.params = X, y_codes, rng, params
+        self.feature, self.threshold, self.left, self.right, self.cover, self.hist = [], [], [], [], [], []
+        self.max_depth = 0
+
+    def build(self, indices):
+        self._grow(indices, 0)
+        return DecisionTree(
+            feature=np.asarray(self.feature, dtype=np.int32),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int32),
+            right=np.asarray(self.right, dtype=np.int32),
+            cover=np.asarray(self.cover, dtype=np.float64),
+            hist=np.asarray(self.hist, dtype=np.float64),
+            max_depth=self.max_depth,
+        )
+
+    def _grow(self, indices, depth):
+        node = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.cover.append(float(indices.size))
+        self.hist.append(np.bincount(self.y[indices], minlength=5).astype(float))
+        self.max_depth = max(self.max_depth, depth)
+        p = self.params
+        pure = np.count_nonzero(self.hist[node]) <= 1
+        depth_capped = p.max_depth is not None and depth >= p.max_depth
+        if pure or depth_capped or indices.size < 2 * p.min_samples_leaf:
+            return node
+        n_features = self.X.shape[1]
+        candidates = np.sort(self.rng.choice(n_features, size=min(p.mtry, n_features), replace=False))
+        best = (np.inf, 0.0, -1)
+        for f in candidates:
+            xs = self.X[indices, f]
+            order = np.argsort(xs, kind="mergesort")
+            g, thr, found = best_split_reference(xs[order], self.y[indices][order], 5, p.min_samples_leaf)
+            if found and g < best[0]:
+                best = (g, thr, int(f))
+        if best[2] < 0:
+            return node
+        _, thr, f = best
+        mask = self.X[indices, f] <= thr
+        left_node = self._grow(indices[mask], depth + 1)
+        right_node = self._grow(indices[~mask], depth + 1)
+        self.feature[node] = f
+        self.threshold[node] = thr
+        self.left[node] = left_node
+        self.right[node] = right_node
+        return node
+
+
+def reference_trees(dataset, params, seed):
+    """The trees train_forest grows, grown one at a time by ReferenceTreeBuilder."""
+    ds = _canonical_order(dataset)
+    n = len(ds)
+    trees = []
+    for t in range(params.n_trees):
+        rng = np.random.default_rng(seed + t)
+        boot = rng.integers(0, n, size=n)
+        trees.append(ReferenceTreeBuilder(ds.X, ds.y - 1, rng, params).build(np.sort(boot)))
+    return trees
+
+
+def tied_dataset(n=90, seed=0):
+    """13 features of four levels each (runs of ties), one constant column, and
+    duplicated rows, some with a different label, keyed out of order."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, (n, 13)).astype(np.float64) * 0.25
+    X[:, 5] = 1.5
+    X[-12:] = X[:12]
+    score = X[:, 0] + X[:, 1] - X[:, 2] + rng.normal(0, 0.3, n)
+    y = np.digitize(score, [-0.2, 0.3, 0.8, 1.3]) + 1
+    y[-3:] = y[:3] % 5 + 1
+    keys = [("rec", float(k)) for k in rng.permutation(n)]
+    return Dataset(X, y, keys)
+
+
+def assert_same_trees(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        for name in ("feature", "threshold", "left", "right", "cover", "hist"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        assert a.max_depth == b.max_depth
+
+
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 3])
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("mtry", [1, 2, 3, 13])
+def test_presorted_tree_matches_per_node_sort(mtry, min_leaf, max_depth):
+    params = ForestParams(n_trees=1, mtry=mtry, min_samples_leaf=min_leaf, max_depth=max_depth)
+    ds = tied_dataset(seed=mtry * 10 + min_leaf)
+    assert_same_trees(train_forest(ds, params, seed=3).trees, reference_trees(ds, params, 3))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ForestParams(n_trees=20, mtry=3, min_samples_leaf=2),
+        ForestParams(n_trees=20, mtry=1, min_samples_leaf=1),
+        ForestParams(n_trees=20, mtry=13, min_samples_leaf=5, max_depth=3),
+    ],
+    ids=["default_like", "one_candidate", "all_candidates_capped"],
+)
+def test_presorted_forest_matches_per_node_sort(params):
+    ds = tied_dataset(n=120, seed=11)
+    assert_same_trees(train_forest(ds, params, seed=2025).trees, reference_trees(ds, params, 2025))
 
 
 def two_blob_dataset(n=200, seed=0, with_keys=False):
@@ -185,7 +313,8 @@ class TestTrainForest:
         assert 0.5 * (a + b) == b
         X = np.array([[a]] * 6 + [[b]] * 6)
         ds = Dataset(X, np.array([1] * 6 + [2] * 6))
-        assert _best_split(X[:, 0], ds.y - 1, 5, 1)[1] == a
+        g, _ = _gini_cuts(X[:, 0][None, :], (ds.y - 1)[None, :], 1)
+        assert best_cut(g, X[:, 0][None, :], 0)[1] == a
         forest = train_forest(ds, ForestParams(n_trees=1, mtry=1, min_samples_leaf=1), seed=0)
         tree = forest.trees[0]
         assert tree.feature[0] == 0 and tree.threshold[0] == a

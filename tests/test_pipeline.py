@@ -14,6 +14,7 @@ from stresstwin.hrv import FEATURE_COLUMNS, BaselineProfile
 from stresstwin.ingest import EcgRecord
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
+    LABELED_CSV_COLUMNS,
     baseline_from_json,
     baseline_to_json,
     feature_rows,
@@ -117,6 +118,38 @@ class TestCsvRoundtrip:
         with pytest.raises(InvalidParam, match="features.csv: row 2 has 17 cells, the header 16"):
             read_rows_csv(path, FEATURE_CSV_COLUMNS)
 
+    def _labeled_with_cell(self, tmp_path, row_index, column, cell):
+        rows = label_rows([make_row("a", 0.0), make_row("a", 5.0, valid=False)])
+        path = tmp_path / "labeled.csv"
+        write_rows_csv(rows, LABELED_CSV_COLUMNS, path)
+        lines = path.read_text().splitlines()
+        fields = lines[1 + row_index].split(",")
+        fields[LABELED_CSV_COLUMNS.index(column)] = cell
+        lines[1 + row_index] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("column", ["rule_level", "score_level"])
+    @pytest.mark.parametrize("cell", ["2.5", "abc", "nan", "inf", "0", "6", "2.0", " 2", ""])
+    def test_valid_row_needs_a_level_literal(self, tmp_path, column, cell):
+        path = self._labeled_with_cell(tmp_path, 0, column, cell)
+        with pytest.raises(InvalidParam, match=f"labeled.csv: row 1's {column} is '{re.escape(cell)}', not a level 1 to 5"):
+            read_rows_csv(path, LABELED_CSV_COLUMNS)
+
+    def test_invalid_row_may_hold_a_level_or_none(self, tmp_path):
+        path = self._labeled_with_cell(tmp_path, 1, "rule_level", "4")
+        assert [row["rule_level"] for row in read_rows_csv(path, LABELED_CSV_COLUMNS)][1] == 4
+        path = self._labeled_with_cell(tmp_path, 1, "rule_level", "2.5")
+        with pytest.raises(InvalidParam, match="row 2's rule_level is '2.5'"):
+            read_rows_csv(path, LABELED_CSV_COLUMNS)
+
+    @pytest.mark.parametrize("row_index", [0, 1])
+    @pytest.mark.parametrize("cell", ["", "abc", "nan", "inf"])
+    def test_window_start_must_be_finite(self, tmp_path, row_index, cell):
+        path = self._labeled_with_cell(tmp_path, row_index, "window_start", cell)
+        with pytest.raises(InvalidParam, match=f"row {row_index + 1}'s window_start is '{cell}', not a finite number"):
+            read_rows_csv(path, LABELED_CSV_COLUMNS)
+
     def test_invalid_row_keeps_blank_features(self, tmp_path):
         path = tmp_path / "features.csv"
         write_rows_csv([make_row("a", 0.0, valid=False)], FEATURE_CSV_COLUMNS, path)
@@ -145,6 +178,29 @@ class TestSplitJson:
         train2, test2 = split_from_json(ds, path)
         assert np.array_equal(train.X, train2.X)
         assert np.array_equal(test.y, test2.y)
+
+    def _split_file(self, tmp_path, train_keys, test_keys):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"train_keys": train_keys, "test_keys": test_keys}))
+        return path
+
+    def _dataset(self):
+        keys = [("r", float(i)) for i in range(6)]
+        return Dataset(np.zeros((6, 2)), np.ones(6, dtype=int), keys)
+
+    def test_window_in_both_parts_rejected(self, tmp_path):
+        path = self._split_file(tmp_path, [["r", 0.0], ["r", 1.0]], [["r", 2.0], ["r", 1]])
+        with pytest.raises(InvalidParam, match=r"names window \('r', 1.0\) in both train_keys and test_keys"):
+            split_from_json(self._dataset(), path)
+
+    @pytest.mark.parametrize("part", ["train_keys", "test_keys"])
+    def test_window_twice_in_one_part_rejected(self, tmp_path, part):
+        twice = [["r", 3.0], ["r", 4.0], ["r", 3.0]]
+        other = [["r", 0.0]]
+        train_keys, test_keys = (twice, other) if part == "train_keys" else (other, twice)
+        path = self._split_file(tmp_path, train_keys, test_keys)
+        with pytest.raises(InvalidParam, match=rf"names window \('r', 3.0\) twice in {part}"):
+            split_from_json(self._dataset(), path)
 
 
 class TestConfig:

@@ -12,6 +12,9 @@ from stresstwin.forest import (
 )
 from stresstwin.shapley import (
     SAMPLE_CHUNK,
+    _distinct_pairs,
+    _mean_tree_phi,
+    _path_groups,
     _subset_values,
     brute_force_shap,
     forest_shap,
@@ -182,6 +185,157 @@ class TestBatchedPaths:
         for row in summary:
             for c in range(1, 6):
                 assert abs(row[f"class_{c}"] - mean_abs[names.index(row["feature"]), c - 1]) < 1e-9
+
+
+# --- distinct path patterns against the per-sample evaluation ---------------------
+
+
+def reference_group_phi(group, X, n_features):
+    """EXTEND and UNWOUND for every (sample, path) pair of a path group, as
+    the explainer did before it deduplicated patterns: the oracle for it."""
+    n_samples = X.shape[0]
+    n_paths, u = group.feature.shape
+    xf = X[:, group.feature]
+    one = ((xf > group.lo) & (xf <= group.hi)).astype(np.float64)
+    zero = group.zero
+    pw = np.zeros((n_samples, n_paths, u + 1))
+    pw[:, :, 0] = 1.0
+    for e in range(1, u + 1):
+        k = np.arange(e + 1)
+        old = pw[:, :, : e + 1]
+        new = zero[:, e - 1 : e] * old * (e - k) / (e + 1.0)
+        new[:, :, 1:] += one[:, :, e - 1 : e] * old[:, :, :-1] * k[1:] / (e + 1.0)
+        pw[:, :, : e + 1] = new
+    next_one = np.broadcast_to(pw[:, :, u : u + 1], one.shape)
+    total_one = np.zeros_like(one)
+    total_zero = np.zeros_like(one)
+    for k in range(u - 1, -1, -1):
+        pk = pw[:, :, k : k + 1]
+        tmp = next_one * (u + 1.0) / (k + 1.0)
+        total_one += tmp
+        next_one = pk - tmp * zero * (u - k) / (u + 1.0)
+        total_zero += (pk / zero) / ((u - k) / (u + 1.0))
+    w = np.where(one != 0.0, total_one, total_zero) * (one - zero)
+    per_path = np.zeros((n_samples, n_paths, n_features))
+    per_path[:, np.arange(n_paths)[:, None], group.feature] = w
+    return np.matmul(per_path.transpose(0, 2, 1), group.value)
+
+
+def reference_mean_tree_phi(table, X, n_features):
+    groups = _path_groups(table)
+    phi = np.zeros((X.shape[0], n_features, 5))
+    for start in range(0, X.shape[0], SAMPLE_CHUNK):
+        chunk = X[start : start + SAMPLE_CHUNK]
+        for group in groups:
+            phi[start : start + SAMPLE_CHUNK] += reference_group_phi(group, chunk, n_features)
+    return phi
+
+
+def chain_tree(depth):
+    """Splits feature d at 0 on the right path at depth d, so its deepest
+    path holds ``depth`` distinct features, more than one pattern word."""
+    n = 2 * depth + 1
+    feature = np.full(n, -1, dtype=np.int32)
+    threshold = np.zeros(n)
+    left = np.full(n, -1, dtype=np.int32)
+    right = np.full(n, -1, dtype=np.int32)
+    hist = np.zeros((n, 5))
+    for d in range(depth):
+        node = 2 * d
+        feature[node], left[node], right[node] = d, node + 1, node + 2
+        hist[node + 1, d % 5] = 1.0 + d % 3
+    hist[n - 1, 4] = 2.0
+    for d in range(depth - 1, -1, -1):
+        hist[2 * d] = hist[2 * d + 1] + hist[2 * d + 2]
+    return DecisionTree(feature, threshold, left, right, hist.sum(axis=1), hist, depth)
+
+
+def probes(forest, n, seed, spread=1.5):
+    """Random rows, rows exactly on a split threshold, and duplicated rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, spread, (n, forest.n_features))
+    for i, tree in enumerate(forest.trees):
+        split = np.nonzero(tree.feature >= 0)[0]
+        if split.size:
+            node = split[(3 * i) % split.size]
+            X[i % n, tree.feature[node]] = tree.threshold[node]
+    X[n // 2 :: 3] = X[0]
+    return X
+
+
+def repeats_a_feature(tree, node=0, above=()):
+    """Whether a split of ``tree`` reuses a feature split above it on its path."""
+    f = int(tree.feature[node])
+    if f < 0:
+        return False
+    return f in above or any(repeats_a_feature(tree, int(c), above + (f,)) for c in (tree.left[node], tree.right[node]))
+
+
+def noisy_levels(n, n_features, seed):
+    """Features and 1..5 labels from noisy thresholds, so trees grow several levels."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, n_features))
+    score = X[:, 0] + 0.5 * X[:, 1] * X[:, -1] + rng.normal(0, 0.4, n)
+    return X, np.digitize(score, [-1.0, -0.3, 0.3, 1.0]) + 1
+
+
+def assert_phi_matches_reference(forest, X):
+    got = _mean_tree_phi(forest._table, X, forest.n_features)
+    ref = reference_mean_tree_phi(forest._table, X, forest.n_features)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestDistinctPatterns:
+    @pytest.mark.parametrize("n_samples", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 5])
+    def test_repeated_feature_paths(self, n_samples):
+        # three features and deep trees: most paths split a feature twice
+        rng = np.random.default_rng(n_samples)
+        X = rng.normal(0, 1, (150, 3))
+        y = rng.integers(1, 6, 150)
+        forest = train_forest(Dataset(X, y), ForestParams(n_trees=8, mtry=2, min_samples_leaf=1), seed=1)
+        assert any(repeats_a_feature(tree) for tree in forest.trees)
+        assert_phi_matches_reference(forest, probes(forest, n_samples, n_samples))
+
+    @pytest.mark.parametrize("n_samples", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
+    def test_thirteen_features_on_thresholds(self, n_samples):
+        forest = train_forest(
+            Dataset(*noisy_levels(200, 13, 4)), ForestParams(n_trees=30, mtry=3, min_samples_leaf=2), seed=4
+        )
+        assert_phi_matches_reference(forest, probes(forest, n_samples, 7))
+
+    @pytest.mark.parametrize("inner", [-1.0, 1.0])
+    def test_hand_built_repeated_feature(self, inner):
+        forest = RandomForest(trees=[repeated_feature_tree(inner), depth1_tree(feature=1)], n_features=2)
+        X = np.array([[x0, x1] for x0 in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5) for x1 in (-1.0, 0.0, 1.0)])
+        assert_phi_matches_reference(forest, np.vstack([X, X[::-1]]))
+
+    def test_path_longer_than_a_pattern_word(self):
+        depth = 70
+        forest = RandomForest(trees=[chain_tree(depth)], n_features=depth)
+        rng = np.random.default_rng(0)
+        X = np.where(rng.random((SAMPLE_CHUNK + 3, depth)) < 0.9, 1.0, -1.0)
+        X[1] = X[0]
+        X[2, :] = 1.0  # reaches the deepest leaf
+        X[3, :] = 0.0  # on every threshold
+        assert max(g.feature.shape[1] for g in _path_groups(forest._table)) == depth
+        assert_phi_matches_reference(forest, X)
+
+    @pytest.mark.parametrize("u", [1, 3, 70])
+    def test_codes_equal_exactly_when_path_and_pattern_do(self, u):
+        rng = np.random.default_rng(u)
+        inside = rng.random((9, 5, u)) < 0.8
+        inside[4] = inside[1]
+        inside[7, 2] = inside[0, 2]
+        first, code = _distinct_pairs(inside)
+        pairs = inside.reshape(-1, u)
+        path = np.tile(np.arange(5), 9)
+        keys = [(int(p), row.tobytes()) for p, row in zip(path, pairs)]
+        flat = code.ravel()
+        for i in range(len(keys)):
+            for j in range(len(keys)):
+                assert (flat[i] == flat[j]) == (keys[i] == keys[j])
+        assert sorted(set(flat.tolist())) == list(range(first.size))
+        assert all(keys[first[c]] == keys[i] for i, c in enumerate(flat))
 
 
 class TestBruteForce:
