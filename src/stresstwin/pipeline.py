@@ -7,7 +7,9 @@ Stage order: ``load_series``, ``baseline_from_clean``, ``feature_rows``,
 A window's feature row is made once, in ``hrv``, its deviations from the
 baseline in its ``rel_*`` columns; ``feature_rows`` adds the record name.
 Later stages read the row as it stands: ``label_rows`` needs nothing else,
-and ``feature_matrix`` makes the forest's input from rows.
+and ``feature_matrix`` makes the forest's input from rows. ``read_rows_csv`` reads
+them back through one cell table, ``_CELLS``: each column's parser, the cells the
+writer produces, and whether every row or only a valid row needs a value.
 """
 
 import csv
@@ -216,10 +218,9 @@ def feature_matrix(rows) -> np.ndarray:
 
 def rows_to_dataset(rows) -> Dataset:
     """Valid labeled rows as a training dataset keyed by (record, window start)."""
-    rows = [row for row in rows if row["valid"] and row.get("rule_level") is not None]
-    y = [int(row["rule_level"]) for row in rows]
-    keys = [(row["record_name"], float(row["window_start"])) for row in rows]
-    return Dataset(feature_matrix(rows), y, keys)
+    rows = [row for row in rows if row["valid"]]
+    keys = [(row["record_name"], row["window_start"]) for row in rows]
+    return Dataset(feature_matrix(rows), [row["rule_level"] for row in rows], keys)
 
 
 # --- CSV I/O ------------------------------------------------------------------
@@ -243,14 +244,40 @@ def write_rows_csv(rows, columns, path) -> None:
             writer.writerow([_format_cell(row.get(col)) for col in columns])
 
 
-def read_rows_csv(path, columns) -> list:
-    """Read a feature/labeled CSV back into typed row dicts.
+def _checked(convert, accept=math.isfinite):
+    """A cell parser: ``convert`` the cell, then ValueError unless ``accept`` holds for the value."""
+    def parse(cell):
+        if accept(value := convert(cell)):
+            return value
+        raise ValueError(cell)
+    return parse
 
-    InvalidParam when the header lacks one of ``columns``, when a row's cell
-    count differs from the header's, when a row's ``window_start`` or a
-    valid row's feature cell is not a finite number, or when a level cell
-    is not one of the literals ``1`` to ``5`` the writer produces (empty
-    only in an invalid row).
+
+# The cell table, one entry per column of LABELED_CSV_COLUMNS: (the parser of a cell the writer
+# writes, raising KeyError or ValueError on any other cell; the blank cells an invalid row may
+# hold instead, with their values, none where every row needs a value; the error message).
+_ROW = "row {n}'s {column} is {cell!r}, not "
+_FEATURE = "row {n} is {state} but its {column} is {cell!r}, not a finite number"
+_LEVEL = ({str(c): c for c in CLASSES}.__getitem__, {"": None}, _ROW + "a level 1 to 5 (empty only in an invalid row)")
+_CELLS = {
+    **{c: (_checked(float), {"nan": math.nan}, _FEATURE) for c in FEATURE_COLUMNS},
+    **{c: (_checked(float, lambda v: 0.0 <= v < math.inf), {"nan": math.nan}, _FEATURE + " >= 0")
+       for c in FEATURE_COLUMNS if c.startswith("ecg_")},
+    "window_start": (_checked(float), {}, _ROW + "a finite number"),
+    "record_name": (_checked(str, bool), {}, _ROW + "a record name"),
+    "valid": ({"true": True, "false": False}.__getitem__, {}, _ROW + "true or false"),
+    "stress_score": (_checked(float, lambda v: 0.0 <= v <= 1.0), {"": None}, _ROW + "a number from 0 to 1"),
+    "rule_level": _LEVEL,
+    "score_level": _LEVEL,
+}
+
+
+def read_rows_csv(path, columns) -> list:
+    """Read a feature/labeled CSV back into typed row dicts, each cell checked by ``_CELLS``.
+
+    InvalidParam when the header lacks one of ``columns`` or names a column twice, when a
+    row's cell count differs from the header's, a cell is not one the writer produces for
+    its column, or a row repeats an earlier row's (record_name, window_start) window.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -258,54 +285,30 @@ def read_rows_csv(path, columns) -> list:
         for column in columns:
             if column not in header:
                 raise InvalidParam(f"{path}: the header has no {column} column")
-        features = [c for c in FEATURE_COLUMNS if c in header]
-        levels = [c for c in _LEVEL_COLUMNS if c in header]
-        rows = []
+        for column in header:
+            if header.count(column) > 1:
+                raise InvalidParam(f"{path}: the header names {column} twice")
+        # `valid` first: a row's validity decides which of its cells may be blank
+        checks = [(c, header.index(c), *_CELLS[c]) for c in sorted(columns, key=lambda c: c != "valid")]
+        rows, seen = [], {}
         for number, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
             if len(cells) != len(header):
                 raise InvalidParam(f"{path}: row {number} has {len(cells)} cells, the header {len(header)}")
-            raw = dict(zip(header, cells))
-            row = {key: _parse_cell(key, value) for key, value in raw.items()}
-            if row.get("valid"):
-                for column in features:
-                    value = row[column]
-                    if not (isinstance(value, float) and math.isfinite(value)):
-                        raise InvalidParam(
-                            f"{path}: row {number} is valid but its {column} is {raw[column]!r}, not a finite number"
-                        )
-            start = row.get("window_start", 0.0)
-            if not (isinstance(start, float) and math.isfinite(start)):
-                raise InvalidParam(f"{path}: row {number}'s window_start is {raw['window_start']!r}, not a finite number")
-            for column in levels:
-                if row[column] is None and (raw[column] or row.get("valid")):
-                    raise InvalidParam(
-                        f"{path}: row {number}'s {column} is {raw[column]!r}, not a level 1 to 5"
-                        " (empty only in an invalid row)"
-                    )
+            row = {}
+            for column, index, parse, blanks, message in checks:
+                cell = cells[index]
+                try:
+                    row[column] = blanks[cell] if cell in blanks and not row["valid"] else parse(cell)
+                except (KeyError, ValueError):
+                    state = "valid" if row.get("valid") else "invalid"
+                    detail = message.format(n=number, column=column, cell=cell, state=state)
+                    raise InvalidParam(f"{path}: {detail}") from None
+            key = (row["record_name"], row["window_start"])
+            if key in seen:
+                raise InvalidParam(f"{path}: row {number}'s record_name and window_start {key} repeat row {seen[key]}'s")
+            seen[key] = number
             rows.append(row)
     return rows
-
-
-# the level cells the writer produces; any other cell parses to None
-_LEVEL_COLUMNS = ("rule_level", "score_level")
-_LEVEL_CELLS = {str(level): level for level in CLASSES}
-
-
-def _parse_cell(key, value):
-    if value == "" or value is None:
-        return None
-    if key == "valid":
-        return value.lower() == "true"
-    if key == "record_name":
-        return value
-    if key in _LEVEL_COLUMNS:
-        return _LEVEL_CELLS.get(value)
-    try:
-        return float(value)
-    except ValueError:
-        return value
 
 
 # --- baseline / split / report artifacts ---------------------------------------
@@ -391,19 +394,16 @@ def write_confusion_csv(confusion, path) -> None:
 def build_report_rows(labeled_rows, forest) -> list:
     """Per-window time series of BPM/SDNN with true vs predicted level."""
     out = []
-    ordered = sorted(labeled_rows, key=lambda r: (r["record_name"], float(r["window_start"])))
+    ordered = sorted(labeled_rows, key=lambda r: (r["record_name"], r["window_start"]))
     for row, pred_level in zip(ordered, predicted_levels(ordered, forest)):
-        true_level = row.get("rule_level")
-        error = None
-        if pred_level is not None and true_level is not None:
-            error = int(pred_level != true_level)
+        error = None if pred_level is None else int(pred_level != row["rule_level"])
         out.append(
             {
                 "record_name": row["record_name"],
                 "window_start": row["window_start"],
                 "ecg_bpm": row["ecg_bpm"] if row["valid"] else None,
                 "ecg_sdnn": row["ecg_sdnn"] if row["valid"] else None,
-                "true_level": true_level,
+                "true_level": row["rule_level"],
                 "predicted_level": pred_level,
                 "error": error,
                 "valid": row["valid"],

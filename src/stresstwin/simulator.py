@@ -37,7 +37,7 @@ import numpy as np
 from .config import RunConfig, _is_count, _is_real
 from .errors import ConfigInvalid, InvalidParam, IoError
 from .hrv import window_iter
-from .interventions import LATENCY_MS, commands_for_level
+from .interventions import CATALOG, LATENCY_MS, commands_for_level
 
 KIND_SENSOR = "SensorChunk"
 KIND_WINDOW = "WindowReady"
@@ -82,7 +82,7 @@ def _checked_schedule(scripted) -> tuple:
         t_s, level = entry
         if not _is_real(t_s) or t_s < 0:
             raise ConfigInvalid(f"scripted time {t_s!r} is not a finite number >= 0")
-        if not _is_count(level) or level not in (1, 2, 3, 4, 5):
+        if not _is_count(level) or level not in CATALOG:
             raise ConfigInvalid(f"scripted level {level!r} is not an integer from 1 to 5")
     return tuple(sorted((float(t_s), level) for t_s, level in scripted))
 

@@ -562,3 +562,92 @@ class TestLoadErrors:
         (tmp_path / "features.csv").write_text(text.replace("rel_qtc,", "", 1))
         self._fails(["label", "--out-dir", str(tmp_path)], capsys, "features.csv: the header has no rel_qtc column")
         assert not (tmp_path / "labeled.csv").exists()
+
+    # cells and layouts that read back without an error before every cell was checked
+    CELL_CASES = [
+        pytest.param(column, cell, fragment, id=f"{column}={cell}")
+        for column, cell, fragment in [
+            ("valid", "abc", "row {first}'s valid is 'abc', not true or false"),
+            ("valid", "TRUE", "row {first}'s valid is 'TRUE', not true or false"),
+            ("record_name", "", "row {first}'s record_name is '', not a record name"),
+            ("ecg_bpm", "-5", "row {first} is valid but its ecg_bpm is '-5', not a finite number >= 0"),
+            ("stress_score", "abc", "row {first}'s stress_score is 'abc', not a number from 0 to 1"),
+            ("stress_score", "7", "row {first}'s stress_score is '7', not a number from 0 to 1"),
+        ]
+    ]
+    FEATURE_CELL_CASES = [case for case in CELL_CASES if case.values[0] in FEATURE_CSV_COLUMNS]
+
+    @staticmethod
+    def _edited_csv(src, dst, edit):
+        """Copy a CSV with ``edit(header, rows, first)`` applied, ``first`` being the number of
+        its first valid row; the names that the expected error fragments are formatted with."""
+        with open(src, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        first = next(i for i, row in enumerate(rows, start=1) if row[header.index("valid")] == "true")
+        key = (rows[first - 1][header.index("record_name")], float(rows[first - 1][header.index("window_start")]))
+        names = {"first": first, "repeat": len(rows) + 1, "key": key}
+        edit(header, rows, first)
+        with open(dst, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        return names
+
+    @staticmethod
+    def _set_cell(column, cell):
+        def edit(header, rows, first):
+            rows[first - 1][header.index(column)] = cell
+        return edit
+
+    @staticmethod
+    def _repeat_valid_rows(header, rows, first):
+        rows += [list(row) for row in rows if row[header.index("valid")] == "true"]
+
+    @staticmethod
+    def _name_twice(column, copied):
+        """A second column named ``column`` that holds the ``copied`` column's cells."""
+        def edit(header, rows, first):
+            for row in rows:
+                row.append(row[header.index(copied)])
+            header.append(column)
+        return edit
+
+    REPEATED = "row {repeat}'s record_name and window_start {key} repeat row {first}'s"
+
+    def _rejected(self, argv, artifact, outputs, synthetic_run, tmp_path, capsys, edit, fragment):
+        names = self._edited_csv(synthetic_run / artifact, tmp_path / artifact, edit)
+        self._fails(argv, capsys, f"{artifact}: " + fragment.format(**names))
+        assert not any((tmp_path / name).exists() for name in outputs)
+
+    def _train_rejects(self, synthetic_run, tmp_path, capsys, edit, fragment):
+        argv = ["train", "--out-dir", str(tmp_path)]
+        self._rejected(argv, "labeled.csv", ("model.json", "split.json"), synthetic_run, tmp_path, capsys, edit, fragment)
+
+    def _feature_reader_rejects(self, step, synthetic_run, tmp_path, capsys, edit, fragment):
+        shutil.copy(synthetic_run / "model.json", tmp_path / "model.json")
+        argv = [step, *_synthetic_args(synthetic_run, tmp_path)]
+        outputs = {"label": ("labeled.csv",), "simulate": ("trace.jsonl",)}[step]
+        self._rejected(argv, "features.csv", outputs, synthetic_run, tmp_path, capsys, edit, fragment)
+
+    @pytest.mark.parametrize(("column", "cell", "fragment"), CELL_CASES)
+    def test_train_rejects_a_cell(self, synthetic_run, tmp_path, capsys, column, cell, fragment):
+        self._train_rejects(synthetic_run, tmp_path, capsys, self._set_cell(column, cell), fragment)
+
+    def test_train_rejects_repeated_windows(self, synthetic_run, tmp_path, capsys):
+        self._train_rejects(synthetic_run, tmp_path, capsys, self._repeat_valid_rows, self.REPEATED)
+
+    def test_train_rejects_a_column_named_twice(self, synthetic_run, tmp_path, capsys):
+        edit = self._name_twice("rule_level", "score_level")
+        self._train_rejects(synthetic_run, tmp_path, capsys, edit, "the header names rule_level twice")
+
+    @pytest.mark.parametrize("step", ["label", "simulate"])
+    @pytest.mark.parametrize(("column", "cell", "fragment"), FEATURE_CELL_CASES)
+    def test_feature_readers_reject_a_cell(self, synthetic_run, tmp_path, capsys, step, column, cell, fragment):
+        self._feature_reader_rejects(step, synthetic_run, tmp_path, capsys, self._set_cell(column, cell), fragment)
+
+    @pytest.mark.parametrize("step", ["label", "simulate"])
+    def test_feature_readers_reject_repeated_windows(self, synthetic_run, tmp_path, capsys, step):
+        self._feature_reader_rejects(step, synthetic_run, tmp_path, capsys, self._repeat_valid_rows, self.REPEATED)
+
+    @pytest.mark.parametrize("step", ["label", "simulate"])
+    def test_feature_readers_reject_a_column_named_twice(self, synthetic_run, tmp_path, capsys, step):
+        edit = self._name_twice("ecg_bpm", "ecg_sdnn")
+        self._feature_reader_rejects(step, synthetic_run, tmp_path, capsys, edit, "the header names ecg_bpm twice")

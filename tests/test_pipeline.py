@@ -1,10 +1,13 @@
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stresstwin
 from stresstwin.config import ENV_DATA_DIR, RunConfig, load_config
@@ -155,6 +158,46 @@ class TestCsvRoundtrip:
         write_rows_csv([make_row("a", 0.0, valid=False)], FEATURE_CSV_COLUMNS, path)
         row = read_rows_csv(path, FEATURE_CSV_COLUMNS)[0]
         assert row["valid"] is False and np.isnan(row["ecg_sdnn"])
+
+
+def _floats(low=None, high=None):
+    """Finite floats from ``low`` to ``high``, with -0.0, the least subnormal and 1/3 drawn often."""
+    edges = [x for x in (-0.0, 0.0, 5e-324, 1.0 / 3.0, 1.0) if (low is None or x >= low) and (high is None or x <= high)]
+    return st.sampled_from(edges) | st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def written_rows(draw, columns):
+    """A row as the pipeline makes it: an invalid row may hold NaN features and no labels."""
+    valid = draw(st.booleans())
+    name = draw(st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1))
+    row = {"valid": valid, "window_start": draw(_floats()), "record_name": name}
+    for column in FEATURE_COLUMNS:
+        value = _floats(0.0 if column.startswith("ecg_") else None)
+        row[column] = draw(value if valid else value | st.just(math.nan))
+    if columns == LABELED_CSV_COLUMNS:
+        level, score = st.integers(1, 5), _floats(0.0, 1.0)
+        if not valid:
+            level, score = level | st.none(), score | st.none()
+        row.update(stress_score=draw(score), rule_level=draw(level), score_level=draw(level))
+    return row
+
+
+def _typed(row) -> dict:
+    """Each value's type and repr: -0.0 differs from 0.0, and NaN equals NaN."""
+    return {column: (type(value), repr(value)) for column, value in row.items()}
+
+
+class TestCsvRoundtripProperty:
+    @pytest.mark.parametrize("columns", [FEATURE_CSV_COLUMNS, LABELED_CSV_COLUMNS], ids=["features", "labeled"])
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_written_rows_read_back_equal(self, tmp_path, columns, data):
+        unique_window = lambda row: (row["record_name"], row["window_start"])
+        rows = data.draw(st.lists(written_rows(columns), max_size=8, unique_by=unique_window))
+        path = tmp_path / "rows.csv"
+        write_rows_csv(rows, columns, path)
+        assert [_typed(row) for row in read_rows_csv(path, columns)] == [_typed(row) for row in rows]
 
 
 class TestBaselineJson:
