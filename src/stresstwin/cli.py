@@ -21,7 +21,7 @@ from pathlib import Path
 from .config import ENV_DATA_DIR, ENV_OUT_DIR, RunConfig, load_config
 from .errors import InvalidParam, IoError, StressTwinError
 from .forest import evaluate, load_forest, save_forest
-from .hrv import window_samples
+from .hrv import window_grid
 from .ingest import load_header, load_record
 from .pipeline import (
     FEATURE_CSV_COLUMNS,
@@ -256,8 +256,8 @@ def _cmd_run(args, cfg: RunConfig, out: Path) -> None:
         if cfg.sim_max_duration_s is None:
             cfg.sim_max_duration_s = 120.0
     clean, noisy = load_series(cfg.data_dir, cfg.baseline_record)
-    for record in [clean] + noisy:  # a window or stride of no sample fails before the first stage writes
-        window_samples(record, cfg.window_s, cfg.stride_s)
+    for record in [clean] + noisy:  # a bad window grid fails before the first stage writes
+        window_grid(record, cfg.window_s, cfg.stride_s, cfg.context_s)
     _save_ingest(ingest_summary([clean] + noisy), out)
     baseline = baseline_from_clean(clean, cfg)
     _save_baseline(baseline, out)

@@ -238,12 +238,9 @@ def welch_psd(x, fs: float, segment_len: int) -> PsdEstimate:
     pxx[:, 1:] *= 2.0
     if segment_len % 2 == 0:
         pxx[:, -1] /= 2.0  # Nyquist bin is not mirrored
-    # accumulated row by row in segment order, so the rounding does not depend
-    # on the order numpy picks for a reduction
-    acc = np.zeros(pxx.shape[1])
-    for row in pxx:
-        acc += row
-    psd = acc / len(pxx)
+    # with at least 3 bins per row, numpy sums along the outer axis one row at
+    # a time in index order: the rounding is that of a loop over the segments
+    psd = pxx.sum(axis=0) / len(pxx)
     return PsdEstimate(freqs=const.freqs.copy(), psd=psd, df=fs / segment_len)
 
 

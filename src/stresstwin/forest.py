@@ -30,13 +30,14 @@ gathered values take 4 kB per row for a hundred trees, and one row costs
 under 0.1 ms.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, _is_count
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -518,29 +519,50 @@ def forest_to_dict(forest: RandomForest) -> dict:
     }
 
 
+# a serialized tree's arrays: (dtype, the JSON types of their entries, those types named)
+_INDICES = (np.int32, {int}, "an integer")
+_NUMBERS = (np.float64, {int, float}, "a number")
+_TREE_ARRAYS = {
+    "feature": _INDICES,
+    "threshold": _NUMBERS,
+    "left": _INDICES,
+    "right": _INDICES,
+    "cover": _NUMBERS,
+    "hist": _NUMBERS,  # a list of rows
+}
+
+
+def _tree_from_dict(t: int, entry: dict) -> DecisionTree:
+    """Tree ``t`` of a model payload. InvalidParam on an entry of another JSON type,
+    which ``np.asarray`` would read as a number: ``true`` as 1, ``2.5`` as 2 in an
+    integer array, ``"2.5"`` as 2.5."""
+    arrays = {}
+    for name, (dtype, types, kind) in _TREE_ARRAYS.items():
+        values = entry[name]
+        bad = set(map(type, itertools.chain.from_iterable(values) if name == "hist" else values)) - types
+        if bad:  # a bool's type is bool, not int
+            raise InvalidParam(f"tree {t}: {name} holds a {min(c.__name__ for c in bad)}, not {kind}")
+        arrays[name] = np.asarray(values, dtype=dtype)
+    if not _is_count(entry["max_depth"]):
+        raise InvalidParam(f"tree {t}: max_depth is {entry['max_depth']!r}, not an integer")
+    return DecisionTree(**arrays, max_depth=entry["max_depth"])
+
+
 def forest_from_dict(payload: dict) -> RandomForest:
     """The forest a model payload describes; InvalidParam when it is malformed."""
+    if not isinstance(payload, dict):
+        raise InvalidParam(f"a model is a JSON object, not {type(payload).__name__}")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise InvalidParam(f"unknown model format {payload.get('format_version')!r}")
     try:
-        trees = [
-            DecisionTree(
-                feature=np.asarray(t["feature"], dtype=np.int32),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int32),
-                right=np.asarray(t["right"], dtype=np.int32),
-                cover=np.asarray(t["cover"], dtype=np.float64),
-                hist=np.asarray(t["hist"], dtype=np.float64),
-                max_depth=int(t["max_depth"]),
-            )
-            for t in payload["trees"]
-        ]
-        n_features = int(payload["n_features"])
-        classes = payload["classes"]
-        seed = int(payload["seed"])
+        trees = [_tree_from_dict(t, entry) for t, entry in enumerate(payload["trees"])]
+        n_features, classes, seed = payload["n_features"], payload["classes"], payload["seed"]
         params = dict(payload["params"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParam(f"malformed model: {type(exc).__name__}: {exc}") from exc
+    for name, value in (("n_features", n_features), ("seed", seed)):
+        if not _is_count(value):
+            raise InvalidParam(f"model {name} {value!r} is not an integer")
     if not (classes == list(CLASSES) and all(type(c) is int for c in classes)):
         raise InvalidParam(f"model classes {classes!r} are not the levels {list(CLASSES)}")
     # the forest packs its trees, checking that each one's arrays form a tree

@@ -421,20 +421,13 @@ def _fill_gaps(integ, low_maxima, kept, med_rr, gap_factor, ref_n):
 def _refine_to_signal(x, peaks, radius: int) -> np.ndarray:
     """Each peak moved to the largest sample within ``radius`` of it, deduplicated.
 
-    Peaks are sorted. Those whose whole neighbourhood lies inside x are one
-    slice of them and take one argmax over the strided neighbourhoods; the
-    window is truncated for the rest.
+    One argmax over the strided neighbourhoods of x padded with ``radius``
+    -inf samples at each end, which never win it, so a neighbourhood that
+    reaches past an end is truncated there.
     """
-    refined = np.empty(peaks.size, dtype=np.int64)
-    lo, hi = peaks.searchsorted((radius, x.size - radius))
-    if hi > lo:
-        start = peaks[lo:hi] - radius
-        refined[lo:hi] = start + np.argmax(strided_rows(x, 2 * radius + 1)[start], axis=1)
-    for i in [*range(lo), *range(max(lo, hi), peaks.size)]:
-        p = peaks[i]
-        a = max(0, p - radius)
-        refined[i] = a + int(np.argmax(x[a : min(x.size, p + radius + 1)]))
-    return np.unique(refined)
+    pad = np.full(radius, -np.inf)
+    rows = strided_rows(np.concatenate([pad, x, pad]), 2 * radius + 1)
+    return np.unique(peaks - radius + np.argmax(rows[peaks], axis=1))
 
 
 # --- RR conditioning and metrics ---------------------------------------------
@@ -600,36 +593,38 @@ def _lf_hf_ratio(psd) -> float:
 # --- windowing and feature assembly -----------------------------------------
 
 
-def window_samples(record, window_s: float, stride_s: float) -> tuple[int, int]:
-    """Samples per window and per stride at the record's rate.
+def window_grid(
+    record,
+    window_s: float = RunConfig.window_s,
+    stride_s: float = RunConfig.stride_s,
+    context_s: float = RunConfig.context_s,
+) -> list:
+    """(window start in s, segment slice) for each full window of a record; partial tail dropped.
 
-    ConfigInvalid when the window or the stride rounds to no sample.
+    Windows of ``round(window_s * fs)`` samples start every ``round(stride_s
+    * fs)`` samples from 0. Each segment ends with its window and holds up to
+    ``round(context_s * fs)`` samples of causal history: it only looks
+    backwards from the window end. ConfigInvalid when the window or the
+    stride rounds to no sample; RecordTooShort when no window fits.
     """
-    win_n = int(round(window_s * record.fs))
-    stride_n = int(round(stride_s * record.fs))
+    fs = record.fs
+    win_n = int(round(window_s * fs))
+    stride_n = int(round(stride_s * fs))
     for name, value, n_samples in (("window_s", window_s, win_n), ("stride_s", stride_s, stride_n)):
         if n_samples < 1:
-            raise ConfigInvalid(f"{name} {value} holds no sample of {record.record_name} at {record.fs} Hz")
-    return win_n, stride_n
-
-
-def window_iter(record, window_s: float = RunConfig.window_s, stride_s: float = RunConfig.stride_s):
-    """(start_time_s, sample slice) for each full window; partial tail dropped.
-
-    ConfigInvalid as ``window_samples`` raises it.
-    """
+            raise ConfigInvalid(f"{name} {value} holds no sample of {record.record_name} at {fs} Hz")
     n = record.n_samples
-    win_n, stride_n = window_samples(record, window_s, stride_s)
     if win_n > n:
-        raise RecordTooShort(f"record holds {n} samples, window needs {win_n}")
-    out = []
-    for start in range(0, n - win_n + 1, stride_n):
-        out.append((start / record.fs, slice(start, start + win_n)))
-    return out
+        raise RecordTooShort(f"record {record.record_name} holds {n} samples, a window needs {win_n}")
+    context_n = int(round(context_s * fs))
+    return [
+        (start / fs, slice(max(0, start + win_n - context_n), start + win_n))
+        for start in range(0, n - win_n + 1, stride_n)
+    ]
 
 
-def _segment_absolute_features(segment, fs: float, window_s: float):
-    """Absolute HRV features where the window is the trailing window_s of segment.
+def _segment_absolute_features(segment, fs: float, win_n: int):
+    """Absolute HRV features where the window is the segment's last ``win_n`` samples.
 
     The segment is bandpassed then z-scored; every downstream measure
     (adaptive peak threshold, tangent QT, RR statistics) is amplitude-scale
@@ -646,21 +641,18 @@ def _segment_absolute_features(segment, fs: float, window_s: float):
         return None
     peaks = detect_r_peaks(filt, fs)
     rr_all = filter_rr(rr_from_peaks(peaks, fs))
-    seg_dur = segment.size / fs
-    w_start = seg_dur - window_s
+    lo = max(0, segment.size - win_n)  # the window's first sample
 
-    in_window = rr_all.onsets_s >= w_start
+    # an onset is its peak's index over fs: these intervals start at or after lo
+    in_window = rr_all.onsets_s >= lo / fs
     rr_win = RrSeries(rr_all.intervals_ms[in_window], rr_all.onsets_s[in_window])
     if len(rr_win) < MIN_WINDOW_RR:
         return None
     v_sdnn = sdnn(rr_win)
     v_bpm = bpm(rr_win)
 
-    w_start_idx = max(0, int(round(w_start * fs)))
-    win_peaks = peaks[peaks >= w_start_idx]
-    if win_peaks.size and peaks.size > win_peaks.size:
-        prev = peaks[peaks < w_start_idx][-1:]
-        win_peaks = np.concatenate([prev, win_peaks])
+    first = int(peaks.searchsorted(lo))  # the window's first peak, led by the one before it
+    win_peaks = peaks[max(0, first - 1) :] if first < peaks.size else peaks[:0]
     try:
         v_qtc = qtc(filt, fs, win_peaks)
     except NoMeasurableBeats:
@@ -711,32 +703,12 @@ def extract_window_features(
     columns.update(zip(("noise_mean", "noise_std", "noise_skew", "noise_kurt"), moments))
     columns["noise_lfhf"] = _noise_lfhf(noise_full, fs, NOISE_SEGMENT)
 
-    absolute = _segment_absolute_features(noisy_segment, fs, window_s)
+    absolute = _segment_absolute_features(noisy_segment, fs, win_n)
     if absolute is not None:
         for name, value in zip(("sdnn", "bpm", "qtc", "lfhf"), absolute):
             columns[f"ecg_{name}"] = value
             columns[f"rel_{name}"] = relative_deviation(value, getattr(baseline, name), eps)
     return WindowFeatures(**columns, window_start=window_start, valid=absolute is not None)
-
-
-def iter_window_segments(
-    record,
-    window_s: float = RunConfig.window_s,
-    stride_s: float = RunConfig.stride_s,
-    context_s: float = RunConfig.context_s,
-):
-    """(window_start_s, segment slice) where each segment ends with its window.
-
-    The segment includes up to ``context_s`` of trailing history, which is
-    causal: it only looks backwards from the window end.
-    """
-    fs = record.fs
-    context_n = int(round(context_s * fs))
-    out = []
-    for start_s, sl in window_iter(record, window_s, stride_s):
-        seg_lo = max(0, sl.stop - context_n)
-        out.append((start_s, slice(seg_lo, sl.stop)))
-    return out
 
 
 def compute_baseline(
@@ -750,14 +722,15 @@ def compute_baseline(
     The windows are analysed on forked workers (``fanout.fork_map``).
     """
     ch = clean_record.channel(0)
+    win_n = int(round(window_s * clean_record.fs))
 
     def analyse(window):
         segment = ch[window[1]]
         if np.isnan(segment).any():  # an invalid sample, which ingest makes NaN
             return None
-        return _segment_absolute_features(segment, clean_record.fs, window_s)
+        return _segment_absolute_features(segment, clean_record.fs, win_n)
 
-    windows = iter_window_segments(clean_record, window_s, stride_s, context_s)
+    windows = window_grid(clean_record, window_s, stride_s, context_s)
     rows = [values for values in fork_map(analyse, windows) if values is not None]
     if not rows:
         raise NoValidWindows(f"record {clean_record.record_name} has no valid windows")

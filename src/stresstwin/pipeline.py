@@ -36,7 +36,7 @@ from .hrv import (
     BaselineProfile,
     compute_baseline,
     extract_window_features,
-    iter_window_segments,
+    window_grid,
 )
 from .ingest import load_record, snr_from_name
 from .shapley import shap_summary
@@ -102,18 +102,6 @@ def baseline_from_clean(clean, cfg) -> BaselineProfile:
     return compute_baseline(clean, cfg.window_s, cfg.stride_s, cfg.context_s)
 
 
-def _record_windows(noisy, clean, cfg) -> list:
-    """(noisy, clean, window start, context segment) for each window of one record."""
-    if noisy.channel(0).size != clean.channel(0).size or noisy.fs != clean.fs:
-        raise InvalidParam(
-            f"record {noisy.record_name} is not aligned with clean {clean.record_name}"
-        )
-    return [
-        (noisy, clean, start_s, seg)
-        for start_s, seg in iter_window_segments(noisy, cfg.window_s, cfg.stride_s, cfg.context_s)
-    ]
-
-
 def _window_row(window, baseline: BaselineProfile, cfg) -> dict:
     """One feature row (a dict keyed by FEATURE_CSV_COLUMNS)."""
     noisy, clean, start_s, seg = window
@@ -141,7 +129,12 @@ def feature_rows(noisy_records, clean, baseline: BaselineProfile, cfg) -> list:
             f"baseline was computed from record {baseline.source_record!r}, "
             f"not from the clean record {clean.record_name!r}"
         )
-    windows = [w for rec in noisy_records for w in _record_windows(rec, clean, cfg)]
+    windows = []
+    for rec in noisy_records:
+        if rec.channel(0).size != clean.channel(0).size or rec.fs != clean.fs:
+            raise InvalidParam(f"record {rec.record_name} is not aligned with clean {clean.record_name}")
+        grid = window_grid(rec, cfg.window_s, cfg.stride_s, cfg.context_s)
+        windows += [(rec, clean, start_s, seg) for start_s, seg in grid]
     return fork_map(lambda window: _window_row(window, baseline, cfg), windows)
 
 

@@ -6,9 +6,10 @@ scripted level schedule) and the ``RunConfig``, whose ``seed`` draws the
 actuator latencies. Real time never enters; repeated runs produce
 byte-identical traces.
 Records play back sequentially on one timeline with windowing state reset at
-record boundaries. Windows follow ``hrv.window_iter``'s sample grid, as the
-features stage does, and each window's level is looked up by (record name,
-window start) in a map that the caller builds from the feature rows.
+record boundaries. Windows follow ``hrv.window_grid``, as the features stage
+does: each is ready at its segment's last sample, and its level is looked up
+by (record name, window start) in a map that the caller builds from the
+feature rows.
 
 Sequence numbers are taken in order of scheduling: first the sensor chunks
 and windows of every record, then one contiguous block for the strategy
@@ -36,7 +37,7 @@ import numpy as np
 
 from .config import RunConfig, _is_count, _is_real
 from .errors import ConfigInvalid, InvalidParam, IoError
-from .hrv import window_iter
+from .hrv import window_grid
 from .interventions import CATALOG, LATENCY_MS, commands_for_level
 
 KIND_SENSOR = "SensorChunk"
@@ -104,30 +105,29 @@ class _Actuators:
 
     A command from a batch older than the newest issued one is superseded:
     it is dropped instead of applied, so slow scales can never resurrect a
-    replaced intervention level.
+    replaced intervention level. Batch ids increase, so only the newest
+    batch's commands apply, and only its count of unapplied commands is kept.
     """
 
     def __init__(self):
         self.state: dict = {}
-        self._batch_pending: dict = {}
         self._newest_batch = 0
+        self._remaining = 0  # the newest batch's commands not yet applied
 
     def expect_batch(self, batch_id: int, n_commands: int) -> None:
-        self._batch_pending[batch_id] = n_commands
-        self._newest_batch = max(self._newest_batch, batch_id)
+        self._newest_batch = batch_id
+        self._remaining = n_commands
 
-    def apply(self, scale: str, action: str, batch_id: int, at_ms: int) -> bool:
+    def apply(self, scale: str, action: str, batch_id: int) -> bool:
         if batch_id < self._newest_batch:
             return False
         entry = self.state.get(scale)
         if entry is None or entry["batch"] != batch_id:
-            self.state[scale] = {"batch": batch_id, "actions": [action], "applied_at_ms": at_ms}
+            self.state[scale] = {"batch": batch_id, "actions": [action]}
         else:
             entry["actions"].append(action)
-            entry["applied_at_ms"] = at_ms
-        self._batch_pending[batch_id] -= 1
-        if self._batch_pending[batch_id] == 0:
-            del self._batch_pending[batch_id]
+        self._remaining -= 1
+        if self._remaining == 0:
             for sc in list(self.state):
                 if self.state[sc]["batch"] < batch_id:
                     del self.state[sc]
@@ -191,8 +191,8 @@ class _Run:
                     KIND_SENSOR,
                     {"record": rec.record_name, "t_local_s": t_local_s, "n_samples": chunk_n},
                 )
-            for start_s, window in window_iter(rec, cfg.window_s, cfg.stride_s):
-                end_s = window.stop / rec.fs
+            for start_s, segment in window_grid(rec, cfg.window_s, cfg.stride_s, cfg.context_s):
+                end_s = segment.stop / rec.fs
                 if end_s > dur_s + 1e-9:
                     break
                 self.schedule(
@@ -312,9 +312,7 @@ class _Run:
         self.last_commanded = level
 
     def _on_applied(self, at_ms: int, payload: dict) -> None:
-        applied = self.actuators.apply(
-            payload["scale"], payload["action"], payload["batch"], at_ms
-        )
+        applied = self.actuators.apply(payload["scale"], payload["action"], payload["batch"])
         payload["superseded"] = not applied
         if applied:
             self.schedule(at_ms, KIND_FEEDBACK, {"actuators": self.actuators.snapshot()})
@@ -326,7 +324,7 @@ def run_simulation(noisy_records, levels: dict | None, cfg: RunConfig, scripted=
     The window geometry, tick period, dwell, chunk period, duration cap and
     seed of ``cfg`` drive the run, and ``cfg`` is validated first.
     ``levels`` maps each window's ``(record_name, window_start)``, the start
-    in seconds as ``hrv.window_iter`` gives it, to its level (None: invalid
+    in seconds as ``hrv.window_grid`` gives it, to its level (None: invalid
     window). ``scripted``, a list of [time_s, level]
     pairs, replaces the window levels: each window takes the level of the
     latest pair at or before its end; ``levels`` may then be None.

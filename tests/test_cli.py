@@ -12,7 +12,7 @@ import pytest
 from stresstwin import cli
 from stresstwin.cli import EXIT_DATA, EXIT_OK, main
 from stresstwin.forest import load_forest, predict_proba
-from stresstwin.hrv import iter_window_segments
+from stresstwin.hrv import window_grid
 from stresstwin.ingest import decode_format212, encode_format212, load_record
 from stresstwin.synth import synth_ecg, write_wfdb212
 from stresstwin.pipeline import (
@@ -201,6 +201,16 @@ class TestExitCodes:
         assert err.startswith("error: stride_s ")
         assert not (tmp_path / "out" / "ingest_summary.json").exists()
 
+    def test_record_shorter_than_a_window_fails_before_writing(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        rec = synth_ecg(70, 9.0, seed=1)  # the default window is 10 s
+        for name in ("118", "118e06"):
+            write_wfdb212(data, name, rec.channels, rec.fs)
+        assert main(["run", "--data-dir", str(data), "--out-dir", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error: record 118 holds 3240 samples")
+        assert not (out / "ingest_summary.json").exists()
+
     @pytest.mark.parametrize("value", ["-5", "0", "nan"])
     def test_bad_simulate_duration_is_config_invalid(self, synthetic_run, tmp_path, capsys, value):
         argv = ["simulate", *_synthetic_args(synthetic_run, tmp_path, "--max-duration-s", value)]
@@ -382,7 +392,7 @@ class TestInvalidSamples:
 
         hit = {
             start_s
-            for start_s, seg in iter_window_segments(record)
+            for start_s, seg in window_grid(record)
             if seg.start < hi and seg.stop > lo
         }
         assert hit
@@ -394,7 +404,7 @@ class TestInvalidSamples:
 
         before = rows_and_lines(synthetic_run / "features.csv")
         after = rows_and_lines(out / "features.csv")
-        assert len(after) == len(before) == 2 * len(iter_window_segments(record))
+        assert len(after) == len(before) == 2 * len(window_grid(record))
         for (old, old_line), (new, new_line) in zip(before, after):
             assert (new["record_name"], new["window_start"]) == (old["record_name"], old["window_start"])
             if new["record_name"] == "S00e24" and new["window_start"] in hit:

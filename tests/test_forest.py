@@ -665,6 +665,18 @@ def _corrupt(tree: dict, fault: str) -> None:
         tree["max_depth"] -= 1
     elif fault == "max_depth_too_large":
         tree["max_depth"] += 1
+    elif fault == "feature_true":  # np.asarray would read it as feature 1
+        tree["feature"][0] = True
+    elif fault == "feature_fractional":  # or as feature 2
+        tree["feature"][0] = 2.5
+    elif fault == "left_float":
+        tree["left"][0] = float(tree["left"][0])
+    elif fault == "threshold_string":
+        tree["threshold"][0] = str(tree["threshold"][0])
+    elif fault == "hist_true":
+        tree["hist"][leaf][0] = True
+    elif fault == "max_depth_fractional":
+        tree["max_depth"] += 0.5
     else:
         raise AssertionError(fault)
 
@@ -681,6 +693,12 @@ MODEL_FAULTS = (
     "covers_do_not_partition",
     "max_depth_too_small",
     "max_depth_too_large",
+    "feature_true",
+    "feature_fractional",
+    "left_float",
+    "threshold_string",
+    "hist_true",
+    "max_depth_fractional",
 )
 
 
@@ -700,6 +718,11 @@ class TestModelStructure:
         payload = self._payload()
         del payload["trees"][0]["cover"]
         with pytest.raises(InvalidParam, match="malformed model"):
+            forest_from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [[], "model", 5])
+    def test_non_object_rejected(self, payload):
+        with pytest.raises(InvalidParam, match="a model is a JSON object"):
             forest_from_dict(payload)
 
     def test_no_trees_rejected(self):

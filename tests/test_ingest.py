@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from stresstwin.errors import (
 from stresstwin.ingest import (
     decode_format212,
     encode_format212,
+    load_header,
     load_record,
     parse_header,
     snr_from_name,
@@ -222,6 +225,35 @@ class TestLoadRecord:
         hea.write_bytes(b"\xff\xfe" + hea.read_bytes())
         with pytest.raises(MalformedHeader):
             load_record(hea)
+
+
+class TestOneSignalRecord:
+    """A one-signal format-212 file holds two consecutive samples in each 3-byte frame."""
+
+    def _write(self, tmp_path, adu) -> Path:
+        padded = np.zeros(adu.size + adu.size % 2, dtype=np.int64)  # an odd tail fills half a frame
+        padded[: adu.size] = adu
+        (tmp_path / "S01.dat").write_bytes(encode_format212(padded[0::2], padded[1::2]))
+        hea = tmp_path / "S01.hea"
+        hea.write_text(f"S01 1 360 {adu.size}\nS01.dat 212 200(-12) 11 0 0 0 0 MLII\n")
+        return hea
+
+    @pytest.mark.parametrize("n", [1, 7, 1001])
+    def test_odd_length_samples(self, tmp_path, n):
+        adu = np.random.default_rng(n).integers(-2047, 2048, n)  # -2048 is the invalid-sample code
+        rec = load_record(self._write(tmp_path, adu))
+        assert len(rec.channels) == 1
+        assert np.array_equal(rec.channel(0), (adu - -12) / 200.0)
+
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_truncated_dat(self, tmp_path, cut):
+        hea = self._write(tmp_path, np.arange(-3, 4))
+        dat = tmp_path / "S01.dat"
+        dat.write_bytes(dat.read_bytes()[:-cut])
+        with pytest.raises(LengthMismatch):
+            load_record(hea)
+        with pytest.raises(LengthMismatch):
+            load_header(hea)
 
 
 # --- property: arbitrary bad input ends in a typed error ---------------------

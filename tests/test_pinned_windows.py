@@ -57,7 +57,7 @@ def window_digests(tmp_path_factory):
         for name in RECORDS:
             rec = records[name]
             noisy = rec.channel(0)
-            for start_s, seg in hrv.iter_window_segments(rec)[::EVERY]:
+            for start_s, seg in hrv.window_grid(rec)[::EVERY]:
                 peaks_seen.clear()
                 f = hrv.extract_window_features(noisy[seg], clean[seg], baseline, rec.fs, window_start=start_s)
                 row = f.as_vector()

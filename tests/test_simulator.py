@@ -6,7 +6,7 @@ import pytest
 
 from stresstwin.errors import ConfigInvalid, InvalidParam, IoError
 from stresstwin.forest import Dataset, ForestParams, train_forest
-from stresstwin.hrv import compute_baseline, window_iter
+from stresstwin.hrv import compute_baseline, window_grid
 from stresstwin.interventions import CATALOG
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
@@ -72,7 +72,7 @@ def levels_trace():
     cycle = (None, 2, 2, None, 4, 4, 4, 1, 1, 5, 5, 3, 3)
     levels = {
         (rec.record_name, start_s): cycle[i % len(cycle)]
-        for i, (start_s, _) in enumerate(window_iter(rec, 10.0, 5.0))
+        for i, (start_s, _) in enumerate(window_grid(rec, 10.0, 5.0))
     }
     return run_simulation([rec], levels, RunConfig(chunk_s=1.1, seed=4))
 
