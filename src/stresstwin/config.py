@@ -22,7 +22,7 @@ class RunConfig:
     eps: float = 1e-6
     train_fraction: float = 0.7
     seed: int = 2025
-    n_trees: int = 100
+    n_trees: int = 50
     mtry: int = 3
     min_samples_leaf: int = 2
     max_depth: int | None = None

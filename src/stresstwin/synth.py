@@ -8,6 +8,7 @@ exactly c + 2*sigma, which is how ``qt_ms`` is honoured.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,7 +217,7 @@ def write_wfdb212(
     (out_dir / f"{record_name}.hea").write_text("\n".join(lines) + "\n")
 
 
-# regimes spanning the five label rows: (bpm, rr jitter ms, qt ms).
+# regimes spanning the five label rows, level 1 first: (bpm, rr jitter ms, qt ms).
 # qt is picked so QTc = qt / sqrt(60/bpm) lands inside each row's QTc bin.
 _REGIMES = (
     (70.0, 58.0, 378.0),
@@ -226,6 +227,32 @@ _REGIMES = (
     (115.0, 11.0, 355.0),
 )
 
+
+@dataclass(frozen=True)
+class Regime:
+    """One regime of a ``make_synthetic_nst`` record, as it was generated."""
+
+    start_s: float
+    end_s: float
+    level: int  # the label row its bpm, jitter and QT were picked for
+    bpm: float
+    rr_jitter_ms: float
+    qt_ms: float
+
+
+def regime_truth(segment_s: float) -> list:
+    """The ``Regime``s that ``make_synthetic_nst(..., segment_s=segment_s)`` records cycle through, in order.
+
+    The bounds are summed segment by segment, as ``synth_ecg_profile`` sums them.
+    """
+    regimes, start = [], 0.0
+    for level, (bpm, jitter_ms, qt_ms) in enumerate(_REGIMES, start=1):
+        end = start + segment_s
+        regimes.append(Regime(start, end, level, bpm, jitter_ms, qt_ms))
+        start = end
+    return regimes
+
+
 SYNTHETIC_CLEAN_RECORD = "S00"
 SYNTHETIC_SNR_SUFFIXES = ("e_6", "e00", "e06", "e12", "e18", "e24")
 
@@ -233,10 +260,11 @@ SYNTHETIC_SNR_SUFFIXES = ("e_6", "e00", "e06", "e12", "e18", "e24")
 def make_synthetic_nst(out_dir, seed: int = 2025, segment_s: float = 48.0, fs: float = 360.0):
     """Generate a miniature noise-stress-test set of WFDB-212 files.
 
-    One clean record cycling through five physiological regimes plus one
-    noisy copy per SNR suffix. Returns the record names written.
+    One clean record cycling through five physiological regimes
+    (``regime_truth(segment_s)``) plus one noisy copy per SNR suffix.
+    Returns the record names written.
     """
-    segments = [(segment_s, bpm, jit, qt) for bpm, jit, qt in _REGIMES]
+    segments = [(segment_s, r.bpm, r.rr_jitter_ms, r.qt_ms) for r in regime_truth(segment_s)]
     clean = synth_ecg_profile(segments, fs=fs, seed=seed, record_name=SYNTHETIC_CLEAN_RECORD)
     write_wfdb212(out_dir, SYNTHETIC_CLEAN_RECORD, clean.channels, fs)
     ch0 = clean.channel(0)

@@ -11,6 +11,7 @@ import pytest
 
 from stresstwin import cli
 from stresstwin.cli import EXIT_DATA, EXIT_OK, main
+from stresstwin.config import RunConfig
 from stresstwin.forest import load_forest, predict_proba
 from stresstwin.hrv import window_grid
 from stresstwin.ingest import decode_format212, encode_format212, load_record
@@ -89,7 +90,7 @@ class TestRunArtifacts:
         payload = json.loads((synthetic_run / "model.json").read_text())
         assert payload["format_version"] == 1
         assert payload["n_features"] == 13
-        assert len(payload["trees"]) == 100
+        assert len(payload["trees"]) == payload["params"]["n_trees"] == RunConfig.n_trees
 
     def test_pinned_model_predicts_as_per_tree_walk(self, synthetic_run):
         forest = load_forest(synthetic_run / "model.json")
