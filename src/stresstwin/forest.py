@@ -174,7 +174,12 @@ def stratified_split(dataset: Dataset, train_fraction: float, seed: int):
 
 
 def record_level_split(dataset: Dataset, train_fraction: float, seed: int):
-    """Leakage-safe variant: whole records land on one side of the split."""
+    """Whole records land on one side of the split.
+
+    This is not leakage-safe for a noise stress test series: every noisy
+    record is the clean record plus noise, so the same beats, at another
+    SNR, sit on both sides.
+    """
     if dataset.keys is None:
         raise InvalidParam("record-level split needs dataset keys")
     records = sorted({k[0] for k in dataset.keys})

@@ -2,7 +2,9 @@
 
 Only storage format 212 is supported (two 12-bit two's-complement samples
 packed into three bytes); anything else is rejected loudly. Channel 0 is
-the analysis channel throughout the pipeline.
+the analysis channel throughout the pipeline, and ``load_record`` keeps it
+alone: the other lead of a two-signal record is decoded with it, since the
+two share each frame, but never converted or held.
 """
 
 import math
@@ -65,12 +67,22 @@ class RecordHeader:
 
 @dataclass
 class EcgRecord:
-    """Multi-channel sampled ECG in millivolts."""
+    """Sampled ECG in millivolts.
+
+    ``channels`` holds the leads in memory, lead 0 first. ``n_channels`` is
+    the number of signals the record has, which ``load_record`` takes from
+    the header while it keeps lead 0 alone; it defaults to ``len(channels)``.
+    """
 
     channels: list
     fs: float
     record_name: str
     snr_db: int | None = None
+    n_channels: int | None = None
+
+    def __post_init__(self):
+        if self.n_channels is None:
+            self.n_channels = len(self.channels)
 
     @property
     def n_samples(self) -> int:
@@ -292,34 +304,38 @@ def _frames(header: RecordHeader, n_bytes: int) -> int:
 
 
 def load_record(header_path, data_path=None) -> EcgRecord:
-    """Load a WFDB record (.hea + format-212 .dat) and convert to mV.
+    """Load lead 0 of a WFDB record (.hea + format-212 .dat) in mV.
 
-    A sample holding the invalid-sample code ``INVALID_ADU`` becomes NaN.
+    The record's one ``channels`` entry is signal 0 of the header; its
+    ``n_channels`` is the header's signal count. A sample holding the
+    invalid-sample code ``INVALID_ADU`` becomes NaN.
     """
     header = _read_header(header_path)
     if data_path is None:
         data_path = _data_path(header_path, header)
     raw = Path(data_path).read_bytes()
     pairs = _frames(header, len(raw))
-    adu0, adu1 = decode_format212(raw, pairs)
-    if header.n_signals == 2:
-        adu_channels = [adu0, adu1]
-    else:
+    adu, adu1 = decode_format212(raw, pairs)
+    del raw
+    if header.n_signals == 1:
         interleaved = np.empty(2 * pairs, dtype=np.int32)
-        interleaved[0::2] = adu0
+        interleaved[0::2] = adu
         interleaved[1::2] = adu1
-        adu_channels = [interleaved[: header.n_samples]]
+        adu = interleaved[: header.n_samples]
+    del adu1
 
-    channels = []
-    for spec, adu in zip(header.signals, adu_channels):
-        mv = (adu.astype(np.float64) - spec.baseline_adu) / spec.gain
-        mv[adu == INVALID_ADU] = np.nan
-        channels.append(mv)
+    spec = header.signals[0]
+    # (adu - baseline) / gain in place: the same IEEE operations, no spare copy
+    mv = adu.astype(np.float64)
+    mv -= spec.baseline_adu
+    mv /= spec.gain
+    mv[adu == INVALID_ADU] = np.nan
     return EcgRecord(
-        channels=channels,
+        channels=[mv],
         fs=header.sampling_rate,
         record_name=header.record_name,
         snr_db=snr_from_name(header.record_name),
+        n_channels=header.n_signals,
     )
 
 

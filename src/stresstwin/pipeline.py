@@ -89,7 +89,7 @@ def ingest_summary(records) -> list:
         {
             "record": rec.record_name,
             "fs": rec.fs,
-            "n_channels": len(rec.channels),
+            "n_channels": rec.n_channels,
             "n_samples": int(rec.channel(0).size),
             "duration_s": rec.duration_s,
             "snr_db": rec.snr_db,

@@ -154,17 +154,18 @@ def _std(x, scratch) -> float:
 
 def _colored_noise(n: int, fs: float, rng) -> np.ndarray:
     """Ambulatory-style noise: broadband muscle artifact plus baseline wander."""
-    return _shape_noise(rng.normal(0.0, 1.0, n), np.arange(n) / fs, fs, rng)
+    return _shape_noise(rng.normal(0.0, 1.0, n), fs, rng)
 
 
-def _shape_noise(white, t, fs: float, rng) -> np.ndarray:
-    """``_colored_noise`` from its white draws at sample times ``t``; overwrites ``white``."""
+def _shape_noise(white, fs: float, rng) -> np.ndarray:
+    """``_colored_noise`` from its white draws; overwrites ``white``, its scratch."""
     # crude 1-40 Hz shaping by differencing a smoothed walk; cheap and seeded
     kernel = np.hanning(max(3, int(fs / 40)))
     kernel /= kernel.sum()
     noise = np.convolve(white, kernel, mode="same")
     noise /= max(_std(noise, white), 1e-12)
-    wander = np.multiply(t, 2 * np.pi * 0.33, out=white)  # the white draws are spent
+    wander = _sample_times(white, fs)  # the white draws are spent
+    wander *= 2 * np.pi * 0.33
     wander += rng.uniform(0, 2 * np.pi)
     np.sin(wander, out=wander)
     wander *= 0.8
@@ -173,7 +174,16 @@ def _shape_noise(white, t, fs: float, rng) -> np.ndarray:
     return noise
 
 
-_WRITE_BLOCK = 1 << 15  # samples per ADU and format-212 pass
+_WRITE_BLOCK = 1 << 15  # samples per ADU, format-212 and time-base pass
+
+
+def _sample_times(out, fs: float) -> np.ndarray:
+    """``np.arange(out.size) / fs`` bit for bit, written to ``out`` a block at a time."""
+    for i in range(0, out.size, _WRITE_BLOCK):
+        block = out[i : i + _WRITE_BLOCK]
+        block[:] = np.arange(i, i + block.size)
+    out /= fs
+    return out
 
 
 def _to_adu(ch_mv, gain: float, baseline_adu: int) -> np.ndarray:
@@ -202,12 +212,11 @@ def write_wfdb212(
     ch0, ch1 = channels_mv
     if len(ch0) != len(ch1):
         raise LengthMismatch("channels differ in length")
-    # a block at a time, so the temporaries stay cache-sized and reuse their pages
-    data = b"".join(
-        encode_format212(*(_to_adu(ch[i : i + _WRITE_BLOCK], gain, baseline_adu) for ch in (ch0, ch1)))
-        for i in range(0, len(ch0), _WRITE_BLOCK)
-    )
-    (out_dir / f"{record_name}.dat").write_bytes(data)
+    # a block at a time, so the temporaries stay cache-sized and reuse their
+    # pages, and the file's bytes are never held whole
+    with open(out_dir / f"{record_name}.dat", "wb") as fh:
+        for i in range(0, len(ch0), _WRITE_BLOCK):
+            fh.write(encode_format212(*(_to_adu(ch[i : i + _WRITE_BLOCK], gain, baseline_adu) for ch in (ch0, ch1))))
     n = len(ch0)
     lines = [f"{record_name} 2 {fs:g} {n}"]
     for label in ("MLII", "V1"):
@@ -262,7 +271,10 @@ def make_synthetic_nst(out_dir, seed: int = 2025, segment_s: float = 48.0, fs: f
 
     One clean record cycling through five physiological regimes
     (``regime_truth(segment_s)``) plus one noisy copy per SNR suffix.
-    Returns the record names written.
+    Returns the record names written. At most three full-length float
+    buffers are alive at a time: the clean lead 0, the noisy record being
+    written, and one scratch buffer for its white draws, time base and
+    channel 1 in turn.
     """
     segments = [(segment_s, r.bpm, r.rr_jitter_ms, r.qt_ms) for r in regime_truth(segment_s)]
     clean = synth_ecg_profile(segments, fs=fs, seed=seed, record_name=SYNTHETIC_CLEAN_RECORD)
@@ -271,8 +283,9 @@ def make_synthetic_nst(out_dir, seed: int = 2025, segment_s: float = 48.0, fs: f
     del clean
 
     names = [SYNTHETIC_CLEAN_RECORD]
-    # full-length buffers shared by the noisy records
-    white, half, t = np.empty(ch0.size), np.empty(ch0.size), np.arange(ch0.size) / fs
+    # besides ch0 and the noisy record being made, one full-length buffer:
+    # scratch for the white draws, the time base and channel 1 in turn
+    white = np.empty(ch0.size)
     sig_power = float(np.mean(np.square(ch0, out=white)))
     for k, suffix in enumerate(SYNTHETIC_SNR_SUFFIXES):
         name = SYNTHETIC_CLEAN_RECORD + suffix
@@ -281,11 +294,12 @@ def make_synthetic_nst(out_dir, seed: int = 2025, segment_s: float = 48.0, fs: f
         # rng.normal(0.0, 1.0, n) draws the same values, 0.0 + 1.0 * z, but for
         # the sign of a zero, which the smoothing sum drops
         rng.standard_normal(out=white)
-        noisy = _shape_noise(white, t, fs, rng)
+        noisy = _shape_noise(white, fs, rng)
         noise_power = sig_power / (10.0 ** (snr_db / 10.0))
         noisy *= np.sqrt(noise_power)
         noisy += ch0
         # channel 1 is half of channel 0, noise included: halving is exact
-        write_wfdb212(out_dir, name, (noisy, np.multiply(noisy, 0.5, out=half)), fs)
+        write_wfdb212(out_dir, name, (noisy, np.multiply(noisy, 0.5, out=white)), fs)
+        white = noisy  # the record written is the next one's scratch; the old scratch is freed
         names.append(name)
     return names

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import resource
 import signal
 import threading
 import time
@@ -21,8 +22,8 @@ from stresstwin.fanout import fork_map
 from stresstwin.forest import Dataset, ForestParams, forest_to_dict, train_forest
 from stresstwin.hrv import compute_baseline
 from stresstwin.ingest import EcgRecord
-from stresstwin.pipeline import feature_rows
-from stresstwin.synth import synth_ecg
+from stresstwin.pipeline import baseline_from_clean, feature_rows, load_series
+from stresstwin.synth import SYNTHETIC_CLEAN_RECORD, make_synthetic_nst, synth_ecg
 
 
 def _usable_cpus(monkeypatch, n):
@@ -172,6 +173,23 @@ class TestStages:
         params = ForestParams(n_trees=9, mtry=2)
         serial, forked = self._both_paths(monkeypatch, lambda: train_forest(ds, params, seed=4))
         assert json.dumps(forest_to_dict(serial)) == json.dumps(forest_to_dict(forked))
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="fork_map runs in-process on one usable CPU")
+    def test_workers_reuse_their_heap(self, tmp_path, deadline):
+        """Forked feature rows of the 240 s set stay under 100 worker minor faults per window.
+
+        A worker that maps and unmaps each window's temporaries takes about 250.
+        """
+        cfg = RunConfig()
+        make_synthetic_nst(tmp_path, seed=2025)
+        clean, noisy = load_series(tmp_path, SYNTHETIC_CLEAN_RECORD)
+        baseline = baseline_from_clean(clean, cfg)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        rows = feature_rows(noisy, clean, baseline, cfg)
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+        _no_worker_left()
+        assert len(rows) == 282
+        assert 0 < faults < 100 * len(rows), f"{faults / len(rows):.0f} minor faults per window"
 
     def test_failing_feature_rows(self, records, two_cpus, deadline):
         clean, noisy = records

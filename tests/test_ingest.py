@@ -162,7 +162,9 @@ class TestLoadRecord:
         loaded = load_record(tmp_path / "T01.hea")
         assert loaded.fs == rec.fs
         assert loaded.snr_db is None
-        assert len(loaded.channels) == 2
+        # lead 0 alone is kept; the header's signal count is reported
+        assert len(loaded.channels) == 1
+        assert loaded.n_channels == 2
         # quantization error bounded by half an ADU step
         assert np.max(np.abs(loaded.channel(0) - rec.channel(0))) <= 0.5 / 200.0 + 1e-12
 
@@ -203,13 +205,30 @@ class TestLoadRecord:
         c1[200] = -2048
         dat.write_bytes(encode_format212(c0, c1))
         loaded = load_record(tmp_path / "T04.hea")
-        nan0, nan1 = np.isnan(loaded.channel(0)), np.isnan(loaded.channel(1))
+        nan0 = np.isnan(loaded.channel(0))
+        # lead 0's invalid samples only: lead 1's code at 200 is not lead 0's
         assert np.flatnonzero(nan0).tolist() == list(range(100, 110))
-        assert np.flatnonzero(nan1).tolist() == [200]
         assert np.array_equal(loaded.channel(0)[~nan0], good.channel(0)[~nan0])
-        assert np.array_equal(loaded.channel(1)[~nan1], good.channel(1)[~nan1])
-        # decoding still returns the raw code
-        assert decode_format212(dat.read_bytes(), good.n_samples)[0][100] == -2048
+        # decoding still returns the raw code, in both channels
+        c0, c1 = decode_format212(dat.read_bytes(), good.n_samples)
+        assert c0[100] == c1[200] == -2048
+
+    @pytest.mark.parametrize("gain, baseline_adu", [(200.0, 1024), (123.4, -7)])
+    def test_lead0_equals_two_lead_conversion_bitwise(self, tmp_path, gain, baseline_adu):
+        rec = synth_ecg(80, 12.0, noise_std=0.05, seed=11)
+        write_wfdb212(tmp_path, "T05", rec.channels, rec.fs, gain=gain, baseline_adu=baseline_adu)
+        dat = tmp_path / "T05.dat"
+        c0, c1 = decode_format212(dat.read_bytes(), rec.channel(0).size)
+        c0[[0, 17, 18, 4000]] = c1[[5, 17]] = -2048
+        dat.write_bytes(encode_format212(c0, c1))
+        loaded = load_record(tmp_path / "T05.hea")
+        # the two-lead loader's conversion of channel 0, invalid codes to NaN
+        (spec, _) = parse_header((tmp_path / "T05.hea").read_text()).signals
+        want = (c0.astype(np.float64) - spec.baseline_adu) / spec.gain
+        want[c0 == -2048] = np.nan
+        assert loaded.channel(0).dtype == np.float64
+        assert loaded.channel(0).tobytes() == want.tobytes()
+        assert np.flatnonzero(np.isnan(loaded.channel(0))).tolist() == [0, 17, 18, 4000]
 
     def test_writer_never_writes_invalid_code(self, tmp_path):
         low = np.full(360, -100.0)  # far below the 12-bit range at gain 200
@@ -243,6 +262,7 @@ class TestOneSignalRecord:
         adu = np.random.default_rng(n).integers(-2047, 2048, n)  # -2048 is the invalid-sample code
         rec = load_record(self._write(tmp_path, adu))
         assert len(rec.channels) == 1
+        assert rec.n_channels == 1
         assert np.array_equal(rec.channel(0), (adu - -12) / 200.0)
 
     @pytest.mark.parametrize("cut", [1, 3])

@@ -18,10 +18,12 @@ from stresstwin.ingest import EcgRecord
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
     LABELED_CSV_COLUMNS,
+    baseline_from_clean,
     baseline_from_json,
     baseline_to_json,
     feature_rows,
     label_rows,
+    load_series,
     read_rows_csv,
     rows_to_dataset,
     split_from_json,
@@ -29,6 +31,7 @@ from stresstwin.pipeline import (
     write_rows_csv,
 )
 from stresstwin.stress import relative_deviation
+from stresstwin.synth import SYNTHETIC_CLEAN_RECORD, make_synthetic_nst
 
 
 BASELINE = BaselineProfile(sdnn=50.0, bpm=70.0, qtc=400.0, lfhf=1.0, source_record="t")
@@ -56,6 +59,27 @@ class TestExtractRecordRows:
         noisy = EcgRecord(channels=[np.zeros(n)], fs=fs, record_name="te06")
         with pytest.raises(InvalidParam, match="not aligned"):
             feature_rows([noisy], clean, baseline, RunConfig())
+
+
+class TestRelativeColumnsAreAffineCopies:
+    """Under one baseline, rel_x = (ecg_x - b) / (b + eps) is strictly increasing in ecg_x."""
+
+    @pytest.fixture(scope="class")
+    def valid_rows(self, tmp_path_factory):
+        cfg = RunConfig()
+        data_dir = tmp_path_factory.mktemp("affine")
+        make_synthetic_nst(data_dir, seed=2025)
+        clean, noisy = load_series(data_dir, SYNTHETIC_CLEAN_RECORD)
+        rows = feature_rows(noisy, clean, baseline_from_clean(clean, cfg), cfg)
+        return [row for row in rows if row["valid"]]
+
+    @pytest.mark.parametrize("name", ["sdnn", "bpm", "qtc", "lfhf"])
+    def test_rel_column_orders_valid_windows_as_its_ecg_column(self, valid_rows, name):
+        ecg = np.array([row[f"ecg_{name}"] for row in valid_rows])
+        rel = np.array([row[f"rel_{name}"] for row in valid_rows])
+        assert len(valid_rows) == 222
+        # equal dense ranks: the same strict order and the same ties
+        assert np.array_equal(np.unique(ecg, return_inverse=True)[1], np.unique(rel, return_inverse=True)[1])
 
 
 class TestLabeling:
