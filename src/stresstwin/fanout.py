@@ -1,11 +1,12 @@
 """Map a function over independent items on one forked worker per usable core.
 
-The callers' units of work (the windows of a record, the trees of a forest)
-each read only their own inputs, so spreading them over processes changes
-no result bit. Workers are forked: the function and the items, and whatever
-the function reads (records, segments, the training matrix), reach them by
-inheritance and are never pickled. A task is a pair of chunk bounds, and
-only the results come back. Each worker fixes its own malloc thresholds
+The callers' units of work (the windows of a record, the trees of a forest,
+the noisy records of a synthetic set) each read only their own inputs, so
+spreading them over processes changes no result bit. Workers are forked:
+the function and the items, and whatever the function reads (records,
+segments, the training matrix, the clean lead), reach them by inheritance
+and are never pickled. A task is a pair of chunk bounds, and only the
+results come back. Each worker fixes its own malloc thresholds
 (``_fix_malloc_thresholds``) before its first item, so that its per-item
 temporaries reuse heap pages instead of being mapped and unmapped each time;
 the calling process's allocator is left as it is.

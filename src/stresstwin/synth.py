@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _is_count, _is_real
 from .errors import InvalidParam, LengthMismatch
+from .fanout import fork_map
 from .ingest import INVALID_ADU, EcgRecord, encode_format212, snr_from_name
 
 # beat geometry relative to the beat onset (seconds)
@@ -157,10 +159,15 @@ def _colored_noise(n: int, fs: float, rng) -> np.ndarray:
     return _shape_noise(rng.normal(0.0, 1.0, n), fs, rng)
 
 
+def _kernel_size(fs: float) -> int:
+    """Samples in ``_shape_noise``'s smoothing kernel: 25 ms, and at least 3."""
+    return max(3, int(fs / 40))
+
+
 def _shape_noise(white, fs: float, rng) -> np.ndarray:
     """``_colored_noise`` from its white draws; overwrites ``white``, its scratch."""
     # crude 1-40 Hz shaping by differencing a smoothed walk; cheap and seeded
-    kernel = np.hanning(max(3, int(fs / 40)))
+    kernel = np.hanning(_kernel_size(fs))
     kernel /= kernel.sum()
     noise = np.convolve(white, kernel, mode="same")
     noise /= max(_std(noise, white), 1e-12)
@@ -264,6 +271,12 @@ def regime_truth(segment_s: float) -> list:
 
 SYNTHETIC_CLEAN_RECORD = "S00"
 SYNTHETIC_SNR_SUFFIXES = ("e_6", "e00", "e06", "e12", "e18", "e24")
+# samples per record from which make_synthetic_nst writes the noisy records
+# on forked workers. Starting the workers costs 10-30 ms, the more the
+# larger the caller: in-process on a 2-vCPU VM, the 240 s set (86,400
+# samples) took 36 ms serially and 45 ms fanned out, the 30-minute set
+# (648,000) 242 ms and 190 ms.
+FAN_OUT_MIN_SAMPLES = 1 << 18
 
 
 def make_synthetic_nst(out_dir, seed: int = 2025, segment_s: float = 48.0, fs: float = 360.0):
@@ -271,25 +284,46 @@ def make_synthetic_nst(out_dir, seed: int = 2025, segment_s: float = 48.0, fs: f
 
     One clean record cycling through five physiological regimes
     (``regime_truth(segment_s)``) plus one noisy copy per SNR suffix.
-    Returns the record names written. At most three full-length float
-    buffers are alive at a time: the clean lead 0, the noisy record being
-    written, and one scratch buffer for its white draws, time base and
-    channel 1 in turn.
+    Returns the record names written, clean first, then the noisy ones in
+    ``SYNTHETIC_SNR_SUFFIXES`` order. The arguments are checked before any
+    file is written (``InvalidParam``).
+
+    The caller writes the clean record and keeps its lead 0. Each noisy
+    record reads only that lead and its own ``seed * 1000 + 100 + k``
+    generator, so the files have the same bytes however they are spread:
+    from ``FAN_OUT_MIN_SAMPLES`` samples per record they are written by
+    ``fanout.fork_map``, one record per item, and below it (or on one
+    usable CPU) in the caller. A process keeps at most two full-length
+    float buffers of its own, the noisy record being written and one
+    scratch buffer for its white draws, time base and channel 1 in turn;
+    the record it wrote last is its next scratch. The caller holds the
+    clean lead besides.
     """
-    segments = [(segment_s, r.bpm, r.rr_jitter_ms, r.qt_ms) for r in regime_truth(segment_s)]
+    if not _is_count(seed) or seed < 0:
+        raise InvalidParam(f"seed must be a non-negative integer, got {seed!r}")
+    if not _is_real(segment_s) or segment_s <= 0:
+        raise InvalidParam(f"segment_s must be a positive finite number, got {segment_s!r}")
+    if not _is_real(fs) or fs <= 0:
+        raise InvalidParam(f"fs must be a positive finite number, got {fs!r}")
+    regimes = regime_truth(segment_s)
+    n = regimes[-1].end_s * fs
+    if not math.isfinite(n) or round(n) < _kernel_size(fs):
+        raise InvalidParam(
+            f"{len(regimes)} segments of {segment_s!r} s at {fs!r} Hz are shorter than the noise kernel"
+        )
+
+    segments = [(segment_s, r.bpm, r.rr_jitter_ms, r.qt_ms) for r in regimes]
     clean = synth_ecg_profile(segments, fs=fs, seed=seed, record_name=SYNTHETIC_CLEAN_RECORD)
     write_wfdb212(out_dir, SYNTHETIC_CLEAN_RECORD, clean.channels, fs)
     ch0 = clean.channel(0)
     del clean
+    sig_power = float(np.mean(np.square(ch0)))
+    spare = []  # this process's scratch buffer: the noisy record it wrote last
 
-    names = [SYNTHETIC_CLEAN_RECORD]
-    # besides ch0 and the noisy record being made, one full-length buffer:
-    # scratch for the white draws, the time base and channel 1 in turn
-    white = np.empty(ch0.size)
-    sig_power = float(np.mean(np.square(ch0, out=white)))
-    for k, suffix in enumerate(SYNTHETIC_SNR_SUFFIXES):
-        name = SYNTHETIC_CLEAN_RECORD + suffix
+    def write_noisy(k: int) -> str:
+        name = SYNTHETIC_CLEAN_RECORD + SYNTHETIC_SNR_SUFFIXES[k]
         snr_db = snr_from_name(name)
+        white = spare.pop() if spare else np.empty(ch0.size)
         rng = np.random.default_rng(seed * 1000 + 100 + k)
         # rng.normal(0.0, 1.0, n) draws the same values, 0.0 + 1.0 * z, but for
         # the sign of a zero, which the smoothing sum drops
@@ -300,6 +334,10 @@ def make_synthetic_nst(out_dir, seed: int = 2025, segment_s: float = 48.0, fs: f
         noisy += ch0
         # channel 1 is half of channel 0, noise included: halving is exact
         write_wfdb212(out_dir, name, (noisy, np.multiply(noisy, 0.5, out=white)), fs)
-        white = noisy  # the record written is the next one's scratch; the old scratch is freed
-        names.append(name)
-    return names
+        spare.append(noisy)  # the next record's scratch; this one's is freed on return
+        return name
+
+    ks = range(len(SYNTHETIC_SNR_SUFFIXES))
+    if ch0.size < FAN_OUT_MIN_SAMPLES:
+        return [SYNTHETIC_CLEAN_RECORD, *map(write_noisy, ks)]
+    return [SYNTHETIC_CLEAN_RECORD, *fork_map(write_noisy, ks)]

@@ -1,4 +1,5 @@
-"""Synthetic generator: pinned bytes, a traced-memory ratchet, and loop references.
+"""Synthetic generator: pinned bytes on one and two CPUs, a traced-memory
+ratchet, argument checks, worker errors, and loop references.
 
 ``PINNED_SHA256`` holds the SHA-256 of every ``.hea`` and ``.dat`` that
 ``make_synthetic_nst`` writes at seed 2025 (48 s and 360 s segments) and at
@@ -13,12 +14,15 @@ kept here only as references: the array code must match them bit for bit.
 """
 
 import hashlib
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from stresstwin import synth
+from stresstwin.cli import EXIT_DATA, main
 from stresstwin.errors import InvalidParam, LengthMismatch
 
 PINNED_SHA256 = {
@@ -66,29 +70,48 @@ PINNED_SHA256 = {
     "7/360/S00e_6.hea": "bbbeed9985358e4cf6c9e77227dfbb4ca321033c0e0ac1a46f65747d5acbd3f3",
 }
 
-# traced peak of the 360 s call: 31.9 MB for this code (the loop generator
-# traced 63.0 MB); a rise past the bound means a full-length temporary came back
-PEAK_TRACED_MB = 34.0
+# traced peak of the 360 s call on one usable CPU, where the caller writes
+# every record: 16.4 MB for this code (the loop generator traced 63.0 MB); a
+# rise past the bound means a full-length (5.2 MB) temporary came back
+PEAK_TRACED_MB = 18.0
+
+
+def _usable_cpus(monkeypatch, n):
+    """Pretend this process may run on ``n`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _traced_call(out, **kwargs):
+    """``make_synthetic_nst(out, **kwargs)``'s record names, and the caller's traced peak (MB)."""
+    tracemalloc.start()
+    try:
+        names = synth.make_synthetic_nst(out, **kwargs)
+        return names, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def _digests(out, prefix):
+    return {f"{prefix}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+
+
+NAMES = [synth.SYNTHETIC_CLEAN_RECORD] + [synth.SYNTHETIC_CLEAN_RECORD + s for s in synth.SYNTHETIC_SNR_SUFFIXES]
 
 
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory):
-    """{"seed/segment/file": sha256} for the three pinned sets, and the traced peak (MB)."""
+    """{"seed/segment/file": sha256} for the three pinned sets, and the one-CPU traced peak (MB)."""
     digests, peak_mb = {}, None
     for seed, segment_s in ((2025, 48.0), (2025, 360.0), (7, 360.0)):
         out = tmp_path_factory.mktemp(f"nst_{seed}_{segment_s:g}")
-        traced = (seed, segment_s) == (2025, 360.0)
-        if traced:
-            tracemalloc.start()
-        try:
-            synth.make_synthetic_nst(out, seed=seed, segment_s=segment_s)
-            if traced:
-                peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            if traced:
-                tracemalloc.stop()
-        for path in sorted(out.iterdir()):
-            digests[f"{seed}/{segment_s:g}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        if (seed, segment_s) == (2025, 360.0):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                _usable_cpus(monkeypatch, 1)
+                names, peak_mb = _traced_call(out, seed=seed, segment_s=segment_s)
+        else:
+            names = synth.make_synthetic_nst(out, seed=seed, segment_s=segment_s)
+        assert names == NAMES
+        digests.update(_digests(out, f"{seed}/{segment_s:g}"))
     return digests, peak_mb
 
 
@@ -102,6 +125,85 @@ def test_generator_writes_the_pinned_bytes(generated):
 def test_nst_length_call_traced_peak(generated):
     _, peak_mb = generated
     assert peak_mb <= PEAK_TRACED_MB, f"traced peak {peak_mb:.1f} MB"
+
+
+def test_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    """Seed 2025's 48 s set has the pinned bytes in-process and from two workers."""
+    monkeypatch.setattr(synth, "FAN_OUT_MIN_SAMPLES", 0)  # fan out at this length too
+    pinned = {name: sha for name, sha in PINNED_SHA256.items() if name.startswith("2025/48/")}
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        assert synth.make_synthetic_nst(tmp_path / str(cpus), seed=2025, segment_s=48.0) == NAMES
+        assert multiprocessing.active_children() == []
+        assert _digests(tmp_path / str(cpus), "2025/48") == pinned, f"{cpus} CPU(s)"
+
+
+def test_workers_hold_the_noisy_records(generated, tmp_path, monkeypatch):
+    """On two CPUs the 360 s call writes the pinned bytes, and the caller's traced peak falls.
+
+    In-process the caller holds the clean lead, a noisy record and its
+    scratch at once (16.4 MB traced); with workers, the clean record's
+    rendering sets its peak (13.5 MB).
+    """
+    _, serial_peak_mb = generated
+    _usable_cpus(monkeypatch, 2)
+    names, peak_mb = _traced_call(tmp_path, seed=2025, segment_s=360.0)
+    assert names == NAMES
+    pinned = {name: sha for name, sha in PINNED_SHA256.items() if name.startswith("2025/360/")}
+    assert _digests(tmp_path, "2025/360") == pinned
+    assert peak_mb < serial_peak_mb - 1.0, (peak_mb, serial_peak_mb)
+
+
+def test_short_records_are_written_in_process(tmp_path, monkeypatch):
+    def no_fork(fn, items):
+        raise AssertionError("fork_map called")
+
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(synth, "fork_map", no_fork)
+    assert synth.make_synthetic_nst(tmp_path, seed=2025, segment_s=48.0) == NAMES
+
+
+def test_worker_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
+    """A record that cannot be written fails the call and `run --synthetic`, and no worker is left."""
+    monkeypatch.setattr(synth, "FAN_OUT_MIN_SAMPLES", 0)
+    _usable_cpus(monkeypatch, 2)
+    blocked = tmp_path / "run" / "synthetic_records" / "S00e24.dat"
+    blocked.mkdir(parents=True)
+    with pytest.raises(OSError) as info:
+        open(blocked, "wb")
+    want = info.value
+    with pytest.raises(OSError) as info:
+        synth.make_synthetic_nst(blocked.parent, seed=2025)
+    assert type(info.value) is type(want)
+    assert str(info.value) == str(want)
+    capsys.readouterr()
+    assert main(["run", "--synthetic", "--out-dir", str(tmp_path / "run")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {want}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "match"),
+    [
+        ({"segment_s": 0}, "segment_s"),
+        ({"segment_s": -5}, "segment_s"),
+        ({"segment_s": float("nan")}, "segment_s"),
+        ({"segment_s": float("inf")}, "segment_s"),
+        ({"segment_s": "48"}, "segment_s"),
+        ({"segment_s": 0.001}, "noise kernel"),
+        ({"fs": 0}, "fs"),
+        ({"fs": -360}, "fs"),
+        ({"fs": float("nan")}, "fs"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+    ],
+)
+def test_bad_arguments_are_invalid(tmp_path, kwargs, match):
+    out = tmp_path / "out"
+    with pytest.raises(InvalidParam, match=match):
+        synth.make_synthetic_nst(out, **kwargs)
+    assert not out.exists()
 
 
 def test_write_rejects_channels_of_unequal_length(tmp_path):
