@@ -21,10 +21,15 @@ shares a millisecond with a chunk or window thus plays after it, and before
 every event that the play-out schedules for that millisecond (inferences,
 commands, actuator and feedback events).
 
+Events may share a payload object: every tick in the same ``(committed,
+issued)`` state logs the same dict, at most ten per run. A payload is
+therefore read-only once it is logged.
+
 ``export_trace`` writes one line per event, the canonical JSON form
 ``json.dumps(event, ensure_ascii=True, sort_keys=True, separators=(",", ":"))``
 of the object with keys ``at_ms``, ``seq``, ``kind`` and ``payload``:
-``{"at_ms":<int>,"kind":<string>,"payload":<object>,"seq":<int>}``.
+``{"at_ms":<int>,"kind":<string>,"payload":<object>,"seq":<int>}``. It
+encodes each distinct payload object once.
 """
 
 import heapq
@@ -62,6 +67,9 @@ class SimEvent(NamedTuple):
 
 @dataclass
 class SimTrace:
+    """The logged events in play order. Events may share a payload object
+    (the ticks of one state do), so a logged payload is read-only."""
+
     events: list = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -217,12 +225,18 @@ class _Run:
         pop = heapq.heappop
         log = self.trace.events.append
         make = SimEvent._make  # a plain tuple.__new__, without SimEvent()'s Python frame
+        # every tick in the same (committed, issued) state logs the same
+        # payload object: at most ten per run
+        tick_payloads: dict = {}
         for seq, at_ms in enumerate(ticks, tick_seq):
             while heap and heap[0] < (at_ms, seq):
                 self._play(pop(heap))
-            issued = self.committed != self.last_commanded
-            log(make((at_ms, seq, KIND_TICK, {"committed": self.committed, "issued": issued})))
-            if issued:
+            state = (self.committed, self.committed != self.last_commanded)
+            payload = tick_payloads.get(state)
+            if payload is None:
+                payload = tick_payloads[state] = {"committed": state[0], "issued": state[1]}
+            log(make((at_ms, seq, KIND_TICK, payload)))
+            if state[1]:
                 self._issue_batch(at_ms)
         while heap:
             self._play(pop(heap))
@@ -353,17 +367,21 @@ def export_trace(trace: SimTrace, path) -> None:
         canonical.allow_nan,
     )
     events = trace.events
+    # each payload object is encoded once, keyed by identity: the trace keeps
+    # every payload alive for the whole call, so no id is reused meanwhile
+    encoded: dict = {}
     try:
         with open(path, "w") as fh:
             for start in range(0, len(events), _EXPORT_BATCH):
-                fh.write(
-                    "".join(
-                        [
-                            f'{{"at_ms":{at_ms},"kind":{encode_basestring_ascii(kind)},'
-                            f'"payload":{"".join(encode(payload, 0))},"seq":{seq}}}\n'
-                            for at_ms, seq, kind, payload in events[start : start + _EXPORT_BATCH]
-                        ]
+                lines = []
+                for at_ms, seq, kind, payload in events[start : start + _EXPORT_BATCH]:
+                    text = encoded.get(id(payload))
+                    if text is None:
+                        text = encoded[id(payload)] = "".join(encode(payload, 0))
+                    lines.append(
+                        f'{{"at_ms":{at_ms},"kind":{encode_basestring_ascii(kind)},'
+                        f'"payload":{text},"seq":{seq}}}\n'
                     )
-                )
+                fh.write("".join(lines))
     except OSError as exc:
         raise IoError(f"cannot write trace to {path}: {exc}") from exc

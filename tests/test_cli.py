@@ -26,6 +26,7 @@ from stresstwin.pipeline import (
 )
 from tests.test_forest import MODEL_FAULTS, _corrupt, predict_proba_reference
 from tests.test_pinned_run import PINNED_SHA256
+from tests.test_simulator import assert_ticks_agree
 
 
 @pytest.fixture(scope="session")
@@ -111,6 +112,11 @@ class TestRunArtifacts:
             event = json.loads(line)
             kinds.add(event["kind"])
         assert {"SensorChunk", "WindowReady", "Inference", "StrategyTick", "CommandIssued"} <= kinds
+
+    def test_trace_ticks_agree(self, synthetic_run):
+        lines = (synthetic_run / "trace.jsonl").read_text().splitlines()
+        events = [(e["at_ms"], e["seq"], e["kind"], e["payload"]) for e in map(json.loads, lines)]
+        assert_ticks_agree(events)
 
     def test_baseline_fields(self, synthetic_run):
         payload = json.loads((synthetic_run / "baseline.json").read_text())

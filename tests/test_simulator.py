@@ -3,10 +3,13 @@ import json
 from collections import defaultdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stresstwin.errors import ConfigInvalid, InvalidParam, IoError
 from stresstwin.forest import Dataset, ForestParams, train_forest
 from stresstwin.hrv import compute_baseline, window_grid
+from stresstwin.ingest import RecordHeader
 from stresstwin.interventions import CATALOG
 from stresstwin.pipeline import (
     FEATURE_CSV_COLUMNS,
@@ -29,6 +32,10 @@ from stresstwin.synth import synth_ecg, synth_ecg_profile
 SCRIPT = ((0.0, 1), (100.0, 4))
 # recorded while every tick still went through the event heap
 TIE_ORDER_SHA256 = "0e05e19ac5530902c2448bdf88382ba2cb4e2425f46410e2d46614f6a6aa5fe8"
+# two 30-minute headers under NST_SCRIPT at the default RunConfig; recorded
+# while every tick still logged a payload dict of its own
+NST_SCRIPT = ((0.0, 1), (240.0, 3), (610.0, 5), (1130.0, 2), (1800.0, 4), (2400.0, 1), (2950.0, 5), (3300.0, 3))
+NST_LENGTH_SHA256 = "fd758a13907037824742f1c8906afcc86f56823605b0c7cdadff70200db003f9"
 ALL_KINDS = {
     "SensorChunk",
     "WindowReady",
@@ -87,6 +94,32 @@ def canonical_lines(trace) -> list:
         )
         for e in trace.events
     ]
+
+
+def assert_ticks_agree(events) -> None:
+    """Check each StrategyTick of ``events`` ((at_ms, seq, kind, payload) in
+    trace order) against the events around it: it carries the level that the
+    latest Inference before it committed (1 before any), and it is issued
+    exactly when commands for that level follow it at its millisecond. A
+    payload changed after it was logged breaks one of these."""
+    committed = 1
+    ticks = []  # (at_ms, payload, levels of the commands issued after it at at_ms)
+    n_issued = 0
+    for at_ms, _, kind, payload in events:
+        if kind == "Inference":
+            committed = payload["committed"]
+        elif kind == "StrategyTick":
+            assert payload["committed"] == committed, (at_ms, payload, committed)
+            ticks.append((at_ms, payload, []))
+        elif kind == "CommandIssued":
+            n_issued += 1
+            if ticks and ticks[-1][0] == at_ms:
+                ticks[-1][2].append(payload["stress_level"])
+    assert ticks[0][0] == 0 and ticks[0][1]["issued"]
+    for at_ms, payload, levels in ticks:
+        assert payload["issued"] == bool(levels), (at_ms, payload, levels)
+        assert set(levels) <= {payload["committed"]}, (at_ms, payload, levels)
+    assert sum(len(levels) for _, _, levels in ticks) == n_issued
 
 
 def dwell_fold(levels, dwell_windows=2):
@@ -243,6 +276,82 @@ class TestTieOrder:
         path = tmp_path / "trace.jsonl"
         export_trace(trace, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == TIE_ORDER_SHA256
+
+
+class TestTickPayloads:
+    @pytest.mark.parametrize("fixture", ["scripted_trace", "levels_trace"])
+    def test_ticks_agree_with_inferences_and_commands(self, request, fixture):
+        assert_ticks_agree(request.getfixturevalue(fixture).events)
+
+    def test_one_payload_per_tick_state(self, levels_trace):
+        payloads = [e.payload for e in levels_trace.of_kind("StrategyTick")]
+        states = {(p["committed"], p["issued"]) for p in payloads}
+        assert len({id(p) for p in payloads}) == len(states) <= 10
+        assert len(states) > 2
+
+
+def nst_header(record_name: str) -> RecordHeader:
+    """A 30-minute two-lead NST record's header: the simulator reads no sample."""
+    return RecordHeader(record_name, 2, 360.0, 648_000, ())
+
+
+class TestNstLengthTrace:
+    def test_thirty_minute_trace_pinned(self, tmp_path):
+        trace = run_simulation([nst_header("S00e_6"), nst_header("S00e24")], None, RunConfig(), NST_SCRIPT)
+        ticks = trace.of_kind("StrategyTick")
+        assert len(ticks) == 18_001
+        committed = [e.payload["committed"] for e in ticks]
+        assert sum(a != b for a, b in zip(committed, committed[1:])) >= 6
+        assert_ticks_agree(trace.events)
+        path = tmp_path / "trace.jsonl"
+        export_trace(trace, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == NST_LENGTH_SHA256
+
+
+MAX_DRAWN_TICKS = 10_000  # per drawn run, so that an example stays cheap
+
+
+class TestDrawnRuns:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_export_is_canonical_and_ticks_agree(self, tmp_path, data):
+        records = []
+        for i in range(data.draw(st.integers(1, 3), label="n_records")):
+            fs = data.draw(st.sampled_from([250.0, 360.0, 500.0]), label="fs")
+            n_samples = data.draw(st.integers(round(20 * fs), round(400 * fs)), label="n_samples")
+            records.append(RecordHeader(f"R{i}", 1, fs, n_samples, ()))
+        cap_s = data.draw(st.none() | st.floats(1.0, 200.0), label="sim_max_duration_s")
+        timeline_ms = sum(
+            int(round(min(rec.n_samples / rec.fs, cap_s or float("inf")) * 1000)) for rec in records
+        )
+        # tick_ms reaches 1 only on short timelines
+        tick_ms = data.draw(st.integers(max(1, -(-timeline_ms // MAX_DRAWN_TICKS)), 1500), label="tick_ms")
+        cfg = RunConfig(
+            tick_ms=tick_ms,
+            chunk_s=data.draw(st.sampled_from([0.2, 0.25, 1.0, 1.1, 2.5]), label="chunk_s"),
+            dwell_windows=data.draw(st.integers(1, 4), label="dwell_windows"),
+            sim_max_duration_s=cap_s,
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+        )
+        if data.draw(st.booleans(), label="scripted"):
+            pair = st.tuples(st.floats(0.0, timeline_ms / 1000), st.integers(1, 5))
+            trace = run_simulation(records, None, cfg, data.draw(st.lists(pair, max_size=8), label="script"))
+        else:
+            keys = [
+                (rec.record_name, start_s)
+                for rec in records
+                for start_s, _ in window_grid(rec, cfg.window_s, cfg.stride_s, cfg.context_s)
+            ]
+            drawn = data.draw(
+                st.lists(st.none() | st.integers(1, 5), min_size=len(keys), max_size=len(keys)),
+                label="levels",
+            )
+            trace = run_simulation(records, dict(zip(keys, drawn)), cfg)
+        path = tmp_path / "trace.jsonl"
+        export_trace(trace, path)
+        assert path.read_text() == "".join(line + "\n" for line in canonical_lines(trace))
+        assert sorted(e.seq for e in trace.events) == list(range(len(trace)))
+        assert_ticks_agree(trace.events)
 
 
 class TestSensorChunks:
